@@ -152,11 +152,6 @@ def radical_of_charpoly(m):
     return squarefree_part(charpoly(m))
 
 
-def acts_semisimply(m):
-    "True when the squarefree part of the charpoly already annihilates m."
-    return _annihilates(radical_of_charpoly(m), m)
-
-
 def _annihilates(poly, m):
     d = len(m)
     acc = tuple(tuple(poly[0] if i == j else 0 for j in range(d)) for i in range(d))

@@ -95,12 +95,12 @@ def _vec(v):
 
 def cmd_count(args):
     t = _source(args)
-    if args.prime:
-        counts = count_ideals_at_prime(t.lam, args.prime, args.kmax, threads=args.threads)
+    if args.prime is not None:
+        counts = count_ideals_at_prime(t.lam, args.prime, args.kmax)
         for k, a in enumerate(counts):
             print(f"{args.prime}^{k}\t{a}")
     else:
-        series = count_ideals(t.lam, args.max_index, threads=args.threads)
+        series = count_ideals(t.lam, args.max_index)
         for n in range(1, args.max_index + 1):
             print(f"{n}\t{series.a(n)}")
     return 0
@@ -108,14 +108,14 @@ def cmd_count(args):
 
 def cmd_zeta(args):
     t = _source(args)
-    series = zeta_series(t, args.max_index, threads=args.threads, progress=sys.stderr)
+    series = zeta_series(t, args.max_index, progress=sys.stderr)
     print(series)
     return 0
 
 
 def cmd_verify(args):
     t = _source(args)
-    res = verify_order(t, args.max_index, threads=args.threads, progress=sys.stderr)
+    res = verify_order(t, args.max_index, progress=sys.stderr)
     for p in sorted(res.deltas):
         print(f"delta_{p}\t{_tpoly(res.deltas[p])}")
     for n, got, want in res.mismatches[:20]:
@@ -158,7 +158,6 @@ def cmd_genus(args):
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="tablezeta", description=__doc__)
     ap.add_argument("--format", choices=["tsv", "json-like"], default="tsv")
-    ap.add_argument("--threads", type=int, default=1, help="worker cap for the enumeration kernel")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check the table algebra axioms")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal, NotStabilized
 from .exact import primes_up_to, valuation
-from .polys import pdeg, pmul, pnorm
+from .polys import padd, pdeg, pmul, pnorm
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class LocalRationalFunction:
     def __add__(self, other):
         if not isinstance(other, LocalRationalFunction) or self.p != other.p:
             raise InputError("mixed primes")
-        num = _padd_generic(pmul(self.num, other.den), pmul(other.num, self.den))
+        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
         return LocalRationalFunction(self.p, num, pmul(self.den, other.den))
 
     def reduced(self):
@@ -99,13 +99,6 @@ def _eval_at_one(c):
     for x in c:
         total = total + x
     return total
-
-
-def _padd_generic(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return pnorm(tuple(x + y for x, y in zip(a, b)))
 
 
 def _poly_eq(a, b):

@@ -181,20 +181,6 @@ def abs_prod(xs):
     return abs(out)
 
 
-def lattice_contains(h, v):
-    "Membership of integer vector v in the lattice with HNF rows h."
-    n = len(h)
-    v = list(v)
-    for i in range(n):
-        d = h[i][i]
-        if v[i] % d != 0:
-            return False
-        q = v[i] // d
-        for c in range(i, n):
-            v[c] -= q * h[i][c]
-    return all(x == 0 for x in v)
-
-
 def lattice_intersection(h1, h2):
     """Intersection of two full integer lattices given by row bases."""
     n = len(h1)

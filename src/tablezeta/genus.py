@@ -33,7 +33,7 @@ from .errors import (
     PrecisionUnstable,
     UnsupportedM,
 )
-from .exact import hnf_square, lattice_det, lattice_intersection, solve_right_congruence, valuation
+from .exact import hnf_square, is_prime, lattice_det, lattice_intersection, solve_right_congruence, valuation
 from .ideals import LatticeHNF
 from .ppoly import PM1, PFrac, PPoly
 
@@ -66,7 +66,7 @@ class LocalModel:
 
 def model_for_order(n, p) -> LocalModel:
     "Local model of the rank-3 family of order n at an odd prime p | n."
-    if p == 2 or n % p != 0:
+    if p == 2 or not is_prime(p) or n % p != 0:
         raise InputError(f"p = {p} must be an odd prime dividing n = {n}")
     k = valuation(n, p)
     if k % 2 == 0:

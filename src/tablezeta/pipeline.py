@@ -51,7 +51,7 @@ def analyze(t: TableAlgebra) -> AnalyzedOrder:
     return AnalyzedOrder(algebra=t, decomposition=decomp, order=data)
 
 
-def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, threads=1, progress=None):
+def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, progress=None):
     """For each bad prime, run the oracle deep enough to stabilize the
     quotient by the maximal-order factor; returns {p: (delta_poly, full
     local factor)}."""
@@ -64,7 +64,7 @@ def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, t
         while True:
             if progress:
                 print(f"counting ideals of {_label(t)} at p={p} up to p^{kmax} ...", file=progress)
-            counts = count_ideals_at_prime(t.lam, p, kmax, threads=threads)
+            counts = count_ideals_at_prime(t.lam, p, kmax)
             base = maximal_local_factor(analyzed.order.rings, p)
             try:
                 delta = infer_local_polynomial(counts, base)
@@ -88,10 +88,10 @@ class VerifyResult:
     mismatches: list = field(default_factory=list)
 
 
-def zeta_series(t: TableAlgebra, bound, threads=1, progress=None) -> DirichletSeries:
+def zeta_series(t: TableAlgebra, bound, progress=None) -> DirichletSeries:
     "Assembled Euler-product series with inferred exceptional factors."
     analyzed = analyze(t)
-    exc = infer_exceptional_factors(t, analyzed, bound, threads, progress)
+    exc = infer_exceptional_factors(t, analyzed, bound, progress)
     return assemble_global(
         analyzed.order.rings,
         analyzed.order.bad_primes,
@@ -100,9 +100,9 @@ def zeta_series(t: TableAlgebra, bound, threads=1, progress=None) -> DirichletSe
     )
 
 
-def verify_order(t: TableAlgebra, bound, threads=1, progress=None) -> VerifyResult:
+def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
     analyzed = analyze(t)
-    exc = infer_exceptional_factors(t, analyzed, bound, threads, progress)
+    exc = infer_exceptional_factors(t, analyzed, bound, progress)
     assembled = assemble_global(
         analyzed.order.rings,
         analyzed.order.bad_primes,
@@ -111,7 +111,7 @@ def verify_order(t: TableAlgebra, bound, threads=1, progress=None) -> VerifyResu
     )
     if progress:
         print(f"counting all ideals of {_label(t)} up to index {bound} ...", file=progress)
-    oracle = count_ideals(t.lam, bound, threads=threads)
+    oracle = count_ideals(t.lam, bound)
     mismatches = [
         (n, oracle.a(n), assembled.a(n)) for n in range(1, bound + 1) if oracle.a(n) != assembled.a(n)
     ]

@@ -132,7 +132,7 @@ def test_acceptance_5_automorphism_indices():
 
 
 def test_acceptance_6_valuation3_oracle():
-    counts = count_ideals_at_prime(drt(6).lam, 3, 6, threads=2)
+    counts = count_ideals_at_prime(drt(6).lam, 3, 6)
     want = expand(theorem_local_factor("v3", 3), 6)
     assert counts == want == [1, 1, 4, 13, 22, 49, 103]
     print("ACCEPTANCE 6: PASS - oracle ideal counts of drt(6) at p=3 up to 3^6 equal the "
@@ -150,7 +150,7 @@ def test_acceptance_7_global_fusion_zetas():
         "psu5l2": {},
     }
     for name, want in expected_deltas.items():
-        res = verify_order(fusion(name), 64, threads=1)
+        res = verify_order(fusion(name), 64)
         assert res.passed, name
         nontrivial = {p: d for p, d in res.deltas.items() if d != (1,)}
         assert nontrivial == want, (name, res.deltas)

@@ -141,5 +141,22 @@ def test_cli_genus_even_valuation(capsys):
     assert main(["genus", "--family", "drt", "--u", "24", "--prime", "3"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "drt", "--u", "1", "--prime", "4"],
+        ["count", "--family", "drt", "--u", "1", "--prime", "1"],
+        ["count", "--family", "drt", "--u", "1", "--prime", "0"],
+        ["genus", "--family", "drt", "--u", "6", "--prime", "9"],
+        ["genus", "--family", "drt", "--u", "6", "--prime", "1"],
+    ],
+)
+def test_cli_rejects_non_prime(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prime" in captured.err
+
+
 def test_cli_missing_source(capsys):
     assert main(["count"]) == 2

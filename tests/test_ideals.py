@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate_sublattices, is_ideal
 from tablezeta.errors import InputError
-from tablezeta.families import conference, drt, fusion
+from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.ideals import _count_for_index, divisor_tuples, quotient_ring_table
 
 
@@ -116,9 +116,15 @@ def test_prime_power_collapse_matches_stream():
         assert fast == slow
 
 
-def test_count_ideals_threads_smoke():
-    series = count_ideals(fusion("ising").lam, 12, threads=2)
-    assert series.counts == count_ideals(fusion("ising").lam, 12).counts
+def test_count_ideals_matches_stream_on_every_builtin():
+    # count_ideals collapses rank 2 and 3 per diagonal for every index, not
+    # only prime powers; the plain stream is the reference
+    tables = [t.lam for t in (drt(1), drt(6), conference(1), conference(3))]
+    tables += [fusion(name).lam for name in FUSION_NAMES]
+    tables.append(quotient_ring_table((-1, -1, 1)))
+    for lam in tables:
+        slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, 25))
+        assert count_ideals(lam, 24).counts == slow
 
 
 def test_multiplicativity_small():

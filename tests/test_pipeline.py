@@ -4,7 +4,7 @@ from tablezeta.pipeline import analyze, verify_order, zeta_series
 
 
 def test_verify_drt1_to_100():
-    res = verify_order(drt(1), 100, threads=2)
+    res = verify_order(drt(1), 100)
     assert res.passed
     assert res.deltas == {7: (1, -1, 7)}
 
