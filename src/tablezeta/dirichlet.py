@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal, NotStabilized
-from .exact import primes_up_to, valuation
+from .exact import is_prime, primes_up_to, valuation
 from .polys import padd, pdeg, pmul, pnorm
 
 
@@ -174,13 +174,38 @@ def expand(f: LocalRationalFunction, kmax):
 
 
 def factor_degrees_mod_p(poly, p):
-    """Distinct irreducible factors of a monic integer polynomial mod p,
-    as (degree, multiplicity) pairs; degree <= 3 supported.  Roots by
-    exhaustive search over the residue field."""
+    """Distinct irreducible factors of a monic integer polynomial f of
+    degree <= 3 mod the prime p, as (degree, multiplicity) pairs: one
+    (1, mult) per root in increasing order, then the irreducible factor of
+    degree 2 or 3 left over, if any.
+
+    When f is squarefree mod p, i.e. gcd(f, f') = 1 over F_p, every
+    multiplicity is 1 and the number r of distinct roots is
+    deg gcd(f, x^p - x), with x^p mod f by square-and-multiply; for
+    degree <= 3 that number fixes the rest: r linear factors and one
+    irreducible factor of degree deg f - r.  Only at the finitely many p
+    dividing disc(f), where f is not squarefree, are the roots and their
+    multiplicities found by a search over the residues; so are those of
+    an f that is not monic mod p, or of a p that is not prime."""
     coeffs = [x % p for x in poly]
     deg = len(coeffs) - 1
     if deg > 3:
         raise InputError("modular factorization implemented for degree <= 3")
+    if deg <= 0:
+        return []
+    if coeffs[-1] != 1 or not is_prime(p):
+        return _factor_degrees_by_search(coeffs, p)
+    if deg == 1:
+        return [(1, 1)]
+    if _fp_gcd_deg(coeffs, _fp_derivative(coeffs, p), p) > 0:
+        return _factor_degrees_by_search(coeffs, p)
+    x_p = _fp_x_power_mod(p, coeffs, p)
+    roots = _fp_gcd_deg(coeffs, _fp_sub(x_p, [0, 1], p), p)
+    return [(1, 1)] * roots + ([(deg - roots, 1)] if roots < deg else [])
+
+
+def _factor_degrees_by_search(coeffs, p):
+    "factor_degrees_mod_p by trying every residue r as a root, with multiplicity."
     out = []
     for r in range(p):
         mult = 0
@@ -204,6 +229,65 @@ def factor_degrees_mod_p(poly, p):
     rest = len(coeffs) - 1
     if rest > 0:
         out.append((rest, 1))  # no roots left: irreducible of degree 2 or 3
+    return out
+
+
+# Polynomials over F_p: ascending coefficient lists reduced mod p with no
+# trailing zeros; [] is the zero polynomial.
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_derivative(a, p):
+    return _fp_trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _fp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _fp_rem(a, b, p):
+    "a mod b for b != 0."
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q = a[-1] * inv % p
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - q * c) % p
+        _fp_trim(a)
+    return a
+
+
+def _fp_gcd_deg(a, b, p):
+    "Degree of gcd(a, b) for a != 0."
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    return len(a) - 1
+
+
+def _fp_mul_mod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _fp_rem(_fp_trim([c % p for c in prod]), f, p)
+
+
+def _fp_x_power_mod(e, f, p):
+    "x^e mod f over F_p by square-and-multiply, for deg f >= 2."
+    out, base = [1], [0, 1]
+    while e:
+        if e & 1:
+            out = _fp_mul_mod(out, base, f, p)
+        base = _fp_mul_mod(base, base, f, p)
+        e >>= 1
     return out
 
 
@@ -262,10 +346,8 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
             kmax += 1
         local = exceptional.get(p) or maximal_local_factor(rings, p)
         a_pk = expand(local, kmax)
-        for n in range(1, bound + 1):
-            if n % p == 0:
-                k = valuation(n, p)
-                coeffs[n] *= a_pk[k]
+        for n in range(p, bound + 1, p):
+            coeffs[n] *= a_pk[valuation(n, p)]
     return DirichletSeries(bound, tuple(coeffs[1:]))
 
 

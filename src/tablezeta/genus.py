@@ -49,9 +49,11 @@ class LocalModel:
     v: object = None
 
     def __post_init__(self):
+        if self.m < 0:
+            raise InputError(f"m must be at least 0, got {self.m}")
         if self.p is not None:
-            if self.p == 2 or self.p < 2:
-                raise InputError("local model needs an odd prime")
+            if self.p == 2 or not is_prime(self.p):
+                raise InputError(f"local model needs an odd prime, got p = {self.p}")
             if self.v is None or self.v % self.p == 0:
                 raise InputError("v must be a unit mod p")
 

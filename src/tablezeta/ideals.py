@@ -167,6 +167,8 @@ def count_ideals_at_prime(table, p, kmax):
     directly (only p-power determinants are visited)."""
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
+    if kmax < 0:
+        raise InputError(f"kmax must be at least 0, got {kmax}")
     count = _index_counter(table)
     return [count(p**k) for k in range(kmax + 1)]
 

@@ -24,7 +24,7 @@ from .dirichlet import (
     infer_local_polynomial,
     maximal_local_factor,
 )
-from .errors import NotStabilized
+from .errors import InputError, NotStabilized
 from .ideals import count_ideals, count_ideals_at_prime
 from .polys import pmul
 
@@ -61,11 +61,11 @@ def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, p
         while p**kmax <= bound:
             kmax += 1
         kmax = max(kmax, 5)
+        base = maximal_local_factor(analyzed.order.rings, p)
         while True:
             if progress:
                 print(f"counting ideals of {_label(t)} at p={p} up to p^{kmax} ...", file=progress)
             counts = count_ideals_at_prime(t.lam, p, kmax)
-            base = maximal_local_factor(analyzed.order.rings, p)
             try:
                 delta = infer_local_polynomial(counts, base)
                 break
@@ -88,19 +88,11 @@ class VerifyResult:
     mismatches: list = field(default_factory=list)
 
 
-def zeta_series(t: TableAlgebra, bound, progress=None) -> DirichletSeries:
-    "Assembled Euler-product series with inferred exceptional factors."
-    analyzed = analyze(t)
-    exc = infer_exceptional_factors(t, analyzed, bound, progress)
-    return assemble_global(
-        analyzed.order.rings,
-        analyzed.order.bad_primes,
-        {p: full for p, (_, full) in exc.items()},
-        bound,
-    )
-
-
-def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
+def _assembled(t: TableAlgebra, bound, progress):
+    """(exceptional factors, assembled series a_1..a_bound): analyze, infer
+    the bad-prime factors, assemble the Euler product."""
+    if bound < 1:
+        raise InputError(f"the index bound must be at least 1, got {bound}")
     analyzed = analyze(t)
     exc = infer_exceptional_factors(t, analyzed, bound, progress)
     assembled = assemble_global(
@@ -109,6 +101,16 @@ def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
         {p: full for p, (_, full) in exc.items()},
         bound,
     )
+    return exc, assembled
+
+
+def zeta_series(t: TableAlgebra, bound, progress=None) -> DirichletSeries:
+    "Assembled Euler-product series with inferred exceptional factors."
+    return _assembled(t, bound, progress)[1]
+
+
+def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
+    exc, assembled = _assembled(t, bound, progress)
     if progress:
         print(f"counting all ideals of {_label(t)} up to index {bound} ...", file=progress)
     oracle = count_ideals(t.lam, bound)

@@ -158,5 +158,23 @@ def test_cli_rejects_non_prime(argv, capsys):
     assert "prime" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--family", "drt", "--u", "1", "--max-index", "0"],
+        ["zeta", "--family", "drt", "--u", "1", "--max-index", "-3"],
+        ["verify", "--family", "drt", "--u", "1", "--max-index", "0"],
+        ["verify", "--family", "drt", "--u", "1", "--max-index", "-3"],
+        ["count", "--family", "drt", "--u", "1", "--prime", "3", "--kmax", "-1"],
+    ],
+)
+def test_cli_rejects_out_of_range_size(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err
+    assert "counting" not in captured.err
+
+
 def test_cli_missing_source(capsys):
     assert main(["count"]) == 2

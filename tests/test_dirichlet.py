@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tablezeta import (
@@ -11,7 +13,9 @@ from tablezeta import (
 from tablezeta.decomposition import NumberRing
 from tablezeta.dirichlet import factor_degrees_mod_p, maximal_local_factor, zeta_p
 from tablezeta.errors import MissingBadPrime, NotCertifiedMaximal, NotStabilized
-from tablezeta.families import fusion
+from tablezeta.exact import factorize, primes_up_to
+from tablezeta.families import drt, fusion
+from tablezeta.polys import pmul
 from tablezeta.ideals import count_ideals, count_ideals_at_prime
 from tablezeta.pipeline import analyze
 
@@ -53,6 +57,76 @@ def test_dedekind_matches_oracle_counts():
 def test_totally_ramified_cubic_at_7():
     # x^3 - 2x^2 - x + 1 mod 7 = (x - 3)^3
     assert factor_degrees_mod_p((1, -1, -2, 1), 7) == [(1, 3)]
+
+
+def _degrees_by_root_search(poly, p):
+    """Reference for factor_degrees_mod_p: the multiplicity of each residue r
+    as a root is how often (x - r) divides f mod p; whatever degree is left
+    after removing all roots is one irreducible factor (deg f <= 3)."""
+    f = [c % p for c in poly]
+    out = []
+    for r in range(p):
+        mult = 0
+        while len(f) > 1 and sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0:
+            quotient = [0] * (len(f) - 1)
+            carry = 0
+            for i in range(len(f) - 1, 0, -1):
+                carry = (carry * r + f[i]) % p
+                quotient[i - 1] = carry
+            f = quotient
+            mult += 1
+        if mult:
+            out.append((1, mult))
+    if len(f) > 1:
+        out.append((len(f) - 1, 1))
+    return out
+
+
+@pytest.mark.parametrize("p", primes_up_to(40))
+def test_factor_degrees_match_root_search(p):
+    for deg in (1, 2, 3):
+        for low in itertools.product(range(-4, 5), repeat=deg):
+            poly = (*low, 1)
+            assert factor_degrees_mod_p(poly, p) == _degrees_by_root_search(poly, p), poly
+
+
+@pytest.mark.parametrize("p", [6481, 6491, 6521, 6529, 6547, 6551, 6553, 6563])
+def test_factor_degrees_large_prime_euler_criterion(p):
+    # x^2 - x - 1 has discriminant 5: two roots mod p iff 5 is a square mod p
+    roots = 2 if pow(5, (p - 1) // 2, p) == 1 else 0
+    expected = [(1, 1), (1, 1)] if roots else [(2, 1)]
+    assert factor_degrees_mod_p((-1, -1, 1), p) == expected
+
+
+def _product_over_factorization(rings, exceptional, bound):
+    "a_n as the product of expand(local_p, k)[k] over p^k || n, factor by factor."
+    local = dict(exceptional)
+    for p in primes_up_to(bound):
+        if p not in local:
+            den = (1,)
+            for ring in rings:
+                for deg, _ in _degrees_by_root_search(ring.defining_poly, p):
+                    den = pmul(den, (1,) + (0,) * (deg - 1) + (-1,))
+            local[p] = LocalRationalFunction(p, (1,), den)
+    out = []
+    for n in range(1, bound + 1):
+        a = 1
+        for p, k in factorize(n).items():
+            a *= expand(local[p], k)[k]
+        out.append(a)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("t, deltas", [(drt(1), {7: (1, -1, 7)}), (fusion("ising"), {2: (1, -1, 2)})])
+def test_assemble_matches_product_over_factorization(t, deltas):
+    data = analyze(t)
+    assert sorted(deltas) == data.order.bad_primes
+    exceptional = {
+        p: LocalRationalFunction(p, delta, (1,)) * maximal_local_factor(data.order.rings, p)
+        for p, delta in deltas.items()
+    }
+    series = assemble_global(data.order.rings, data.order.bad_primes, exceptional, 3000)
+    assert series.coefficients == _product_over_factorization(data.order.rings, exceptional, 3000)
 
 
 def test_expand_geometric_square():

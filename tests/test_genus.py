@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tablezeta.dirichlet import expand, theorem_local_factor
-from tablezeta.errors import UnsupportedM
+from tablezeta.errors import InputError, UnsupportedM
 from tablezeta.genus import (
     LocalModel,
     RegionPart,
@@ -356,3 +356,15 @@ def test_v_sign_convention():
     assert model_for_order(125, 5).v == 1  # 125 = 1 mod 4
     assert model_for_order(7, 7).v == -1
     assert model_for_order(5, 5).v == 1
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_local_model_rejects_composite_p(p):
+    with pytest.raises(InputError, match="prime"):
+        LocalModel(p=p, m=0, v=1)
+
+
+@pytest.mark.parametrize("p", [3, None])
+def test_local_model_rejects_negative_m(p):
+    with pytest.raises(InputError, match="m must be"):
+        LocalModel(p=p, m=-1, v=1)
