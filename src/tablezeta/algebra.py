@@ -14,14 +14,7 @@ from fractions import Fraction
 
 from .errors import NonCommutative, NonIntegralRescale
 from .exact import charpoly, mat_identity, mat_mul
-from .polys import (
-    AlgebraicNumber,
-    count_real_roots,
-    factor_rational,
-    isolate_largest_real_root,
-    pdeg,
-    squarefree_part,
-)
+from .polys import AlgebraicNumber, factor_rational, largest_real_root, squarefree_part
 
 
 class BasisKind(enum.Enum):
@@ -139,6 +132,11 @@ def validate(t: TableAlgebra) -> ValidationReport:
     return rep
 
 
+def _commutative_or_raise(t: TableAlgebra):
+    if any(axiom == "commutativity" for axiom, _ in validate(t).violations):
+        raise NonCommutative("the table algebra is not commutative")
+
+
 def regular_representation(t: TableAlgebra, i: int):
     "Matrix M with M[k][j] = lambda[i][j][k]: column j expands b_i * b_j."
     if not 0 <= i < t.rank:
@@ -165,20 +163,7 @@ def _annihilates(poly, m):
 def perron_root(m) -> AlgebraicNumber:
     """Largest real eigenvalue of a nonnegative integer matrix, as an exact
     algebraic number (minimal polynomial = its irreducible factor)."""
-    from .polys import cauchy_bound
-
-    best = None
-    for f in factor_rational(radical_of_charpoly(m)):
-        if pdeg(f) == 1:
-            cand = AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))
-        else:
-            b = cauchy_bound(f)
-            if count_real_roots(f, -b, b) == 0:
-                continue
-            lo, hi = isolate_largest_real_root(f)
-            cand = AlgebraicNumber(tuple(f), Fraction(lo), Fraction(hi))
-        if best is None or best < cand:
-            best = cand
+    _, best = largest_real_root(factor_rational(radical_of_charpoly(m)))
     if best is None:
         raise ArithmeticError("matrix has no real eigenvalue")
     return best
@@ -187,9 +172,7 @@ def perron_root(m) -> AlgebraicNumber:
 def degree_map(t: TableAlgebra):
     """delta(b_i) for each basis element: the Perron-Frobenius eigenvalue of
     its regular representation.  delta extends to an algebra character."""
-    rep = validate(t)
-    if any(axiom == "commutativity" for axiom, _ in rep.violations):
-        raise NonCommutative("degree map requires a commutative table algebra")
+    _commutative_or_raise(t)
     return [perron_root(regular_representation(t, i)) for i in range(t.rank)]
 
 

@@ -19,7 +19,7 @@ from .genus import (
     enumerate_genus_representatives,
     genus_zeta,
     model_for_order,
-    total_local_zeta,
+    sum_genus_zetas,
 )
 from .ideals import count_ideals, count_ideals_at_prime
 from .pipeline import analyze, verify_order, zeta_series
@@ -131,27 +131,31 @@ def _tpoly(coeffs):
 
 
 def cmd_genus(args):
+    from . import genus  # resolved at call time, so the benchmark's traced run times the measure column
+
     spec = FamilySpec(args.family, u=args.u) if args.family in ("drt", "conference") else None
     if spec is None:
         raise InputError("genus needs --family drt|conference")
     n = spec.order()
     if args.symbolic_p:
+        if args.prime is not None:
+            raise InputError("--symbolic-p takes no --prime")
         model = LocalModel(p=None, m=args.m if args.m is not None else 1, v=None)
     else:
+        if args.m is not None:
+            raise InputError("--m needs --symbolic-p; with --prime, m comes from v_p(n)")
         if not args.prime:
             raise InputError("genus needs --prime (or --symbolic-p with --m)")
         model = model_for_order(n, args.prime)
-    reps = enumerate_genus_representatives(model)
-    for rep in reps:
+    zetas = []
+    for rep in enumerate_genus_representatives(model):
         z = genus_zeta(model, rep)
+        zetas.append(z)
         r, i, j = rep.params
         idx = f"p^{3 * model.m + 1 - i - j}"
-        from .genus import automorphism_measure_inverse
-
-        mu = automorphism_measure_inverse(model, rep.params)
+        mu = genus.automorphism_measure_inverse(model, rep.params)
         print(f"M({r},{i},{j})\t{idx}\t{mu}\t{z}")
-    total = total_local_zeta(model)
-    print(f"total\t\t\t{total}")
+    print(f"total\t\t\t{sum_genus_zetas(zetas)}")
     return 0
 
 

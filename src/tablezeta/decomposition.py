@@ -18,19 +18,18 @@ from .algebra import (
     BasisKind,
     TableAlgebra,
     _annihilates,
+    _commutative_or_raise,
     radical_of_charpoly,
     regular_representation,
-    validate,
 )
-from .errors import BasisKindMismatch, MaximalityUncertified, NonCommutative, NotMonogenic
+from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
 from .exact import factorize, fmat_det, fmat_inv, fmat_solve, vec_mat
 from math import gcd
 
 from .polys import (
     FieldElt,
     factor_rational,
-    isolate_largest_real_root,
-    AlgebraicNumber,
+    largest_real_root,
     pdeg,
     pdiv_exact,
     pdivmod,
@@ -124,13 +123,6 @@ def basis_in_generator(t: TableAlgebra, gen: int):
     return out
 
 
-def _commutative_or_raise(t):
-    rep = validate(t)
-    bad = [a for a, _ in rep.violations if a == "commutativity"]
-    if bad:
-        raise NonCommutative("decomposition requires a commutative table algebra")
-
-
 def _generator_candidates(t: TableAlgebra):
     d = t.rank
     if d == 1:
@@ -200,16 +192,14 @@ def _cubic_disc(f):
     return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
-def primitive_idempotents(t: TableAlgebra, gen=None, factors=None):
+def primitive_idempotents(t: TableAlgebra):
     """CRT projector route: for each irreducible factor f of mu, the
     idempotent is ((mu/f) * ((mu/f)^-1 mod f))(g), as a vector in B."""
-    _commutative_or_raise(t)
-    if gen is None:
-        gen, mu = find_generator(t)
-    else:
-        mu = tuple(to_int_poly(radical_of_charpoly(regular_representation(t, gen)))) if gen else (-1, 1)
-    if factors is None:
-        factors = factor_min_poly(mu)
+    gen, mu = find_generator(t)
+    return _crt_idempotents(t, gen, mu, factor_min_poly(mu))
+
+
+def _crt_idempotents(t: TableAlgebra, gen, mu, factors):
     pw = powers_of_generator(t, gen)
     d = t.rank
     out = []
@@ -236,12 +226,9 @@ def character_table(t: TableAlgebra) -> CharacterTable:
     transitional basis the same without the delta division.  This never
     needs n itself, so it stays exact inside each factor field.
     """
-    _commutative_or_raise(t)
+    factors, coords = _factors_and_coordinates(t)
     if t.basis_kind is BasisKind.RAW:
         raise BasisKindMismatch("character formulas need a standard or transitional basis")
-    gen, mu = find_generator(t)
-    factors = factor_min_poly(mu)
-    coords = basis_in_generator(t, gen)
     d = t.rank
     inv = t.involution
 
@@ -265,7 +252,7 @@ def character_table(t: TableAlgebra) -> CharacterTable:
             s = s + term
         weights.append(s.inv())
 
-    delta_index = _delta_factor_index(factors)
+    delta_index, _ = largest_real_root(factors)
 
     # order of the standard rescaling: sum of delta_i (standard) or
     # sum of delta_i^2 (transitional), as an element of the delta field
@@ -296,35 +283,19 @@ def character_table(t: TableAlgebra) -> CharacterTable:
     )
 
 
-def _delta_factor_index(factors):
-    "Index of the factor whose largest real root is the global largest."
-    best = None
-    best_i = None
-    for i, f in enumerate(factors):
-        from .polys import cauchy_bound, count_real_roots
-
-        if pdeg(f) > 1:
-            b = cauchy_bound(f)
-            if count_real_roots(f, -b, b) == 0:
-                continue
-            lo, hi = isolate_largest_real_root(f)
-            cand = AlgebraicNumber(tuple(f), Fraction(lo), Fraction(hi))
-        else:
-            cand = AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))
-        if best is None or best < cand:
-            best, best_i = cand, i
-    return best_i
+def _factors_and_coordinates(t: TableAlgebra):
+    """(factors of mu, [q_i with b_i = q_i(g)]) for the generator g: the
+    input of every character evaluation."""
+    gen, mu = find_generator(t)
+    return factor_min_poly(mu), basis_in_generator(t, gen)
 
 
 def degree_character_values(t: TableAlgebra):
     """(f_delta, [delta(b_i) as FieldElt]) - the degree character evaluated
-    exactly inside its factor field.  Works for any valid commutative basis."""
-    _commutative_or_raise(t)
-    gen, mu = find_generator(t)
-    factors = factor_min_poly(mu)
-    coords = basis_in_generator(t, gen)
-    di = _delta_factor_index(factors)
-    f = factors[di]
+    exactly inside its factor field (the factor holding the largest real
+    root).  Works for any valid commutative basis."""
+    factors, coords = _factors_and_coordinates(t)
+    f = factors[largest_real_root(factors)[0]]
     return f, [FieldElt(f, coords[i]) for i in range(t.rank)]
 
 
@@ -358,6 +329,7 @@ class MaximalOrderData:
     bad_primes: list
     rings: list
     discriminant_zb: int
+    decomposition: RationalDecomposition  # the decomposition Lambda_0 is built from
 
 
 def maximal_order(t: TableAlgebra) -> MaximalOrderData:
@@ -365,13 +337,14 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
 
     index = [Lambda_0 : ZB]; conductor = least f with f*Lambda_0 in ZB;
     bad primes = primes dividing the conductor (equivalently the index),
-    which are exactly the p with Z_p B != Lambda_{0,p}.
+    which are exactly the p with Z_p B != Lambda_{0,p}.  This is the one
+    pass through generator, factors, component rings and idempotents; the
+    result carries them as its decomposition.
     """
-    _commutative_or_raise(t)
     gen, mu = find_generator(t)
     factors = factor_min_poly(mu)
     rings = [_number_ring(f, require_certified=True) for f in factors]
-    idems = primitive_idempotents(t, gen, factors)
+    idems = _crt_idempotents(t, gen, mu, factors)
     mg = regular_representation(t, gen)
     d = t.rank
 
@@ -430,6 +403,7 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
         bad_primes=bad,
         rings=rings,
         discriminant_zb=disc_zb,
+        decomposition=RationalDecomposition(gen, mu, factors, idems, rings),
     )
 
 

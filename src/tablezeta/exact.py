@@ -103,15 +103,12 @@ def vec_mat(v, m):
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
-def hnf(rows, transform=False):
+def hnf(rows):
     """Row Hermite normal form of an integer matrix (full column rank not
-    required).  Returns the HNF with zero rows dropped; with transform=True
-    also returns the full unimodular U with U*rows == (hnf rows + zero rows).
-    """
+    required).  Returns the HNF with zero rows dropped."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if transform else None
     pivot_row = 0
     for col in range(ncols):
         # find a pivot at or below pivot_row
@@ -123,24 +120,15 @@ def hnf(rows, transform=False):
         if piv is None:
             continue
         m[pivot_row], m[piv] = m[piv], m[pivot_row]
-        if transform:
-            u[pivot_row], u[piv] = u[piv], u[pivot_row]
         # clear below with extended gcd steps
         for r in range(pivot_row + 1, nrows):
             while m[r][col] != 0:
                 q = m[pivot_row][col] // m[r][col]
                 for c in range(ncols):
                     m[pivot_row][c] -= q * m[r][c]
-                if transform:
-                    for c in range(nrows):
-                        u[pivot_row][c] -= q * u[r][c]
                 m[pivot_row], m[r] = m[r], m[pivot_row]
-                if transform:
-                    u[pivot_row], u[r] = u[r], u[pivot_row]
         if m[pivot_row][col] < 0:
             m[pivot_row] = [-x for x in m[pivot_row]]
-            if transform:
-                u[pivot_row] = [-x for x in u[pivot_row]]
         # reduce the entries above the pivot
         d = m[pivot_row][col]
         if d != 0:
@@ -149,14 +137,8 @@ def hnf(rows, transform=False):
                 if q:
                     for c in range(ncols):
                         m[r][c] -= q * m[pivot_row][c]
-                    if transform:
-                        for c in range(nrows):
-                            u[r][c] -= q * u[pivot_row][c]
             pivot_row += 1
-    result = tuple(tuple(r) for r in m[:pivot_row])
-    if transform:
-        return result, tuple(tuple(r) for r in u)
-    return result
+    return tuple(tuple(r) for r in m[:pivot_row])
 
 
 def hnf_square(rows):

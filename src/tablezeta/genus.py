@@ -23,6 +23,7 @@ integer arithmetic, and residue-count certificates tie the two together.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .dirichlet import LocalRationalFunction
@@ -307,10 +308,7 @@ def block_triangularize(model: LocalModel, rows) -> LatticeHNF:
         if den % p == 0:
             raise NotFullRank("row denominators must be prime to p")
         int_rows.append(tuple(int(Fraction(x) * den) for x in row))
-    h = hnf_square(tuple(int_rows))
-    det = lattice_det(h)
-    if det == 0:
-        raise NotFullRank("lattice is not full rank")
+    det = lattice_det(hnf_square(tuple(int_rows)))
     k = valuation(det, p) if det % p == 0 else 0
     stacked = tuple(int_rows) + tuple(tuple(p**k if i == j else 0 for j in range(3)) for i in range(3))
     loc = hnf_square(stacked)
@@ -722,11 +720,12 @@ def total_local_zeta(model: LocalModel) -> LocalRationalFunction:
     "Sum of the genus zeta functions over the class representatives, reduced."
     if model.m > 1:
         raise UnsupportedM("total local zeta implemented for m <= 1")
-    total = None
-    for rep in enumerate_genus_representatives(model):
-        z = genus_zeta(model, rep)
-        total = z if total is None else _add_same_den(total, z)
-    return total.reduced()
+    return sum_genus_zetas([genus_zeta(model, rep) for rep in enumerate_genus_representatives(model)])
+
+
+def sum_genus_zetas(zetas) -> LocalRationalFunction:
+    "Sum of genus zeta functions over (1-t)^2, reduced: the local zeta of their genus."
+    return reduce(_add_same_den, zetas).reduced()
 
 
 def _add_same_den(a: LocalRationalFunction, b: LocalRationalFunction) -> LocalRationalFunction:

@@ -9,14 +9,7 @@ coefficient-by-coefficient with no tolerance.
 from dataclasses import dataclass, field
 
 from .algebra import TableAlgebra
-from .decomposition import (
-    MaximalOrderData,
-    RationalDecomposition,
-    factor_min_poly,
-    find_generator,
-    maximal_order,
-    primitive_idempotents,
-)
+from .decomposition import MaximalOrderData, RationalDecomposition, maximal_order
 from .dirichlet import (
     DirichletSeries,
     LocalRationalFunction,
@@ -37,18 +30,9 @@ class AnalyzedOrder:
 
 
 def analyze(t: TableAlgebra) -> AnalyzedOrder:
-    gen, mu = find_generator(t)
-    factors = factor_min_poly(mu)
-    idems = primitive_idempotents(t, gen, factors)
+    "Decomposition and maximal order, from one maximal_order pass."
     data = maximal_order(t)
-    decomp = RationalDecomposition(
-        generator_index=gen,
-        minpoly=mu,
-        factors=factors,
-        idempotents=idems,
-        component_rings=data.rings,
-    )
-    return AnalyzedOrder(algebra=t, decomposition=decomp, order=data)
+    return AnalyzedOrder(algebra=t, decomposition=data.decomposition, order=data)
 
 
 def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, progress=None):
@@ -60,7 +44,6 @@ def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, p
         kmax = 5
         while p**kmax <= bound:
             kmax += 1
-        kmax = max(kmax, 5)
         base = maximal_local_factor(analyzed.order.rings, p)
         while True:
             if progress:

@@ -368,6 +368,25 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({self.minpoly}, ({self.lo}, {self.hi}])"
 
 
+def largest_real_root(factors):
+    """(index, root) of the largest real root among the roots of the given
+    irreducible integer polynomials, the first factor winning a tie;
+    (None, None) when none of them has a real root."""
+    best = best_i = None
+    for i, f in enumerate(factors):
+        if pdeg(f) == 1:
+            cand = AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))
+        else:
+            b = cauchy_bound(f)
+            if count_real_roots(f, -b, b) == 0:
+                continue
+            lo, hi = isolate_largest_real_root(f)
+            cand = AlgebraicNumber(tuple(f), Fraction(lo), Fraction(hi))
+        if best is None or best < cand:
+            best, best_i = cand, i
+    return best_i, best
+
+
 # --- quotient field arithmetic ---------------------------------------------
 
 

@@ -6,6 +6,7 @@ from tablezeta.algfile import dump_algebra, parse_algebra
 from tablezeta.cli import main
 from tablezeta.errors import InputError
 from tablezeta.families import fusion
+from tablezeta.genus import LocalModel, enumerate_genus_representatives, model_for_order, total_local_zeta
 
 GOOD_FILE = """
 {"rank": 2,
@@ -129,6 +130,40 @@ def test_cli_genus_m1_symbolic(capsys):
     out = capsys.readouterr().out
     assert out.count("M(") == 8
     assert "p^4*t^8" in out
+
+
+@pytest.mark.parametrize(
+    "argv,model",
+    [
+        (["--u", "1", "--prime", "7"], model_for_order(7, 7)),
+        (["--u", "6", "--prime", "3"], model_for_order(27, 3)),
+        (["--u", "6", "--symbolic-p", "--m", "0"], LocalModel(p=None, m=0)),
+        (["--u", "6", "--symbolic-p", "--m", "1"], LocalModel(p=None, m=1)),
+    ],
+)
+def test_cli_genus_total_matches_total_local_zeta(argv, model, capsys):
+    assert main(["genus", "--family", "drt"] + argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split("\t")[0] for line in lines if line.startswith("M(")]
+    assert rows == [f"M{rep.params}".replace(" ", "") for rep in enumerate_genus_representatives(model)]
+    assert lines[-1] == f"total\t\t\t{total_local_zeta(model)}"
+    assert len(lines) == len(rows) + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--family", "drt", "--u", "6", "--prime", "3", "--m", "5"],
+        ["genus", "--family", "drt", "--u", "6", "--prime", "3", "--m", "1"],
+        ["genus", "--family", "drt", "--u", "6", "--symbolic-p", "--prime", "3"],
+        ["genus", "--family", "drt", "--u", "6", "--symbolic-p", "--m", "1", "--prime", "5"],
+    ],
+)
+def test_cli_genus_rejects_ignored_flags(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err
 
 
 def test_cli_genus_unsupported_m(capsys):

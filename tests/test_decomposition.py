@@ -86,6 +86,21 @@ def test_idempotent_suite(t):
 
 
 @pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
+def test_analyze_matches_standalone_stages(t):
+    # analyze takes everything from one maximal_order pass; each field must
+    # equal what the stage computes on its own
+    data = analyze(t)
+    dec = data.decomposition
+    gen, mu = find_generator(t)
+    assert (dec.generator_index, dec.minpoly) == (gen, mu)
+    assert dec.factors == factor_min_poly(mu)
+    assert dec.idempotents == primitive_idempotents(t)
+    assert dec.component_rings == data.order.rings
+    assert data.order == maximal_order(t)
+    assert data.algebra is t
+
+
+@pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
 def test_character_formula_matches_crt(t):
     assert character_formula_idempotents(t) == analyze(t).decomposition.idempotents
 

@@ -1,8 +1,21 @@
+from fractions import Fraction
+
 import pytest
 
 from tablezeta.algebra import TableAlgebra, degree_map
 from tablezeta.decomposition import character_table, find_generator, maximal_order
-from tablezeta.errors import BasisKindMismatch, MaximalityUncertified, NonCommutative, NotMonogenic
+from tablezeta.dirichlet import LocalRationalFunction, infer_local_polynomial
+from tablezeta.errors import (
+    BasisKindMismatch,
+    MaximalityUncertified,
+    NonCommutative,
+    NonIntegralQuotient,
+    NotFullRank,
+    NotMonogenic,
+    PrecisionUnstable,
+)
+from tablezeta.exact import hnf_square
+from tablezeta.genus import LocalModel, _membership_congruence_matrix, block_triangularize, triple_matrix
 from tablezeta.ideals import quotient_ring_table
 
 
@@ -49,3 +62,28 @@ def test_character_formula_needs_basis_kind():
     raw = TableAlgebra(3, fusion("ising").lam, (0, 1, 2))  # basis_kind defaults to RAW
     with pytest.raises(BasisKindMismatch):
         character_table(raw)
+
+
+def test_hnf_square_rejects_rank_deficient_rows():
+    # the second row is twice the first: rank 2 in dimension 3
+    with pytest.raises(NotFullRank):
+        hnf_square(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+def test_block_triangularize_rejects_denominator_divisible_by_p():
+    model = LocalModel(p=3, m=0, v=1)
+    with pytest.raises(NotFullRank):
+        block_triangularize(model, ((Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_membership_congruence_needs_enough_precision():
+    # M(0,0,1) has a 1/p in its inverse, so precision p^0 cannot express it
+    model = LocalModel(p=3, m=0, v=1)
+    with pytest.raises(PrecisionUnstable):
+        _membership_congruence_matrix(triple_matrix(model, (0, 0, 1)), 0, 3)
+
+
+def test_infer_local_polynomial_rejects_series_not_starting_at_one():
+    # 2 / (1 - t) expands to 2 + 2t + ..., which no ideal count can divide
+    with pytest.raises(NonIntegralQuotient):
+        infer_local_polynomial([1] * 6, LocalRationalFunction(2, (2,), (1, -1)))
