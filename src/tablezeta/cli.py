@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .algebra import TableAlgebra, validate
 from .algfile import load_algebra
+from .dirichlet import _poly_str
 from .errors import InputError, TableZetaError, UnsupportedCaseError
 from .families import FUSION_NAMES, FamilySpec
 from .genus import (
@@ -117,17 +118,11 @@ def cmd_verify(args):
     t = _source(args)
     res = verify_order(t, args.max_index, progress=sys.stderr)
     for p in sorted(res.deltas):
-        print(f"delta_{p}\t{_tpoly(res.deltas[p])}")
+        print(f"delta_{p}\t{_poly_str(res.deltas[p])}")
     for n, got, want in res.mismatches[:20]:
         print(f"mismatch\tn={n}\toracle={got}\tassembled={want}")
     print("PASS" if res.passed else "FAIL")
     return 0 if res.passed else 1
-
-
-def _tpoly(coeffs):
-    from .dirichlet import _poly_str
-
-    return _poly_str(coeffs)
 
 
 def cmd_genus(args):

@@ -23,7 +23,7 @@ from .algebra import (
     regular_representation,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import factorize, fmat_det, fmat_inv, fmat_solve, vec_mat
+from .exact import factorize, fmat_det, fmat_inv, vec_mat
 from math import gcd
 
 from .polys import (
@@ -115,12 +115,9 @@ def basis_in_generator(t: TableAlgebra, gen: int):
     d = t.rank
     pw = powers_of_generator(t, gen)
     gmat = tuple(tuple(Fraction(pw[k][i]) for i in range(d)) for k in range(d))
-    # rows of gmat are the power vectors; solve x * gmat = e_i
-    out = []
-    for i in range(d):
-        target = tuple(Fraction(1 if j == i else 0) for j in range(d))
-        out.append(fmat_solve(gmat, target))
-    return out
+    # rows of gmat are the power vectors; q_i solves x * gmat = e_i, the
+    # i-th row of the inverse
+    return list(fmat_inv(gmat))
 
 
 def _generator_candidates(t: TableAlgebra):
@@ -328,7 +325,6 @@ class MaximalOrderData:
     conductor: int
     bad_primes: list
     rings: list
-    discriminant_zb: int
     decomposition: RationalDecomposition  # the decomposition Lambda_0 is built from
 
 
@@ -394,7 +390,6 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
             lc = Fraction(x).denominator
             conductor = conductor * lc // gcd(conductor, lc)
 
-    disc_zb = _zb_discriminant(t)
     bad = sorted(factorize(conductor).keys())
     return MaximalOrderData(
         basis=basis,
@@ -402,21 +397,8 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
         conductor=conductor,
         bad_primes=bad,
         rings=rings,
-        discriminant_zb=disc_zb,
         decomposition=RationalDecomposition(gen, mu, factors, idems, rings),
     )
-
-
-def _zb_discriminant(t: TableAlgebra):
-    "det of the trace-form Gram matrix of the basis B (exact integer)."
-    d = t.rank
-    traces = [sum(t.lam[k][j][j] for j in range(d)) for k in range(d)]
-    gram = tuple(
-        tuple(sum(t.lam[i][j][k] * traces[k] for k in range(d)) for j in range(d)) for i in range(d)
-    )
-    det = fmat_det(gram)
-    assert det.denominator == 1
-    return int(det)
 
 
 def order_closed_under_multiplication(t: TableAlgebra, basis):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal, NotStabilized
 from .exact import is_prime, primes_up_to, valuation
-from .polys import padd, pdeg, pmul, pnorm
+from .polys import padd, pdeg, peval, pmul, pnorm
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class LocalRationalFunction:
     def __post_init__(self):
         object.__setattr__(self, "num", pnorm(tuple(self.num)))
         object.__setattr__(self, "den", pnorm(tuple(self.den)))
-        if not _is_one(self.den[0]):
+        if self.den[0] != 1:
             raise InputError("denominator must have constant term 1")
 
     def expand(self, kmax):
@@ -68,7 +68,7 @@ class LocalRationalFunction:
         "Cancel common powers of (1 - t) and normalize; exact."
         num, den = self.num, self.den
         while pdeg(num) > 0 or pdeg(den) > 0:
-            if _eval_at_one(num) == 0 and _eval_at_one(den) == 0 and not _is_zero_poly(num):
+            if peval(num, 1) == 0 and peval(den, 1) == 0 and pdeg(num) >= 0:
                 num = _divide_by_one_minus_t(num)
                 den = _divide_by_one_minus_t(den)
             else:
@@ -78,34 +78,10 @@ class LocalRationalFunction:
     def equals(self, other):
         if self.p != other.p:
             return False
-        left = pmul(self.num, other.den)
-        right = pmul(other.num, self.den)
-        return _poly_eq(left, right)
+        return pmul(self.num, other.den) == pmul(other.num, self.den)
 
     def __str__(self):
         return f"({_poly_str(self.num)}) / ({_poly_str(self.den)}) @ p={self.p if self.p is not None else 'symbolic'}"
-
-
-def _is_one(x):
-    return x == 1
-
-
-def _is_zero_poly(c):
-    return all(x == 0 for x in c)
-
-
-def _eval_at_one(c):
-    total = 0
-    for x in c:
-        total = total + x
-    return total
-
-
-def _poly_eq(a, b):
-    a, b = pnorm(a), pnorm(b)
-    if len(a) != len(b):
-        return False
-    return all(x == y for x, y in zip(a, b))
 
 
 def _divide_by_one_minus_t(c):
@@ -358,12 +334,7 @@ def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction)
     base = expand(maximal_factor, kmax)
     if base[0] != 1:
         raise NonIntegralQuotient("maximal-order series must start at 1")
-    q = []
-    for k in range(kmax + 1):
-        acc = oracle_counts[k]
-        for j in range(1, min(k, len(base) - 1) + 1):
-            acc -= base[j] * q[k - j]
-        q.append(acc)
+    q = expand(LocalRationalFunction(maximal_factor.p, oracle_counts, base), kmax)
     # locate the last nonzero
     last = max((i for i, x in enumerate(q) if x != 0), default=0)
     if kmax - last < 3:

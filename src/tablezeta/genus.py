@@ -10,8 +10,8 @@ The intermediate lattices M(r,i,j) have HNF rows
 (p^i, 0, r), (0, 1, 1), (0, 0, p^j) subject to the admissibility
 conditions m+i+1 >= j and (for r != 0, k = v_p(r)) m+k >= i+j.  Two
 admissible triples with the same (i, j) are isomorphic iff the congruence
-beta*(r*s - p^(2i+1)*v) = r - s (mod p^j) has a solution, which is tested
-exhaustively.
+beta*(r*s - p^(2i+1)*v) = r - s (mod p^j) has a solution, i.e. iff
+gcd(r*s - p^(2i+1)*v, p^j) divides r - s.
 
 Zeta integrals are evaluated by decomposing a lattice into product
 regions (unit cosets and full tails per component) via a digit tree on
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .exact import hnf_square, is_prime, lattice_det, lattice_intersection, solve_right_congruence, valuation
 from .ideals import LatticeHNF
+from .polys import padd
 from .ppoly import PM1, PFrac, PPoly
 
 
@@ -131,23 +132,16 @@ def triple_matrix(model: LocalModel, triple):
 
 def lattices_isomorphic(model: LocalModel, t1, t2) -> bool:
     """Lambda-lattice isomorphism test for admissible triples: same (i, j)
-    and a solution beta mod p^j of beta*(rs - p^(2i+1) v) = r - s."""
+    and a solution beta mod p^j of beta*(rs - p^(2i+1) v) = r - s, which
+    exists iff gcd(rs - p^(2i+1) v, p^j) divides r - s."""
     if model.symbolic:
         raise UnsupportedM("isomorphism testing needs a concrete prime")
     r, i, j = t1
     s, i2, j2 = t2
     if (i, j) != (i2, j2):
         return False
-    if r == s:
-        return True
-    p, v = model.p, model.v
-    mod = p**j
-    coef = (r * s - p ** (2 * i + 1) * v) % mod
-    target = (r - s) % mod
-    for beta in range(mod):
-        if (beta * coef - target) % mod == 0:
-            return True
-    return False
+    p = model.p
+    return (r - s) % gcd(r * s - p ** (2 * i + 1) * model.v, p**j) == 0
 
 
 def bullet_isomorphic(model: LocalModel, t1, t2) -> bool:
@@ -406,12 +400,7 @@ def _exp_matrix(model, lattice):
         if isinstance(lattice, IntermediateLattice):
             return [row[:] for row in lattice.hnf]
         return [row[:] for row in lattice]
-    rows = _rows_of(model, lattice)
-    p = model.p
-    out = []
-    for row in rows:
-        out.append([None if x == 0 else valuation(x, p) for x in row])
-    return out
+    return _to_exps(model, _rows_of(model, lattice))
 
 
 def _scaled_reduced(model, state, q):
@@ -730,10 +719,7 @@ def sum_genus_zetas(zetas) -> LocalRationalFunction:
 
 def _add_same_den(a: LocalRationalFunction, b: LocalRationalFunction) -> LocalRationalFunction:
     assert a.den == b.den
-    n = max(len(a.num), len(b.num))
-    an = tuple(a.num) + (0,) * (n - len(a.num))
-    bn = tuple(b.num) + (0,) * (n - len(b.num))
-    return LocalRationalFunction(a.p, tuple(x + y for x, y in zip(an, bn)), a.den)
+    return LocalRationalFunction(a.p, padd(a.num, b.num), a.den)
 
 
 def region_residue_exponent(region: Region, K):

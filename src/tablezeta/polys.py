@@ -172,14 +172,10 @@ def factor_rational(a):
     factors = []
     rest = a
     for r in integer_roots(a):
+        # exact: the roots are distinct, so r is still a root of rest
         lin = (-r, 1)
-        while True:
-            q, rem = pdivmod(rest, lin)
-            if pdeg(rem) >= 0 and any(x != 0 for x in rem):
-                break
-            rest = to_int_poly(q)
-            factors.append(lin)
-            break  # squarefree input: each root once
+        rest = to_int_poly(pdiv_exact(rest, lin))
+        factors.append(lin)
     d = pdeg(rest)
     if d == 0:
         pass

@@ -8,6 +8,8 @@ occurs (by powers of p and of p-1) must be exact.
 from fractions import Fraction
 from math import gcd
 
+from .polys import padd, pdiv_exact, peval, pmul, to_int_poly
+
 
 class PPoly:
     """Dense integer-coefficient polynomial in the symbol ``p``."""
@@ -47,10 +49,7 @@ class PPoly:
         other = _lift(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.c), len(other.c))
-        a = self.c + (0,) * (n - len(self.c))
-        b = other.c + (0,) * (n - len(other.c))
-        return PPoly(tuple(x + y for x, y in zip(a, b)))
+        return PPoly(padd(self.c, other.c))
 
     __radd__ = __add__
 
@@ -70,45 +69,17 @@ class PPoly:
         other = _lift(other)
         if other is None:
             return NotImplemented
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c):
-                    out[i + j] += x * y
-        return PPoly(tuple(out))
+        return PPoly(pmul(self.c, other.c))
 
     __rmul__ = __mul__
 
     def __call__(self, value):
-        out = 0
-        for coeff in reversed(self.c):
-            out = out * value + coeff
-        return out
+        return peval(self.c, value)
 
     def divide_exact(self, other):
-        "Exact polynomial division; raises ArithmeticError on remainder."
-        other = _lift(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        num = [Fraction(x) for x in self.c]
-        den = [Fraction(x) for x in other.c]
-        if len(num) < len(den):
-            if self.is_zero():
-                return PPoly(0)
-            raise ArithmeticError("inexact polynomial division")
-        q = [Fraction(0)] * (len(num) - len(den) + 1)
-        for i in range(len(q) - 1, -1, -1):
-            q[i] = num[i + len(den) - 1] / den[-1]
-            for j, d in enumerate(den):
-                num[i + j] -= q[i] * d
-        if any(x != 0 for x in num):
-            raise ArithmeticError("inexact polynomial division")
-        out = []
-        for x in q:
-            if x.denominator != 1:
-                raise ArithmeticError("inexact polynomial division")
-            out.append(int(x))
-        return PPoly(tuple(out))
+        """Exact division in Z[p]: ArithmeticError on a remainder or a
+        non-integral quotient, ZeroDivisionError on a zero divisor."""
+        return PPoly(to_int_poly(pdiv_exact(self.c, _lift(other).c)))
 
     def content(self):
         g = 0

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablezeta.dirichlet import expand, theorem_local_factor
 from tablezeta.errors import InputError, UnsupportedM
@@ -368,3 +370,26 @@ def test_local_model_rejects_composite_p(p):
 def test_local_model_rejects_negative_m(p):
     with pytest.raises(InputError, match="m must be"):
         LocalModel(p=p, m=-1, v=1)
+
+
+_INT_POLY = st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INT_POLY, _INT_POLY, st.integers(min_value=-10, max_value=10))
+def test_ppoly_arithmetic_matches_evaluation(a, b, x):
+    a, b = PPoly(a), PPoly(b)
+    assert (a + b)(x) == a(x) + b(x)
+    assert (a * b)(x) == a(x) * b(x)
+    if not b.is_zero():
+        assert (a * b).divide_exact(b) == a
+
+
+def test_ppoly_divide_exact_errors():
+    for num, den in ((P + 1, 2), (P * P + 1, P)):  # non-integral quotient, remainder
+        with pytest.raises(ArithmeticError) as err:
+            num.divide_exact(den)
+        assert not isinstance(err.value, ZeroDivisionError)
+    with pytest.raises(ZeroDivisionError):
+        (P + 1).divide_exact(0)
+    assert PPoly(0).divide_exact(P + 1) == PPoly(0)
