@@ -35,13 +35,13 @@ def parse_algebra(text: str) -> TableAlgebra:
     if missing:
         raise InputError(f"missing field(s): {', '.join(missing)}")
     rank = doc["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise InputError("field 'rank' must be a positive integer")
     names = doc["names"]
     if not isinstance(names, list) or len(names) != rank or not all(isinstance(x, str) for x in names):
         raise InputError(f"field 'names' must be a list of {rank} strings")
     inv = doc["involution"]
-    if not isinstance(inv, list) or sorted(inv) != list(range(rank)):
+    if not isinstance(inv, list) or not all(_is_int(x) for x in inv) or sorted(inv) != list(range(rank)):
         raise InputError(f"field 'involution' must be a permutation of 0..{rank - 1}")
     lam = doc["lambda"]
     try:
@@ -55,9 +55,14 @@ def parse_algebra(text: str) -> TableAlgebra:
     for i, plane in enumerate(lam):
         for j, row in enumerate(plane):
             for k, x in enumerate(row):
-                if not isinstance(x, int) or x < 0:
+                if not _is_int(x) or x < 0:
                     raise InputError(f"lambda[{i}][{j}][{k}] must be a nonnegative integer, got {x!r}")
     return TableAlgebra(rank, lam, tuple(inv), BasisKind.RAW, names=tuple(names))
+
+
+def _is_int(x):
+    "JSON integers only: a bool is an int to Python but not to the format."
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_algebra(path: str) -> TableAlgebra:

@@ -154,7 +154,7 @@ def find_generator(t: TableAlgebra):
 
 
 def factor_min_poly(mu):
-    "Irreducible factors over Q of a monic squarefree poly, degree <= 4."
+    "Irreducible factors over Q of a monic squarefree poly, degree <= 4 once its integer roots are divided out."
     return factor_rational(tuple(mu))
 
 

@@ -144,28 +144,6 @@ def lattices_isomorphic(model: LocalModel, t1, t2) -> bool:
     return (r - s) % gcd(r * s - p ** (2 * i + 1) * model.v, p**j) == 0
 
 
-def bullet_isomorphic(model: LocalModel, t1, t2) -> bool:
-    "The classification's three stated cases, used to cross-check the congruence test."
-    r, i, j = t1
-    s, i2, j2 = t2
-    if (i, j) != (i2, j2):
-        return False
-    if r == s:
-        return True
-    p = model.p
-    if r % p and s % p:
-        return True
-    for a, b in ((r, s), (s, r)):
-        # b = 0 and 1 <= 2i+1 <= v_p(a) < j
-        if b == 0 and a != 0 and 2 * i + 1 <= valuation(a, p) < j:
-            return True
-        if a != 0 and b != 0:
-            ka, kb = valuation(a, p), valuation(b, p)
-            if 1 <= kb == 2 * i + 1 <= ka < j:
-                return True
-    return False
-
-
 def enumerate_genus_representatives(model: LocalModel, classify=True):
     """Canonical representatives of the isomorphism classes of lattices
     between Z_p B and Lambda_0, ordered by (i+j, j, r).  Classification is
@@ -181,10 +159,10 @@ def enumerate_genus_representatives(model: LocalModel, classify=True):
     p = model.p
     all_triples = []
     for i in range(m + 1):
-        for j in range(2 * m + 2):
-            for r in range(p**j):
-                if admissible(model, r, i, j):
-                    all_triples.append((r, i, j))
+        for j in range(m + i + 2):
+            # the admissible r: 0, and p^k u with p not dividing u, u < p^(j-k), i+j-m <= k < j
+            units = (p**k * u for k in range(max(0, i + j - m), j) for u in range(1, p ** (j - k)) if u % p)
+            all_triples.extend((r, i, j) for r in [0, *sorted(units)])
     if not classify:
         all_triples.sort(key=lambda t: (t[1] + t[2], t[2], t[0]))
         return [IntermediateLattice(t, LatticeHNF(3, triple_matrix(model, t))) for t in all_triples]

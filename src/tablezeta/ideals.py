@@ -13,15 +13,20 @@ stream order is fixed: divisor tuples lexicographically, off-diagonal
 residues row-major; golden outputs rely on it.
 
 Two kernels do the counting.  On rank 2 and 3 the count collapses per
-diagonal: with the outer off-diagonal entries fixed, the closure
-conditions become chained linear congruences in the remaining entry,
-which we intersect as arithmetic progressions instead of looping.  This
+diagonal: each closure condition is a congruence in the off-diagonal
+entries, and each one that is linear in an entry is intersected as an
+arithmetic progression (``_Progression``) at the outermost loop where it
+becomes linear, so only the residues it allows are walked.  Rank 2
+(``_count_prime_power_dim2``) walks one progression in its entry (0,1);
+rank 3 (``_count_prime_power_dim3``) walks a progression in the entry
+(1,2), then for each of those a progression in (0,1), then a progression
+in (0,2), and tests the full row-1 closure on each survivor.  This
 assumes nothing about n, so every index is counted as a sum over its
 divisor tuples.  The plain stream tests every HNF in turn; it counts the
 other ranks and is the reference the collapse is checked against in the
 test suite.  The collapse kernels keep their names
-``_count_prime_power_dim2``/``_dim3`` because the benchmark's traced run
-wraps them by name.
+``_count_prime_power_dim2``/``_dim3`` and their ``(acts, diag)``
+arguments because the benchmark's traced run wraps them by name.
 """
 
 from dataclasses import dataclass
@@ -197,7 +202,7 @@ def _count_for_index(job):
 
 
 class _Progression:
-    "Solution set {offset + step * Z} intersected with [0, modulus)."
+    "Solution set {offset + step * Z}; offset stays in [0, step)."
 
     __slots__ = ("offset", "step", "empty")
 
@@ -205,6 +210,15 @@ class _Progression:
         self.offset = 0
         self.step = 1
         self.empty = False
+
+    def copy(self):
+        out = _Progression()
+        out.offset, out.step, out.empty = self.offset, self.step, self.empty
+        return out
+
+    def below(self, bound):
+        "The members in [0, bound), ascending."
+        return range(bound if self.empty else self.offset, bound, self.step)
 
     def refine(self, a, b, m):
         "Impose a * x + b == 0 (mod m) on x = offset + step * t."
@@ -225,64 +239,53 @@ class _Progression:
 
 
 def _count_prime_power_dim3(acts, diag):
-    """Ideal count for one diagonal (d1,d2,d3) of any index: loop the
-    entries (0,1)=a and (1,2)=c, narrow the entry (0,2)=b by the conditions
-    that are affine in b (rows 2 and 3 closure, row 1 leading division),
-    then scan the surviving progression and test full row-1 closure per
-    survivor.  The closure of row 1 involves b quadratically through the
-    back-substitutions, which is why the last step is a scan rather than
-    another refine."""
+    """Ideal count for one diagonal (d1,d2,d3) of any index, over the HNF
+    rows (d1, a, b), (0, d2, c), (0, 0, d3).  Each closure condition is
+    imposed at the outermost loop where it is linear:
+
+    - before any loop: d1 | d3*A[2][0] (else no ideal), the row-3 second
+      coordinate d2 | d3*A[2][1] - r1*a with r1 = d3*A[2][0]/d1 as a
+      progression in a, and the row-2 leading division
+      d1 | d2*A[1][0] + c*A[2][0] as a progression in c;
+    - per c: the row-2 second coordinate d2 | d2*A[1][1] + c*A[2][1] -
+      q1*a with q1 = (d2*A[1][0] + c*A[2][0])/d1, which narrows a copy of the progression in a (it also
+      follows from the row-3 third coordinate and the row-1 leading
+      division below, so it only drops (a, c) cells early);
+    - per (a, c): the conditions affine in b (third coordinates of rows 3
+      and 2, row-1 leading division) narrow a progression in b, and each
+      survivor gets the full row-1 closure test, which involves b
+      quadratically through the back-substitutions."""
     d1, d2, d3 = diag
+    a_all, c_all = _Progression(), _Progression()
+    for act in acts:
+        w0 = d3 * act[2][0]
+        if w0 % d1:
+            return 0
+        a_all.refine(-(w0 // d1), d3 * act[2][1], d2)
+        c_all.refine(act[2][0], d2 * act[1][0], d1)
     total = 0
-    for a in range(d2):
-        for c in range(d3):
+    for c in c_all.below(d3):
+        a_c = a_all.copy()
+        per_c = []  # per action matrix: what the conditions on b need at this c
+        for act in acts:
+            q1 = (d2 * act[1][0] + c * act[2][0]) // d1  # row-2 leading quotient
+            w1 = d2 * act[1][1] + c * act[2][1]
+            a_c.refine(-q1, w1, d2)
+            per_c.append((act, d3 * act[2][0] // d1, q1, w1, d2 * act[1][2] + c * act[2][2]))
+        for a in a_c.below(d2):
             prog = _Progression()
-            ok = True
-            for act in acts:
-                # row 3 product: w = d3 * act[2]
-                w0, w1, w2 = d3 * act[2][0], d3 * act[2][1], d3 * act[2][2]
-                if w0 % d1:
-                    ok = False
-                    break
-                q1 = w0 // d1
-                t = w1 - q1 * a
-                if t % d2:
-                    ok = False
-                    break
-                q2 = t // d2
-                prog.refine(-q1, w2 - q2 * c, d3)
-                if prog.empty:
-                    ok = False
-                    break
-                # row 2 product: w = d2 * act[1] + c * act[2]
-                w0 = d2 * act[1][0] + c * act[2][0]
-                w1 = d2 * act[1][1] + c * act[2][1]
-                w2 = d2 * act[1][2] + c * act[2][2]
-                if w0 % d1:
-                    ok = False
-                    break
-                q1 = w0 // d1
-                t = w1 - q1 * a
-                if t % d2:
-                    ok = False
-                    break
-                q2 = t // d2
-                prog.refine(-q1, w2 - q2 * c, d3)
-                if prog.empty:
-                    ok = False
-                    break
+            for act, r1, q1, w1, w2 in per_c:
+                # row 3 product: w = d3 * act[2], leading quotient r1
+                prog.refine(-r1, d3 * act[2][2] - (d3 * act[2][1] - r1 * a) // d2 * c, d3)
+                # row 2 product: w = d2 * act[1] + c * act[2] = (.., w1, w2)
+                prog.refine(-q1, w2 - (w1 - q1 * a) // d2 * c, d3)
                 # row 1 leading division: w0 = d1*act[0][0] + a*act[1][0] + b*act[2][0]
                 prog.refine(act[2][0], d1 * act[0][0] + a * act[1][0], d1)
                 if prog.empty:
-                    ok = False
                     break
-            if not ok:
-                continue
-            b = prog.offset
-            while b < d3:
+            for b in prog.below(d3):
                 if _row1_closed(acts, diag, a, b, c):
                     total += 1
-                b += prog.step
     return total
 
 
@@ -305,32 +308,27 @@ def _row1_closed(acts, diag, a, b, c):
 
 
 def _count_prime_power_dim2(acts, diag):
-    "Ideal count for one diagonal (d1,d2) of any index: loop the entry (0,1)."
+    """Ideal count for one diagonal (d1,d2) of any index, over the HNF rows
+    (d1, a), (0, d2).  Row 2's closure and row 1's leading division are
+    linear in a and narrow one progression before the loop; only row 1's
+    second coordinate, quadratic in a, is tested per survivor."""
     d1, d2 = diag
+    prog = _Progression()
+    for act in acts:
+        # row 2: w = d2 * act[1]; with d1 | w0 its second coordinate,
+        # d2 | d2*act[1][1] - (w0/d1)*a, says d1 | act[1][0]*a, which is
+        # also row 1's leading division (w0 = d1*act[0][0] + a*act[1][0])
+        if d2 * act[1][0] % d1:
+            return 0
+        prog.refine(act[1][0], 0, d1)
     total = 0
-    for a in range(d2):  # entry (0,1)
-        ok = True
+    for a in prog.below(d2):
         for act in acts:
-            # row 2: w = d2 * act[1]
-            w0, w1 = d2 * act[1][0], d2 * act[1][1]
-            if w0 % d1:
-                ok = False
+            # row 1: w = d1*act[0] + a*act[1], leading quotient q1
+            q1 = (d1 * act[0][0] + a * act[1][0]) // d1
+            if (d1 * act[0][1] + a * act[1][1] - q1 * a) % d2:
                 break
-            q1 = w0 // d1
-            if (w1 - q1 * a) % d2:
-                ok = False
-                break
-            # row 1: w = d1*act[0] + a*act[1]
-            w0 = d1 * act[0][0] + a * act[1][0]
-            w1 = d1 * act[0][1] + a * act[1][1]
-            if w0 % d1:
-                ok = False
-                break
-            q1 = w0 // d1
-            if (w1 - q1 * a) % d2:
-                ok = False
-                break
-        if ok:
+        else:
             total += 1
     return total
 

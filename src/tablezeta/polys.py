@@ -162,13 +162,12 @@ def integer_roots(a):
 
 def factor_rational(a):
     """Complete factorization over Q of a monic, squarefree integer
-    polynomial of degree <= 4.  Returns monic irreducible integer factors,
-    sorted by (degree, coefficients)."""
+    polynomial whose degree is at most 4 once its integer roots are
+    divided out.  Returns monic irreducible integer factors, sorted by
+    (degree, coefficients)."""
     a = to_int_poly(a)
     if a[-1] != 1:
         raise ValueError("monic polynomial required")
-    if pdeg(a) > 4:
-        raise DegreeTooLarge(f"factorization implemented for degree <= 4, got {pdeg(a)}")
     factors = []
     rest = a
     for r in integer_roots(a):
@@ -177,6 +176,8 @@ def factor_rational(a):
         rest = to_int_poly(pdiv_exact(rest, lin))
         factors.append(lin)
     d = pdeg(rest)
+    if d > 4:
+        raise DegreeTooLarge(f"factorization implemented for degree <= 4 without integer roots, got {d}")
     if d == 0:
         pass
     elif d in (2, 3):

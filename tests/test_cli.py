@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablezeta.algfile import dump_algebra, parse_algebra
 from tablezeta.cli import main
@@ -42,6 +44,71 @@ def test_parse_rejects_negative_entry():
     doc["lambda"][1][1][0] = -1
     with pytest.raises(InputError, match="nonnegative"):
         parse_algebra(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("involution", [0, "x"]),
+        ("involution", [0, None]),
+        ("involution", [0, 1.0]),
+        ("involution", [False, True]),
+        ("rank", 2.0),
+        ("lambda", [[[True, False], [False, True]], [[0, 1], [1, 0]]]),
+        ("lambda", [[[1.0, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    ],
+)
+def test_parse_rejects_badly_typed_fields(field, value):
+    doc = json.loads(GOOD_FILE)
+    doc[field] = value
+    with pytest.raises(InputError):
+        parse_algebra(json.dumps(doc))
+
+
+SCALARS = st.none() | st.booleans() | st.integers(-1, 2) | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=1)
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=1), inner, max_size=2), max_leaves=4
+)
+
+
+def _records(n):
+    "Rank-n records whose fields are each well formed or an arbitrary JSON value."
+    entry = st.sampled_from(range(n)) | SCALARS
+    return st.fixed_dictionaries(
+        {
+            "rank": st.just(n) | SCALARS,
+            "names": st.just([f"b{i}" for i in range(n)]) | JSON_VALUES,
+            "involution": st.lists(entry, min_size=n, max_size=n) | JSON_VALUES,
+            "lambda": st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), min_size=n, max_size=n),
+        }
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | st.integers(1, 2).flatmap(_records))
+def test_parse_returns_or_raises_input_error(doc):
+    try:
+        parse_algebra(json.dumps(doc))
+    except InputError:
+        return
+    # accepted: every number in the file was a JSON integer (not a float or a bool)
+    assert type(doc["rank"]) is int
+    assert all(type(x) is int for x in doc["involution"])
+    assert all(type(x) is int for plane in doc["lambda"] for row in plane for x in row)
+
+
+def test_parse_rejects_boolean_rank():
+    with pytest.raises(InputError):
+        parse_algebra('{"rank": true, "names": ["1"], "involution": [0], "lambda": [[[1]]]}')
+
+
+def test_cli_validate_rejects_badly_typed_file(tmp_path, capsys):
+    doc = json.loads(GOOD_FILE)
+    doc["involution"] = [0, "x"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_diagnostics_for_broken_json():

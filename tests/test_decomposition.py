@@ -58,8 +58,19 @@ def test_factor_min_poly_quartic_splits():
 
 
 def test_factor_min_poly_degree_cap():
+    # x^5 - x - 1 has no integer root, so a quintic is left to factor
     with pytest.raises(DegreeTooLarge):
-        factor_min_poly((1, 0, 0, 0, 0, 1))
+        factor_min_poly((-1, -1, 0, 0, 0, 1))
+
+
+def test_cyclic_group_ring_c6_decomposes():
+    # Z[C6]: the generator's minimal polynomial x^6 - 1 has degree 6, but
+    # only the quartic (x^2 - x + 1)(x^2 + x + 1) is left once the integer
+    # roots 1 and -1 are divided out
+    lam = [[[int(k == (i + j) % 6) for k in range(6)] for j in range(6)] for i in range(6)]
+    order = maximal_order(TableAlgebra(6, lam, tuple(-i % 6 for i in range(6))))
+    assert order.decomposition.factors == [(-1, 1), (1, 1), (1, -1, 1), (1, 1, 1)]
+    assert (order.index, order.conductor, order.bad_primes) == (72, 6, [2, 3])
 
 
 def test_primitive_idempotents_drt():

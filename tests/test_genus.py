@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from tablezeta.dirichlet import expand, theorem_local_factor
 from tablezeta.errors import InputError, UnsupportedM
+from tablezeta.exact import valuation
 from tablezeta.genus import (
     LocalModel,
     RegionPart,
     admissible,
     automorphism_measure_inverse,
     block_triangularize,
-    bullet_isomorphic,
     complementary_lattice,
     decompose_domain,
     enumerate_genus_representatives,
@@ -82,6 +82,44 @@ def test_iso_units_same_class():
 def test_iso_distinguishes_zero_from_unit():
     model = model_for_order(27, 3)
     assert not lattices_isomorphic(model, (0, 0, 1), (1, 0, 1))
+
+
+def bullet_isomorphic(model: LocalModel, t1, t2) -> bool:
+    "The classification's three stated cases, used to cross-check the congruence test."
+    r, i, j = t1
+    s, i2, j2 = t2
+    if (i, j) != (i2, j2):
+        return False
+    if r == s:
+        return True
+    p = model.p
+    if r % p and s % p:
+        return True
+    for a, b in ((r, s), (s, r)):
+        # b = 0 and 1 <= 2i+1 <= v_p(a) < j
+        if b == 0 and a != 0 and 2 * i + 1 <= valuation(a, p) < j:
+            return True
+        if a != 0 and b != 0:
+            ka, kb = valuation(a, p), valuation(b, p)
+            if 1 <= kb == 2 * i + 1 <= ka < j:
+                return True
+    return False
+
+
+def test_enumeration_lists_exactly_the_admissible_triples():
+    # the enumeration generates r = 0 and r = p^k u directly; the filter of
+    # admissible over every r < p^j is the reference
+    for p in (3, 5, 7, 11, 13):
+        for m in (0, 1, 2):
+            if p > 7 and m == 2:
+                continue
+            model = LocalModel(p=p, m=m, v=1)
+            want = sorted(
+                ((r, i, j) for i in range(m + 1) for j in range(2 * m + 2) for r in range(p**j) if admissible(model, r, i, j)),
+                key=lambda t: (t[1] + t[2], t[2], t[0]),
+            )
+            got = [lat.params for lat in enumerate_genus_representatives(model, classify=False)]
+            assert got == want
 
 
 def test_iso_equivalence_and_bullets_m1():

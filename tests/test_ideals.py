@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate_sublattices, is_ideal
@@ -109,6 +109,11 @@ def test_prime_power_collapse_matches_stream():
         (fusion("reps3").lam, 2, 4),
         (fusion("reps3").lam, 3, 3),
         (fusion("psu5l2").lam, 7, 2),
+        # deep enough that the progressions in c, a and b of the rank-3
+        # kernel are each walked with d1, d2 > 1
+        (fusion("ising").lam, 2, 8),
+        (fusion("c3").lam, 3, 5),
+        (conference(1).lam, 5, 3),
     ]
     for lam, p, kmax in cases:
         fast = count_ideals_at_prime(lam, p, kmax)
@@ -125,6 +130,16 @@ def test_count_ideals_matches_stream_on_every_builtin():
     for lam in tables:
         slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, 25))
         assert count_ideals(lam, 24).counts == slow
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3))
+@example([2, 0, 1])  # x^3 + x^2 + 2: needs the progression in c and the early return of the rank-3 kernel
+def test_collapse_matches_stream_on_random_cubic_orders(low):
+    # Z[x]/(f) for a random monic cubic f: the kernel against the plain stream
+    lam = quotient_ring_table((*low, 1))
+    slow = tuple(_count_for_index((lam, 3, n)) for n in range(1, 17))
+    assert count_ideals(lam, 16).counts == slow
 
 
 def test_multiplicativity_small():
