@@ -256,27 +256,18 @@ def fmat_solve(a, b):
 def charpoly(m):
     """Characteristic polynomial det(xI - M) of an integer matrix, monic,
     as a tuple of integer coefficients in ascending order.
-    Faddeev-LeVerrier over Fractions.
+    Faddeev-LeVerrier in integers: each M_k is an integer matrix and its
+    trace is -k times an integer coefficient, so every division is exact.
     """
     n = len(m)
-    a = fmat(m)
-    cs = [Fraction(0)] * (n + 1)
-    cs[n] = Fraction(1)
-    prev = None
+    cs = [0] * n + [1]
+    mk = m
     for k in range(1, n + 1):
-        if k == 1:
-            mk = a
-        else:
-            shifted = tuple(
-                tuple(prev[i][j] + (cs[n - k + 1] if i == j else 0) for j in range(n)) for i in range(n)
-            )
-            mk = mat_mul(a, shifted)
+        if k > 1:
+            c = cs[n - k + 1]
+            mk = mat_mul(m, tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(mk)))
         tr = sum(mk[i][i] for i in range(n))
-        cs[n - k] = -tr / k
-        prev = mk
-    out = []
-    for c in cs:
-        if c.denominator != 1:
+        if tr % k:
             raise ArithmeticError("characteristic polynomial not integral")
-        out.append(int(c))
-    return tuple(out)
+        cs[n - k] = -tr // k
+    return tuple(cs)

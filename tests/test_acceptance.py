@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from tablezeta import character_formula_idempotents
+from tablezeta import TableAlgebra, character_formula_idempotents
 from tablezeta.dirichlet import expand, theorem_local_factor
 from tablezeta.families import conference, drt, fusion
 from tablezeta.genus import (
@@ -210,3 +210,15 @@ def test_acceptance_9_property_suites():
     print("ACCEPTANCE 9: PASS - enumeration formula (n<=30), multiplicativity on all built-ins "
           "(N=64), isomorphism equivalence (m=1, p in {3,5}), residue certificates at both "
           "precisions (numeric and symbolic)")
+
+
+def test_acceptance_10_group_ring_c4_verify():
+    # Z[C4] has rank 4, where the oracle descends through maximal sub-ideals;
+    # delta_2 is Solomon's exact value for the group ring of C4
+    lam = [[[1 if (i + j) % 4 == k else 0 for k in range(4)] for j in range(4)] for i in range(4)]
+    res = verify_order(TableAlgebra(4, lam, (0, 3, 2, 1)), 64)
+    assert res.passed
+    assert res.deltas == {2: (1, -2, 3, 0, 6, -8, 8)}
+    assert sum(res.oracle.coefficients) == 495
+    print("ACCEPTANCE 10: PASS - verify on Z[C4] at N=64 with delta_2 = 1 - 2t + 3t^2 + 6t^4 - 8t^5 "
+          "+ 8t^6 and 495 ideals of index <= 64")

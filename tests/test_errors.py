@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from tablezeta.algebra import TableAlgebra, degree_map
+from tablezeta.cli import main
 from tablezeta.decomposition import character_table, find_generator, maximal_order
 from tablezeta.dirichlet import LocalRationalFunction, infer_local_polynomial
 from tablezeta.errors import (
@@ -36,15 +38,47 @@ def test_not_monogenic():
         find_generator(klein_four_table())
 
 
+NON_COMMUTATIVE = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [1, 0, 0], [0, 1, 0]],
+    [[0, 0, 1], [0, 0, 1], [1, 0, 0]],
+]
+
+
 def test_non_commutative_rejected():
-    lam = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [1, 0, 0], [0, 1, 0]],
-        [[0, 0, 1], [0, 0, 1], [1, 0, 0]],
-    ]
-    t = TableAlgebra(3, lam, (0, 1, 2))
+    t = TableAlgebra(3, NON_COMMUTATIVE, (0, 1, 2))
     with pytest.raises(NonCommutative):
         degree_map(t)
+
+
+def non_associative_table():
+    # Z[C2 x C2] with b1 b1 = b2 in place of b0: still commutative with
+    # identity b0, but (b1 b1) b2 = b0 while b1 (b1 b2) = b1 b3 = b2
+    lam = [[list(row) for row in plane] for plane in klein_four_table().lam]
+    lam[1][1] = [0, 0, 1, 0]
+    return lam
+
+
+def _table_file(tmp_path, lam):
+    rank = len(lam)
+    path = tmp_path / "table.json"
+    doc = {"rank": rank, "names": [f"b{i}" for i in range(rank)], "involution": list(range(rank)), "lambda": lam}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", [["--max-index", "8"], ["--prime", "2", "--kmax", "3"]])
+def test_count_refuses_non_commutative_table(tmp_path, capsys, mode):
+    assert main(["count", _table_file(tmp_path, NON_COMMUTATIVE), *mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not commutative" in captured.err
+
+
+@pytest.mark.parametrize("mode", [["--max-index", "8"], ["--prime", "2", "--kmax", "3"]])
+def test_count_refuses_non_associative_table(tmp_path, capsys, mode):
+    assert main(["count", _table_file(tmp_path, non_associative_table()), *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not associative" in captured.err
 
 
 def test_uncertified_cubic_refused():
