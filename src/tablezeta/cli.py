@@ -194,6 +194,8 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     try:
+        if args.format == "json-like" and args.command not in ("validate", "decompose"):
+            raise InputError(f"{args.command} has no json-like format; only validate and decompose do")
         return args.fn(args)
     except UnsupportedCaseError as e:
         print(f"unsupported: {e}", file=sys.stderr)

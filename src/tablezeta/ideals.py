@@ -12,38 +12,25 @@ tuples d_1 ... d_dim = n and independent off-diagonal residues.  The
 stream order is fixed: divisor tuples lexicographically, off-diagonal
 residues row-major; golden outputs rely on it.
 
-Two kernels do the counting, and each entry point uses one of them.
-``count_ideals_at_prime`` runs the descent on every rank, and
-``count_ideals`` runs it on every rank but 2 and 3.  The descent
-(``_descend``) goes breadth-first from Lambda = Z^dim through maximal
-sub-ideals: the children of an ideal I are the J with mI <= J < I and
-I/J = Lambda/m for a maximal ideal m of Lambda/pLambda (``modp``), so
-its cost grows with the number of ideals it finds, not with the number
-of lattices.  ``count_ideals`` on rank 2 and 3 keeps the per-diagonal
-congruence collapse, which is faster there on full-range counts: each
-closure condition is a congruence in the off-diagonal entries, and each
-one that is linear in an entry is intersected as an arithmetic
-progression (``_Progression``) at the outermost loop where it becomes
-linear, so only the residues it allows are walked.  Rank 2
-(``_count_prime_power_dim2``) walks one progression in its entry (0,1);
-rank 3 (``_count_prime_power_dim3``) walks a progression in the entry
-(1,2), then for each of those a progression in (0,1), then a progression
-in (0,2), and tests the full row-1 closure on each survivor; every index
-is counted as a sum over its divisor tuples.  The collapse kernels keep
-their names and their ``(acts, diag)`` arguments because the
-benchmark's traced run wraps them by name.  The plain stream
-(``_count_for_index``), which tests every HNF in turn, serves no entry
-point: it is the reference both kernels are checked against in the test
-suite.
+One kernel does the counting: both entry points run the descent
+(``_descend``) on every rank.  It goes breadth-first from Lambda = Z^dim
+through maximal sub-ideals: the children of an ideal I are the J with
+mI <= J < I and I/J = Lambda/m for a maximal ideal m of Lambda/pLambda
+(``modp``), so its cost grows with the number of ideals it finds, not
+with the number of lattices.  ``count_ideals`` descends at every prime
+up to the bound, ``count_ideals_at_prime`` at one prime.  The plain
+stream (``_count_for_index``), which tests every HNF in turn, serves no
+entry point: it is the reference the descent is checked against in the
+test suite.
 
 Costs on a 2-core machine with Python 3.11, interpreter start-up
 (about 0.2 s) included: ``count`` on Z[C4] to N=64 takes about 0.25 s
 (44 s with the stream); ``verify --family conference --u 3
---max-index 64``, which counts to 13^5 at p=13, takes about 0.25 s
-(2.4-3.0 s with the collapse); ``zeta --family drt --u 6 --max-index 50``,
-which counts to 3^11 at p=3, takes about 0.35 s (3.0 s).
+--max-index 64``, which counts to 13^5 at p=13, takes about 0.25 s;
+``zeta --family drt --u 6 --max-index 50``, which counts to 3^11 at
+p=3, takes about 0.35 s.
 
-Both kernels count the ideals of a commutative, associative ring with
+The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first: a
 non-commutative one with ``NonCommutative``, any other with
 ``InputError``.
@@ -52,7 +39,6 @@ non-commutative one with ``NonCommutative``, any other with
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
-from math import gcd
 
 from .errors import InputError, NonCommutative
 from .exact import divisors, is_prime, primes_up_to
@@ -133,13 +119,16 @@ def _hnf_rows(dim, n):
 
 
 def _action_matrices(table):
-    """Row-action matrices: for x a row vector, x . A_i is b_i * x.
-    A_i[l][k] = table[i][l][k].  The identity (index 0) is skipped."""
-    dim = len(table)
-    out = []
-    for i in range(1, dim):
-        out.append(tuple(tuple(table[i][l][k] for k in range(dim)) for l in range(dim)))
-    return out
+    """Row-action matrices of b_1 .. b_{r-1}: for x a row vector, x . A_i
+    is b_i x.  The identity b_0 is skipped."""
+    r = len(table)
+    return [_times_matrix(table, [int(i == j) for j in range(r)]) for i in range(1, r)]
+
+
+def _times_matrix(table, g):
+    "The action matrix of g: x . A is g x for a row vector x."
+    r = len(table)
+    return tuple(tuple(sum(x * table[i][l][k] for i, x in enumerate(g) if x) for k in range(r)) for l in range(r))
 
 
 def _in_lattice(rows, v):
@@ -183,19 +172,12 @@ def is_ideal(table, lattice: LatticeHNF) -> bool:
 
 def count_ideals(table, bound) -> IdealCountSeries:
     """a_n = number of index-n ideal sublattices for n = 1..bound, by direct
-    count: the collapse kernels on rank 2 and 3, the descent otherwise."""
+    count: the descent at every prime up to the bound."""
     if bound < 1:
         raise InputError("bound must be >= 1")
     _check_table(table)
-    dim = len(table)
-    if dim in (2, 3):
-        acts = _action_matrices(table)
-        collapse = _count_prime_power_dim3 if dim == 3 else _count_prime_power_dim2
-        counts = [sum(collapse(acts, diag) for diag in divisor_tuples(n, dim)) for n in range(1, bound + 1)]
-    else:
-        found = _descend(table, bound, primes_up_to(bound))
-        counts = [found.get(n, 0) for n in range(1, bound + 1)]
-    return IdealCountSeries(bound, tuple(counts))
+    found = _descend(table, bound, primes_up_to(bound))
+    return IdealCountSeries(bound, tuple(found.get(n, 0) for n in range(1, bound + 1)))
 
 
 def count_ideals_at_prime(table, p, kmax):
@@ -211,7 +193,7 @@ def count_ideals_at_prime(table, p, kmax):
 
 
 def _check_table(table):
-    """Both kernels count the ideals of a commutative, associative ring
+    """The descent counts the ideals of a commutative, associative ring
     with identity b_0; any other tensor is refused before counting."""
     r = len(table)
     try:
@@ -227,21 +209,11 @@ def _check_table(table):
     for j in range(r):
         if any(table[0][j][k] != (j == k) for k in range(r)):
             raise InputError(f"b0 is not the identity: b0 b{j} != b{j}")
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if _expand(table, table[i][j], k) != _expand(table, table[j][k], i):
-                    raise InputError(f"the table is not associative: (b{i} b{j}) b{k} != b{i} (b{j} b{k})")
-
-
-def _expand(table, x, k):
-    "The product of x = sum_m x_m b_m with b_k, by commutativity x b_k = sum_m x_m b_m b_k."
-    out = [0] * len(x)
-    for m, xm in enumerate(x):
-        if xm:
-            for l, y in enumerate(table[m][k]):
-                out[l] += xm * y
-    return out
+    # row k of the action matrix of b_i b_j is (b_i b_j) b_k
+    times = [[_times_matrix(table, table[i][j]) for j in range(r)] for i in range(r)]
+    for i, j, k in product(range(r), repeat=3):
+        if times[i][j][k] != times[j][k][i]:
+            raise InputError(f"the table is not associative: (b{i} b{j}) b{k} != b{i} (b{j} b{k})")
 
 
 def _count_for_index(job):
@@ -306,12 +278,6 @@ def _descend(table, bound, primes):
                 for sub in subs:
                     child[_sublattice(rows, sub, p)] = pos
     return found
-
-
-def _times_matrix(table, g):
-    "The action matrix of g: x . A is g x for a row vector x."
-    r = len(table)
-    return tuple(tuple(sum(g[i] * table[i][l][k] for i in range(r)) for k in range(r)) for l in range(r))
 
 
 def _products(rows, act):
@@ -422,138 +388,6 @@ def _sublattice(rows, sub, p):
             if t:
                 out[i] = [x - t * y for x, y in zip(out[i], out[j])]
     return tuple(map(tuple, out))
-
-
-class _Progression:
-    "Solution set {offset + step * Z}; offset stays in [0, step)."
-
-    __slots__ = ("offset", "step", "empty")
-
-    def __init__(self):
-        self.offset = 0
-        self.step = 1
-        self.empty = False
-
-    def copy(self):
-        out = _Progression()
-        out.offset, out.step, out.empty = self.offset, self.step, self.empty
-        return out
-
-    def below(self, bound):
-        "The members in [0, bound), ascending."
-        return range(bound if self.empty else self.offset, bound, self.step)
-
-    def refine(self, a, b, m):
-        "Impose a * x + b == 0 (mod m) on x = offset + step * t."
-        if self.empty or m == 1:
-            return
-        aa = (a * self.step) % m
-        bb = (a * self.offset + b) % m
-        g = gcd(aa, m)
-        if bb % g:
-            self.empty = True
-            return
-        mm = m // g
-        if mm == 1:
-            return
-        t0 = (-(bb // g) * pow(aa // g, -1, mm)) % mm
-        self.offset += self.step * t0
-        self.step *= mm
-
-
-def _count_prime_power_dim3(acts, diag):
-    """Ideal count for one diagonal (d1,d2,d3) of any index, over the HNF
-    rows (d1, a, b), (0, d2, c), (0, 0, d3).  Each closure condition is
-    imposed at the outermost loop where it is linear:
-
-    - before any loop: d1 | d3*A[2][0] (else no ideal), the row-3 second
-      coordinate d2 | d3*A[2][1] - r1*a with r1 = d3*A[2][0]/d1 as a
-      progression in a, and the row-2 leading division
-      d1 | d2*A[1][0] + c*A[2][0] as a progression in c;
-    - per c: the row-2 second coordinate d2 | d2*A[1][1] + c*A[2][1] -
-      q1*a with q1 = (d2*A[1][0] + c*A[2][0])/d1, which narrows a copy of the progression in a (it also
-      follows from the row-3 third coordinate and the row-1 leading
-      division below, so it only drops (a, c) cells early);
-    - per (a, c): the conditions affine in b (third coordinates of rows 3
-      and 2, row-1 leading division) narrow a progression in b, and each
-      survivor gets the full row-1 closure test, which involves b
-      quadratically through the back-substitutions."""
-    d1, d2, d3 = diag
-    a_all, c_all = _Progression(), _Progression()
-    for act in acts:
-        w0 = d3 * act[2][0]
-        if w0 % d1:
-            return 0
-        a_all.refine(-(w0 // d1), d3 * act[2][1], d2)
-        c_all.refine(act[2][0], d2 * act[1][0], d1)
-    total = 0
-    for c in c_all.below(d3):
-        a_c = a_all.copy()
-        per_c = []  # per action matrix: what the conditions on b need at this c
-        for act in acts:
-            q1 = (d2 * act[1][0] + c * act[2][0]) // d1  # row-2 leading quotient
-            w1 = d2 * act[1][1] + c * act[2][1]
-            a_c.refine(-q1, w1, d2)
-            per_c.append((act, d3 * act[2][0] // d1, q1, w1, d2 * act[1][2] + c * act[2][2]))
-        for a in a_c.below(d2):
-            prog = _Progression()
-            for act, r1, q1, w1, w2 in per_c:
-                # row 3 product: w = d3 * act[2], leading quotient r1
-                prog.refine(-r1, d3 * act[2][2] - (d3 * act[2][1] - r1 * a) // d2 * c, d3)
-                # row 2 product: w = d2 * act[1] + c * act[2] = (.., w1, w2)
-                prog.refine(-q1, w2 - (w1 - q1 * a) // d2 * c, d3)
-                # row 1 leading division: w0 = d1*act[0][0] + a*act[1][0] + b*act[2][0]
-                prog.refine(act[2][0], d1 * act[0][0] + a * act[1][0], d1)
-                if prog.empty:
-                    break
-            for b in prog.below(d3):
-                if _row1_closed(acts, diag, a, b, c):
-                    total += 1
-    return total
-
-
-def _row1_closed(acts, diag, a, b, c):
-    d1, d2, d3 = diag
-    for act in acts:
-        w0 = d1 * act[0][0] + a * act[1][0] + b * act[2][0]
-        if w0 % d1:
-            return False
-        q1 = w0 // d1
-        w1 = d1 * act[0][1] + a * act[1][1] + b * act[2][1]
-        t = w1 - q1 * a
-        if t % d2:
-            return False
-        q2 = t // d2
-        w2 = d1 * act[0][2] + a * act[1][2] + b * act[2][2]
-        if (w2 - q1 * b - q2 * c) % d3:
-            return False
-    return True
-
-
-def _count_prime_power_dim2(acts, diag):
-    """Ideal count for one diagonal (d1,d2) of any index, over the HNF rows
-    (d1, a), (0, d2).  Row 2's closure and row 1's leading division are
-    linear in a and narrow one progression before the loop; only row 1's
-    second coordinate, quadratic in a, is tested per survivor."""
-    d1, d2 = diag
-    prog = _Progression()
-    for act in acts:
-        # row 2: w = d2 * act[1]; with d1 | w0 its second coordinate,
-        # d2 | d2*act[1][1] - (w0/d1)*a, says d1 | act[1][0]*a, which is
-        # also row 1's leading division (w0 = d1*act[0][0] + a*act[1][0])
-        if d2 * act[1][0] % d1:
-            return 0
-        prog.refine(act[1][0], 0, d1)
-    total = 0
-    for a in prog.below(d2):
-        for act in acts:
-            # row 1: w = d1*act[0] + a*act[1], leading quotient q1
-            q1 = (d1 * act[0][0] + a * act[1][0]) // d1
-            if (d1 * act[0][1] + a * act[1][1] - q1 * a) % d2:
-                break
-        else:
-            total += 1
-    return total
 
 
 def quotient_ring_table(defining_poly):

@@ -278,5 +278,22 @@ def test_cli_rejects_out_of_range_size(argv, capsys):
     assert "counting" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "drt", "--u", "1", "--max-index", "8"],
+        ["zeta", "--family", "drt", "--u", "1", "--max-index", "8"],
+        ["verify", "--family", "drt", "--u", "1", "--max-index", "8"],
+        ["genus", "--family", "drt", "--u", "1", "--prime", "7"],
+    ],
+)
+def test_cli_rejects_json_format_without_one(argv, capsys):
+    # only validate and decompose have a json-like report
+    assert main(["--format", "json-like", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "json-like" in captured.err
+
+
 def test_cli_missing_source(capsys):
     assert main(["count"]) == 2

@@ -5,17 +5,11 @@ from hypothesis import strategies as st
 from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate_sublattices, is_ideal
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
-from tablezeta.ideals import (
-    _action_matrices,
-    _count_for_index,
-    _count_prime_power_dim2,
-    _count_prime_power_dim3,
-    _sublattice,
-    divisor_tuples,
-    quotient_ring_table,
-)
+from tablezeta.dirichlet import expand, maximal_local_factor, theorem_local_factor
+from tablezeta.ideals import _count_for_index, _sublattice, divisor_tuples, quotient_ring_table
 from tablezeta.exact import hnf
 from tablezeta.modp import rref
+from tablezeta.pipeline import analyze
 
 
 def sublattice_count_formula(n):
@@ -118,28 +112,11 @@ PRIME_POWER_CASES = [
     (fusion("reps3").lam, 2, 4),
     (fusion("reps3").lam, 3, 3),
     (fusion("psu5l2").lam, 7, 2),
-    # deep enough that the progressions in c, a and b of the rank-3
-    # kernel are each walked with d1, d2 > 1
+    # deep enough to reach the ideals inside p Lambda
     (fusion("ising").lam, 2, 8),
     (fusion("c3").lam, 3, 5),
     (conference(1).lam, 5, 3),
 ]
-
-
-def collapse_at_prime(lam, p, kmax):
-    "[a_{p^k}] from the collapse kernels, summed over the diagonals of each p^k."
-    dim = len(lam)
-    acts = _action_matrices(lam)
-    kernel = _count_prime_power_dim3 if dim == 3 else _count_prime_power_dim2
-    return [sum(kernel(acts, diag) for diag in divisor_tuples(p**k, dim)) for k in range(kmax + 1)]
-
-
-def test_prime_power_collapse_matches_stream():
-    # count_ideals_at_prime runs the descent, so the collapse kernels are
-    # summed over the diagonals here to keep them checked at prime powers
-    for lam, p, kmax in PRIME_POWER_CASES:
-        slow = [_count_for_index((lam, len(lam), p**k)) for k in range(kmax + 1)]
-        assert collapse_at_prime(lam, p, kmax) == slow
 
 
 def test_prime_power_descent_matches_stream():
@@ -148,16 +125,14 @@ def test_prime_power_descent_matches_stream():
         assert count_ideals_at_prime(lam, p, kmax) == slow
 
 
-def test_descent_matches_collapse_on_deep_towers():
-    towers = [
-        (fusion("ising").lam, 2, 13),
-        (fusion("c3").lam, 3, 9),
-        (conference(1).lam, 5, 6),
-        (drt(1).lam, 7, 5),
-        (drt(6).lam, 3, 9),
-    ]
-    for lam, p, kmax in towers:
-        assert count_ideals_at_prime(lam, p, kmax) == collapse_at_prime(lam, p, kmax), (p, kmax)
+def test_descent_matches_closed_forms_on_deep_towers():
+    # towers too deep for the stream, against local factors that come from
+    # no count: the maximal order's Dedekind factors times 1 - t + p t^2
+    # (Solomon's factor for c3 = Z[C3]), and the valuation-3 closed form
+    for t, p, kmax in [(fusion("ising"), 2, 13), (fusion("c3"), 3, 9), (conference(1), 5, 6), (drt(1), 7, 5)]:
+        local = maximal_local_factor(analyze(t).order.rings, p) * (1, -1, p)
+        assert count_ideals_at_prime(t.lam, p, kmax) == expand(local, kmax), (p, kmax)
+    assert count_ideals_at_prime(drt(6).lam, 3, 9) == expand(theorem_local_factor("v3", 3), 9)
 
 
 def group_table(order, mul):
@@ -168,7 +143,7 @@ def group_table(order, mul):
 
 
 def test_descent_matches_stream_on_group_rings():
-    # rank 4 and 6 have no collapse kernel: count_ideals descends
+    # group rings of rank 4 and 6 against the plain stream
     cases = [
         (group_table(4, lambda i, j: (i + j) % 4), 24),  # Z[C4]
         (group_table(4, lambda i, j: i ^ j), 24),  # Z[C2 x C2]
@@ -218,8 +193,8 @@ def test_descent_matches_stream_on_random_quartic_orders(low):
 
 
 def test_count_ideals_matches_stream_on_every_builtin():
-    # count_ideals collapses rank 2 and 3 per diagonal for every index, not
-    # only prime powers; the plain stream is the reference
+    # count_ideals descends at every prime for every index, not only prime
+    # powers; the plain stream is the reference
     tables = [t.lam for t in (drt(1), drt(6), conference(1), conference(3))]
     tables += [fusion(name).lam for name in FUSION_NAMES]
     tables.append(quotient_ring_table((-1, -1, 1)))
@@ -230,9 +205,9 @@ def test_count_ideals_matches_stream_on_every_builtin():
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3))
-@example([2, 0, 1])  # x^3 + x^2 + 2: needs the progression in c and the early return of the rank-3 kernel
+@example([2, 0, 1])  # x^3 + x^2 + 2
 def test_collapse_matches_stream_on_random_cubic_orders(low):
-    # Z[x]/(f) for a random monic cubic f: the kernel against the plain stream
+    # Z[x]/(f) for a random monic cubic f: the descent against the plain stream
     lam = quotient_ring_table((*low, 1))
     slow = tuple(_count_for_index((lam, 3, n)) for n in range(1, 17))
     assert count_ideals(lam, 16).counts == slow
