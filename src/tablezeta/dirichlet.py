@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal, NotStabilized
-from .exact import is_prime, primes_up_to, valuation
+from .exact import is_prime, primes_up_to
 from .polys import padd, pdeg, peval, pmul, pnorm
 
 
@@ -27,6 +27,8 @@ class DirichletSeries:
             raise InputError("a_1 must be 1")
 
     def a(self, n):
+        if not 1 <= n <= self.bound:
+            raise IndexError(f"a({n}) is outside 1..{self.bound}")
         return self.coefficients[n - 1]
 
     def __str__(self):
@@ -155,29 +157,52 @@ def factor_degrees_mod_p(poly, p):
     (1, mult) per root in increasing order, then the irreducible factor of
     degree 2 or 3 left over, if any.
 
-    When f is squarefree mod p, i.e. gcd(f, f') = 1 over F_p, every
-    multiplicity is 1 and the number r of distinct roots is
-    deg gcd(f, x^p - x), with x^p mod f by square-and-multiply; for
-    degree <= 3 that number fixes the rest: r linear factors and one
-    irreducible factor of degree deg f - r.  Only at the finitely many p
-    dividing disc(f), where f is not squarefree, are the roots and their
-    multiplicities found by a search over the residues; so are those of
-    an f that is not monic mod p, or of a p that is not prime."""
+    f is squarefree mod p exactly when p does not divide disc(f).  Then
+    every multiplicity is 1, and for degree <= 3 the number r of distinct
+    roots fixes the rest: r linear factors and one irreducible factor of
+    degree deg f - r.  At an odd p the residue symbol of the discriminant,
+    disc^((p-1)/2) mod p (Euler's criterion), gives r for a quadratic: 2
+    when it is +1, else 0.  For a cubic, Stickelberger's theorem says the
+    symbol is (-1)^(3 - number of irreducible factors), so a symbol of -1
+    means r = 1; only a symbol of +1, where r is 3 or 0, and p = 2 count
+    the roots as deg gcd(f, x^p - x), with x^p mod f by square-and-multiply.
+    Only at the finitely many p dividing disc(f) are the roots and their
+    multiplicities found by a search over the residues; so are those of an
+    f that is not monic mod p, or of a p that is not prime."""
+    return _factor_degrees(poly, p, is_prime(p))
+
+
+def _factor_degrees(poly, p, p_is_prime):
+    "factor_degrees_mod_p, with the primality of p already decided."
     coeffs = [x % p for x in poly]
     deg = len(coeffs) - 1
     if deg > 3:
         raise InputError("modular factorization implemented for degree <= 3")
     if deg <= 0:
         return []
-    if coeffs[-1] != 1 or not is_prime(p):
+    if coeffs[-1] != 1 or not p_is_prime:
         return _factor_degrees_by_search(coeffs, p)
     if deg == 1:
         return [(1, 1)]
-    if _fp_gcd_deg(coeffs, _fp_derivative(coeffs, p), p) > 0:
+    disc = _monic_discriminant(coeffs) % p
+    if disc == 0:
         return _factor_degrees_by_search(coeffs, p)
-    x_p = _fp_x_power_mod(p, coeffs, p)
-    roots = _fp_gcd_deg(coeffs, _fp_sub(x_p, [0, 1], p), p)
+    if p > 2 and deg == 2:
+        roots = 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+    elif p > 2 and pow(disc, (p - 1) // 2, p) != 1:
+        roots = 1  # Stickelberger: a cubic with two irreducible factors
+    else:
+        roots = _fp_gcd_deg(coeffs, _fp_sub(_fp_x_power_mod(p, coeffs, p), [0, 1], p), p)
     return [(1, 1)] * roots + ([(deg - roots, 1)] if roots < deg else [])
+
+
+def _monic_discriminant(coeffs):
+    "Discriminant of the monic x^2 + b x + c or x^3 + a x^2 + b x + c, ascending coefficients."
+    if len(coeffs) == 3:
+        c, b, _ = coeffs
+        return b * b - 4 * c
+    c, b, a, _ = coeffs
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
 
 
 def _factor_degrees_by_search(coeffs, p):
@@ -216,10 +241,6 @@ def _fp_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fp_derivative(a, p):
-    return _fp_trim([i * c % p for i, c in enumerate(a)][1:])
 
 
 def _fp_sub(a, b, p):
@@ -271,13 +292,22 @@ def dedekind_euler_factor(ring, p) -> LocalRationalFunction:
     """Euler factor of the Dedekind zeta function of the ring at p:
     product over the distinct irreducible factors of the defining
     polynomial mod p of (1 - t^deg)^{-1}."""
+    _require_certified(ring)
+    degrees = [d for d, _ in factor_degrees_mod_p(ring.defining_poly, p)]
+    return LocalRationalFunction(p, (1,), _dedekind_den(degrees))
+
+
+def _require_certified(ring):
     if not ring.is_maximal_certified:
         raise NotCertifiedMaximal(f"ring {ring.defining_poly} is not certified maximal")
+
+
+def _dedekind_den(degrees):
+    "prod (1 - t^deg) over the residue degrees."
     den = (1,)
-    for deg, _mult in factor_degrees_mod_p(ring.defining_poly, p):
-        factor = [1] + [0] * (deg - 1) + [-1]
-        den = pmul(den, tuple(factor))
-    return LocalRationalFunction(p, (1,), den)
+    for deg in degrees:
+        den = pmul(den, (1,) + (0,) * (deg - 1) + (-1,))
+    return den
 
 
 def theorem_local_factor(family: str, p) -> LocalRationalFunction:
@@ -311,20 +341,52 @@ def maximal_local_factor(rings, p) -> LocalRationalFunction:
 def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
     """Coefficients a_1..a_N of the Euler product: good primes get the
     product of the component Dedekind factors, bad primes the supplied
-    full local factor.  Strictly multiplicative assembly."""
+    full local factor.  Strictly multiplicative assembly.
+
+    A good prime's factor prod (1 - t^deg)^{-1} depends only on the
+    residue degrees of the primes above p, which factor_degrees_mod_p
+    reads off the residue symbol of each component's discriminant (with
+    Stickelberger's theorem for a cubic), so each pattern of degrees is
+    expanded once per depth.  The sweep multiplies the multiples of p by
+    a_p in one slice; for p^2 <= N each a_{p^k} is laid over the
+    multiples of p^k in turn, so that no valuation is computed."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
     coeffs = [1] * (bound + 1)  # index by n, entry 0 unused
+    good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
     for p in primes_up_to(bound):
-        kmax = 0
+        kmax = 1
         while p ** (kmax + 1) <= bound:
             kmax += 1
-        local = exceptional.get(p) or maximal_local_factor(rings, p)
-        a_pk = expand(local, kmax)
-        for n in range(p, bound + 1, p):
-            coeffs[n] *= a_pk[valuation(n, p)]
+        local = exceptional.get(p)
+        if local is not None:
+            a = expand(local, kmax)
+        else:
+            key = (_residue_degrees(rings, p), kmax)
+            a = good.get(key)
+            if a is None:
+                a = good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
+        if kmax == 1:
+            if a[1] != 1:
+                coeffs[p::p] = [c * a[1] for c in coeffs[p::p]]
+            continue
+        # mult[i] = a_{p^v} for n = (i + 1) p with v = v_p(n)
+        mult = [a[1]] * (bound // p)
+        for k in range(2, kmax + 1):
+            step = p ** (k - 1)
+            mult[step - 1 :: step] = [a[k]] * (bound // (step * p))
+        coeffs[p::p] = [c * m for c, m in zip(coeffs[p::p], mult)]
     return DirichletSeries(bound, tuple(coeffs[1:]))
+
+
+def _residue_degrees(rings, p):
+    "Sorted residue degrees of the primes above the prime p in every ring."
+    degrees = []
+    for ring in rings:
+        _require_certified(ring)
+        degrees += [d for d, _ in _factor_degrees(ring.defining_poly, p, True)]
+    return tuple(sorted(degrees))
 
 
 def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction):

@@ -85,6 +85,8 @@ class IdealCountSeries:
             raise InputError("a_1 must be 1")
 
     def a(self, n):
+        if not 1 <= n <= self.bound:
+            raise IndexError(f"a({n}) is outside 1..{self.bound}")
         return self.counts[n - 1]
 
 

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablezeta import (
+    DirichletSeries,
     LocalRationalFunction,
     assemble_global,
     dedekind_euler_factor,
@@ -14,9 +17,9 @@ from tablezeta.decomposition import NumberRing
 from tablezeta.dirichlet import factor_degrees_mod_p, maximal_local_factor, zeta_p
 from tablezeta.errors import MissingBadPrime, NotCertifiedMaximal, NotStabilized
 from tablezeta.exact import factorize, primes_up_to
-from tablezeta.families import drt, fusion
+from tablezeta.families import conference, drt, fusion
 from tablezeta.polys import pmul
-from tablezeta.ideals import count_ideals, count_ideals_at_prime
+from tablezeta.ideals import IdealCountSeries, count_ideals, count_ideals_at_prime
 from tablezeta.pipeline import analyze
 
 GOLDEN_RING = NumberRing(defining_poly=(-1, -1, 1), is_maximal_certified=True, discriminant=5)
@@ -90,6 +93,34 @@ def test_factor_degrees_match_root_search(p):
             assert factor_degrees_mod_p(poly, p) == _degrees_by_root_search(poly, p), poly
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-1000, max_value=1000), min_size=2, max_size=3),
+    st.sampled_from(primes_up_to(2000)),
+)
+def test_factor_degrees_match_root_search_large(low, p):
+    poly = (*low, 1)
+    assert factor_degrees_mod_p(poly, p) == _degrees_by_root_search(poly, p)
+
+
+@pytest.mark.parametrize(
+    "poly, p, expected",
+    [
+        ((1, 1, 1), 2, [(2, 1)]),  # p = 2, squarefree: roots by gcd(f, x^2 - x)
+        ((0, 1, 1), 2, [(1, 1), (1, 1)]),
+        ((1, 1, 0, 1), 2, [(3, 1)]),
+        ((-5, 0, 1), 5, [(1, 2)]),  # p | disc: residue search with multiplicities
+        ((0, 0, -1, 1), 5, [(1, 2), (1, 1)]),
+        ((-2, 0, 0, 1), 3, [(1, 3)]),
+        ((-2, 0, 0, 1), 5, [(1, 1), (2, 1)]),  # disc -108 is a non-residue mod 5: one root
+        ((1, -1, -2, 1), 13, [(1, 1), (1, 1), (1, 1)]),  # psu5l2's cubic, symbol +1, splits
+        ((1, -1, -2, 1), 3, [(3, 1)]),  # same cubic, symbol +1, irreducible
+    ],
+)
+def test_factor_degrees_each_branch(poly, p, expected):
+    assert factor_degrees_mod_p(poly, p) == expected == _degrees_by_root_search(poly, p)
+
+
 @pytest.mark.parametrize("p", [6481, 6491, 6521, 6529, 6547, 6551, 6553, 6563])
 def test_factor_degrees_large_prime_euler_criterion(p):
     # x^2 - x - 1 has discriminant 5: two roots mod p iff 5 is a square mod p
@@ -117,7 +148,18 @@ def _product_over_factorization(rings, exceptional, bound):
     return tuple(out)
 
 
-@pytest.mark.parametrize("t, deltas", [(drt(1), {7: (1, -1, 7)}), (fusion("ising"), {2: (1, -1, 2)})])
+@pytest.mark.parametrize(
+    "t, deltas",
+    [
+        (drt(1), {7: (1, -1, 7)}),
+        (fusion("ising"), {2: (1, -1, 2)}),
+        (fusion("fib"), {}),
+        (fusion("c3"), {3: (1, -1, 3)}),
+        (conference(1), {5: (1, -1, 5)}),
+        (fusion("reps3"), {2: (1, -1, 2), 3: (1, -1, 3)}),
+        (fusion("psu5l2"), {}),  # one cubic component
+    ],
+)
 def test_assemble_matches_product_over_factorization(t, deltas):
     data = analyze(t)
     assert sorted(deltas) == data.order.bad_primes
@@ -181,6 +223,30 @@ def test_assemble_missing_bad_prime():
     data = analyze(t)
     with pytest.raises(MissingBadPrime):
         assemble_global(data.order.rings, data.order.bad_primes, {}, 10)
+    # raised before any local factor is built, so before the certificate is checked
+    bad = NumberRing(defining_poly=(-2, 0, 0, 1), is_maximal_certified=False, discriminant=-108)
+    with pytest.raises(MissingBadPrime):
+        assemble_global([bad], [2, 3], {2: zeta_p(2)}, 100)
+
+
+def test_assemble_uncertified_ring_needs_a_good_prime():
+    bad = NumberRing(defining_poly=(-2, 0, 0, 1), is_maximal_certified=False, discriminant=-108)
+    assert assemble_global([bad], [], {}, 1).coefficients == (1,)
+    # every prime up to 4 has its full factor supplied, so no Dedekind factor is needed
+    covered = {2: zeta_p(2), 3: zeta_p(3)}
+    assert assemble_global([bad], [2, 3], covered, 4).coefficients == (1, 1, 1, 1)
+    with pytest.raises(NotCertifiedMaximal):
+        assemble_global([bad], [2, 3], covered, 5)
+    with pytest.raises(NotCertifiedMaximal):
+        assemble_global([GOLDEN_RING, bad], [], {}, 10)
+
+
+@pytest.mark.parametrize("series", [DirichletSeries(3, (1, 2, 3)), IdealCountSeries(3, (1, 2, 3))])
+def test_series_index_outside_bound(series):
+    assert [series.a(n) for n in (1, 2, 3)] == [1, 2, 3]
+    for n in (0, -1, 4):
+        with pytest.raises(IndexError, match=rf"a\({n}\) is outside 1\.\.3"):
+            series.a(n)
 
 
 def test_infer_drt1_at_7():
