@@ -163,41 +163,6 @@ def abs_prod(xs):
     return abs(out)
 
 
-def lattice_intersection(h1, h2):
-    """Intersection of two full integer lattices given by row bases."""
-    n = len(h1)
-    stacked = [list(h1[i]) + list(h1[i]) for i in range(n)]
-    stacked += [list(h2[i]) + [0] * n for i in range(n)]
-    # rows (x | y): x in span(h1)+span(h2) with y the h1-part; kernel of x gives
-    # intersection vectors through their h1 expression.
-    h = hnf(tuple(tuple(r) for r in stacked))
-    out = [row[n:] for row in h if all(x == 0 for x in row[:n])]
-    # plus: rows of the reduced top block with zero x-part appear only there
-    if len(out) < n:
-        # fall back: solve by congruences (h2 full rank assumed)
-        raise ValueError("lattice_intersection expects full-rank inputs")
-    return hnf_square(tuple(tuple(r) for r in out))
-
-
-def solve_right_congruence(cmat, modulus):
-    """All integer row vectors x with x*cmat == 0 (mod modulus).
-
-    cmat is n x k; the solution set contains modulus*Z^n, so the result is a
-    full-rank lattice returned in HNF.
-    """
-    n = len(cmat)
-    k = len(cmat[0])
-    stacked = []
-    for i in range(n):
-        stacked.append(list(cmat[i]) + [1 if j == i else 0 for j in range(n)])
-    for j in range(k):
-        stacked.append([modulus if c == j else 0 for c in range(k)] + [0] * n)
-    h = hnf(tuple(tuple(r) for r in stacked))
-    sols = [row[k:] for row in h if all(x == 0 for x in row[:k])]
-    rows = [tuple(r) for r in sols] + [tuple(modulus if j == i else 0 for j in range(n)) for i in range(n)]
-    return hnf_square(tuple(rows))
-
-
 # --- Fraction matrices -----------------------------------------------------
 
 

@@ -34,8 +34,9 @@ from .errors import (
     PrecisionUnstable,
     UnsupportedM,
 )
-from .exact import hnf_square, is_prime, lattice_det, lattice_intersection, solve_right_congruence, valuation
+from .exact import hnf_square, is_prime, lattice_det, mat_mul, valuation
 from .ideals import LatticeHNF
+from .modp import kernel_mod_pk, rref
 from .polys import padd
 from .ppoly import PM1, PFrac, PPoly
 
@@ -207,34 +208,30 @@ def _action_matrix(model: LocalModel, g):
 
 
 def _membership_congruence_matrix(target_rows, K, p):
-    "W with: y in target  <=>  y . W == 0 (mod p^K), for targets containing p^K Lambda_0."
-    from .exact import fmat_inv
-
-    inv = fmat_inv(target_rows)
-    w = []
-    for row in inv:
-        out = []
-        for x in row:
-            q = Fraction(x) * p**K
-            if q.denominator != 1:
-                raise PrecisionUnstable("membership precision too low for the target lattice")
-            out.append(int(q))
-        w.append(tuple(out))
-    return tuple(w)
+    """W with: y in target  <=>  y . W == 0 (mod p^K), for targets containing
+    p^K Lambda_0.  W = p^K T^(-1) = p^K adj(T) / det T in integers."""
+    (a, b, c), (d, e, f), (g, h, i) = target_rows
+    adj = (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    pk = p**K
+    if any(x * pk % det for row in adj for x in row):
+        raise PrecisionUnstable("membership precision too low for the target lattice")
+    return tuple(tuple(x * pk // det for x in row) for row in adj)
 
 
 def complement_numeric(model: LocalModel, m_rows, target_rows, K):
     "{x : g x in target for all generators g of M}, exact at precision K."
     p = model.p
     w = _membership_congruence_matrix(target_rows, K, p)
-    cols = []
-    for g in m_rows:
-        t = _action_matrix(model, g)
-        tw = tuple(tuple(sum(t[i][l] * w[l][j] for l in range(3)) for j in range(3)) for i in range(3))
-        cols.append(tw)
+    cols = [mat_mul(_action_matrix(model, g), w) for g in m_rows]
     cmat = tuple(tuple(x for tw in cols for x in tw[i]) for i in range(3))
-    sol = solve_right_congruence(cmat, p**K)
-    return hnf_square(sol)
+    return kernel_mod_pk(cmat, p, K)
 
 
 def complementary_lattice(model: LocalModel, lattice, target=None):
@@ -613,8 +610,11 @@ def _demote(model, x, integral=True):
 def automorphism_measure_inverse(model: LocalModel, lattice):
     """mu(Aut M)^{-1} = [Lambda_0^x : {M:M}^x] in the Haar measure with
     mu(Lambda_0^x) = 1.  Numeric: unit counting in the finite quotient at
-    p^(2m+2) with a re-check at p^(2m+4); symbolic: closed form from the
-    multiplier order's shape."""
+    p^(2m+2) with a re-check at p^(2m+4), where the units of a lattice L
+    are counted by inclusion-exclusion from the ranks mod p of L's b- and
+    c-columns (see ``_unit_count``: that rank is the p-exponent of the
+    index of L cut by b = 0 or c = 0 mod p in L); symbolic: closed form
+    from the multiplier order's shape."""
     if model.symbolic:
         params = lattice.params if isinstance(lattice, IntermediateLattice) else tuple(lattice)
         r, i, j = params
@@ -640,7 +640,7 @@ def automorphism_measure_inverse(model: LocalModel, lattice):
 
 def _unit_index(model, order_rows, K):
     p = model.p
-    total_units_ambient = _unit_count(model, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), K)
+    total_units_ambient = p ** (3 * K - 2) * (p - 1) ** 2  # _unit_count of Lambda_0
     units = _unit_count(model, order_rows, K)
     ratio = Fraction(total_units_ambient, units)
     if ratio.denominator != 1:
@@ -649,24 +649,29 @@ def _unit_index(model, order_rows, K):
 
 
 def _unit_count(model, rows, K):
-    "Number of classes of L/p^K that are units of Lambda_0 (inclusion-exclusion)."
+    """Number of classes of L/p^K Lambda_0 that are units of Lambda_0, for
+    L given by its HNF rows with p^K Lambda_0 in L and K >= 1.
+
+    x = (a, b, c) is a unit exactly when b and c are nonzero mod p, so the
+    count is full - non_b - non_c + non_bc by inclusion-exclusion over the
+    sublattices L_S = {x in L : x_s = 0 mod p for s in S}.  L_S is the
+    kernel of L -> F_p^S, x -> (x_s mod p), whose image is spanned by the
+    rows' S-columns mod p (L contains p Lambda_0, so reducing its rows
+    loses nothing); hence [L : L_S] = p^(rank mod p of the S-columns), and
+    L_S has [L : p^K Lambda_0] / p^rank classes."""
     p = model.p
-    pk = p**K
+    full = p ** (3 * K) // lattice_det(rows)
 
-    def classes(sub):
-        inter = lattice_intersection(tuple(tuple(r) for r in rows), sub)
-        return pk**3 // lattice_det(inter)
+    def classes(cols):
+        return full // p ** len(rref([[row[c] for c in cols] for row in rows], p))
 
-    full = pk**3 // lattice_det(hnf_square(tuple(tuple(r) for r in rows)))
-    non_b = classes(((1, 0, 0), (0, p, 0), (0, 0, 1)))
-    non_c = classes(((1, 0, 0), (0, 1, 0), (0, 0, p)))
-    non_bc = classes(((1, 0, 0), (0, p, 0), (0, 0, p)))
-    return full - non_b - non_c + non_bc
+    return full - classes((1,)) - classes((2,)) + classes((1, 2))
 
 
-def genus_zeta(model: LocalModel, lattice) -> LocalRationalFunction:
+def genus_zeta(model: LocalModel, lattice, muinv=None) -> LocalRationalFunction:
     """Z(M, Lambda; s) = mu(Aut M)^{-1} (Lambda:M)^{-s} * integral over
-    A^x of the characteristic function of {M:Lambda} times |x|^s."""
+    A^x of the characteristic function of {M:Lambda} times |x|^s.
+    ``muinv`` is mu(Aut M)^{-1} when the caller has it already."""
     params = lattice.params if isinstance(lattice, IntermediateLattice) else tuple(lattice)
     r, i, j = params
     comp = complementary_lattice(model, lattice if isinstance(lattice, IntermediateLattice) else params)
@@ -674,7 +679,8 @@ def genus_zeta(model: LocalModel, lattice) -> LocalRationalFunction:
     acc = {0: {}, 1: {}, 2: {}}
     for reg in regions:
         _accumulate_region(model, reg, acc)
-    muinv = automorphism_measure_inverse(model, params)
+    if muinv is None:
+        muinv = automorphism_measure_inverse(model, params)
     if model.symbolic:
         scale = PFrac(muinv)
     else:

@@ -1,4 +1,5 @@
-"""Linear algebra over F_p and the maximal ideals of Lambda / p Lambda.
+"""Linear algebra over F_p and Z/p^K, and the maximal ideals of
+Lambda / p Lambda.
 
 Vectors are tuples of integers reduced into [0, p); a subspace is the
 tuple of its reduced row echelon basis (leading entry 1, zeros above and
@@ -6,6 +7,10 @@ below every pivot, rows ordered by pivot), which is canonical, so two
 subspaces are equal exactly when their bases are.  Algebras are given by
 a multiplication tensor lam[i][j][k] (b_i b_j = sum_k lam[i][j][k] b_k)
 that is commutative and associative with identity b_0.
+
+Over Z/p^K every nonzero entry is p^v times a unit, so an entry of least
+valuation divides every other one: elimination with such pivots needs no
+gcd steps (see ``kernel_mod_pk``).
 
 The maximal ideals of A = Lambda / p Lambda come from two facts about a
 commutative F_p-algebra.  Frobenius x -> x^p is F_p-linear, and x is
@@ -25,7 +30,7 @@ that makes the ideal all of A is taken on no field of J.
 
 from collections import namedtuple
 
-from .exact import charpoly, mat_mul
+from .exact import charpoly, hnf_square, mat_mul
 
 # f: residue degree [A : m] over F_p; basis: the reduced row echelon basis
 # of m; generators: members of the basis that generate m as an ideal
@@ -65,6 +70,50 @@ def kernel(rows, p):
     width = len(rows[0]) if rows else 0
     aug = [tuple(row) + tuple(1 if j == i else 0 for j in range(n)) for i, row in enumerate(rows)]
     return tuple(row[width:] for row in rref(aug, p) if not any(row[:width]))
+
+
+def kernel_mod_pk(rows, p, K):
+    """The lattice {x in Z^n : sum_i x_i rows[i] = 0 mod p^K} in HNF.
+
+    Elimination over Z/p^K: each step takes as pivot an entry of least
+    p-valuation among the rows not used yet, p^v u with u a unit, and
+    clears its column from those rows, which it divides.  The row
+    operations make a matrix U of determinant 1 with U C equal, after
+    column operations, to a diagonal of the pivots p^(v_r) u_r (a row left
+    at zero mod p^K has v_r = K).  So x C = 0 mod p^K exactly when
+    x U^(-1) has its r-th coordinate in p^(K - v_r) Z, and the lattice is
+    spanned by the rows p^(K - v_r) U_r and p^K Z^n."""
+    pk = p**K
+    n = len(rows)
+    a = [[x % pk for x in row] for row in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    left = list(range(n))
+    out = [tuple(pk * (i == j) for j in range(n)) for i in range(n)]
+    while left:
+        best = None  # (valuation, row, column) of the pivot
+        for r in left:
+            for c, x in enumerate(a[r]):
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, r, c)
+        if best is None:
+            break
+        v, r, c = best
+        left.remove(r)
+        pv = p**v
+        inv = pow(a[r][c] // pv, -1, pk)
+        for s in left:
+            if a[s][c]:
+                f = a[s][c] // pv * inv % pk
+                a[s] = [(x - f * y) % pk for x, y in zip(a[s], a[r])]
+                u[s] = [(x - f * y) % pk for x, y in zip(u[s], u[r])]
+        out.append(tuple(p ** (K - v) * x for x in u[r]))
+    out.extend(tuple(u[r]) for r in left)
+    return hnf_square(tuple(out))
 
 
 def multiply(lam, u, v, p):

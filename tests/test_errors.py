@@ -117,6 +117,11 @@ def test_membership_congruence_needs_enough_precision():
         _membership_congruence_matrix(triple_matrix(model, (0, 0, 1)), 0, 3)
 
 
+def test_membership_congruence_rejects_a_singular_target():
+    with pytest.raises(ZeroDivisionError):
+        _membership_congruence_matrix(((1, 2, 3), (2, 4, 6), (0, 0, 1)), 2, 3)
+
+
 def test_infer_local_polynomial_rejects_series_not_starting_at_one():
     # 2 / (1 - t) expands to 2 + 2t + ..., which no ideal count can divide
     with pytest.raises(NonIntegralQuotient):

@@ -224,6 +224,27 @@ def test_symbolic_measures_match_numeric():
         )
 
 
+ODD_PRIMES_TO_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_47)
+def test_symbolic_closed_forms_match_numeric(p):
+    # the numeric measure is the symbolic one at p, and the numeric
+    # complementary lattice has the symbolic exponent matrix (entry v_p,
+    # None for 0), for both signs of the unit v
+    for m in (0, 1):
+        sym = LocalModel(p=None, m=m, v=None)
+        sym_reps = [rep.params for rep in enumerate_genus_representatives(sym)]
+        for v in (1, -1):
+            num = LocalModel(p=p, m=m, v=v)
+            assert [rep.params for rep in enumerate_genus_representatives(num)] == sym_reps
+            for params in sym_reps:
+                assert automorphism_measure_inverse(num, params) == automorphism_measure_inverse(sym, params)(p)
+                comp = complementary_lattice(num, params).matrix
+                exps = [[None if x == 0 else valuation(x, p) for x in row] for row in comp]
+                assert exps == complementary_lattice(sym, params), (m, v, params)
+
+
 def test_region_integral_tail_pair():
     model = model_for_order(27, 3)
     reg = Region(RegionPart("tail", 5), RegionPart("tail", 3), PPoly(1))

@@ -1,8 +1,9 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tablezeta.exact import hnf, hnf_square
 from tablezeta.ideals import quotient_ring_table
-from tablezeta.modp import kernel, maximal_ideals, multiply, pivots, rref
+from tablezeta.modp import kernel, kernel_mod_pk, maximal_ideals, multiply, pivots, rref
 
 
 def residue_degrees(lam, p):
@@ -22,6 +23,45 @@ def test_kernel_is_the_left_null_space():
     assert len(ker) == 2
     for x in ker:
         assert all(sum(xi * row[j] for xi, row in zip(x, rows)) % 7 == 0 for j in range(3))
+
+
+def stacked_hnf_kernel(cmat, modulus):
+    """Reference for kernel_mod_pk: the x with x * cmat = 0 mod modulus, read
+    off the HNF of (cmat | I) stacked over (modulus I | 0) as the rows whose
+    cmat part vanishes, plus modulus * Z^n."""
+    n, k = len(cmat), len(cmat[0])
+    stacked = [tuple(cmat[i]) + tuple(int(j == i) for j in range(n)) for i in range(n)]
+    stacked += [tuple(modulus * (c == j) for c in range(k)) + (0,) * n for j in range(k)]
+    sols = [row[k:] for row in hnf(stacked) if not any(row[:k])]
+    return hnf_square(tuple(sols) + tuple(tuple(modulus * (j == i) for j in range(n)) for i in range(n)))
+
+
+@st.composite
+def _pk_systems(draw):
+    "(rows, p, K): a 3 x k system whose entries are p^e times small cofactors."
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    big = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.sampled_from([3, 6, 9]))
+    entry = st.builds(lambda e, c: p**e * c, st.integers(min_value=0, max_value=big + 1), st.integers(-30, 30))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=3, max_size=3))
+    return rows, p, big
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pk_systems())
+@example(([[0] * 9] * 3, 3, 4))  # the zero system
+@example(([[11**2 * c for c in range(-3, 3)]] * 3, 11, 2))  # a system that is 0 mod p^K
+def test_kernel_mod_pk_matches_stacked_hnf(system):
+    rows, p, big = system
+    got = kernel_mod_pk(rows, p, big)
+    assert got == stacked_hnf_kernel(rows, p**big)
+    for x in got:
+        assert all(sum(xi * row[j] for xi, row in zip(x, rows)) % p**big == 0 for j in range(len(rows[0])))
+
+
+def test_kernel_mod_pk_single_pivot():
+    # x * (3, 0, 0)^T = 0 mod 27 is 9 | x_0; the other coordinates are free
+    assert kernel_mod_pk([(3,), (0,), (0,)], 3, 3) == ((9, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_golden_ratio_ring_primes():
