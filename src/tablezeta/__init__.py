@@ -4,8 +4,9 @@ algebras and fusion rings.
 The package computes Solomon zeta functions of the orders ZB defined by
 commutative integral table algebras three independent ways and checks
 them against each other: brute-force sublattice enumeration, Euler
-products of Dedekind factors with inferred exceptional polynomials, and
-(for the rank-3 families) a symbolic local genus-zeta calculus.
+products of Dedekind factors with exceptional polynomials counted to a
+proven degree bound, and (for the rank-3 families) a symbolic local
+genus-zeta calculus.
 """
 
 from .algebra import BasisKind, TableAlgebra, degree_map, regular_representation, rescale, validate

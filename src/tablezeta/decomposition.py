@@ -23,7 +23,7 @@ from .algebra import (
     regular_representation,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import factorize, fmat_det, fmat_inv, vec_mat
+from .exact import factorize, fmat_det, fmat_inv, valuation, vec_mat
 from math import gcd
 
 from .polys import (
@@ -326,6 +326,41 @@ class MaximalOrderData:
     bad_primes: list
     rings: list
     decomposition: RationalDecomposition  # the decomposition Lambda_0 is built from
+
+    def degree_bound(self, p):
+        """D_p = 2*n*v - v_p[Lambda_0 : Lambda], a proven bound on the degree
+        of the exceptional polynomial delta_p = Z_{Lambda,p}(t) / Z_{Lambda_0,p}(t),
+        where t = p^{-s}, Lambda = ZB, n is the rank and p^v is the p-part of
+        the conductor, so that p^v Lambda_0 is in Lambda.
+
+        Proof, by Solomon's decomposition (L. Solomon, Zeta functions and
+        integral representation theory, Adv. Math. 26 (1977); C. J. Bushnell
+        and I. Reiner, Math. Z. 173 (1980)).  Over Z_p, Lambda_0 is the sum of
+        complete DVRs O_i with idempotents e_i, uniformizers pi_i,
+        ramification e_i and residue degree f_i, and sum e_i f_i = n.  For
+        an ideal I of finite index in Lambda, Lambda_0 I is a principal
+        Lambda_0-ideal y Lambda_0 with one y = sum e_i pi_i^{a_i}, a_i >= 0;
+        then M = y^{-1} I is a Lambda-lattice with Lambda_0 M = Lambda_0, so
+        p^v Lambda_0 = p^v Lambda_0 M is in Lambda M = M, and M is in
+        Lambda_0.  I -> (a, M) is a bijection onto the pairs with
+        y M in Lambda, and
+            v_p[Lambda : I] = sum f_i a_i + v_p[Lambda_0 : M] - v_p[Lambda_0 : Lambda].
+        Let S be the set of components with a_i >= e_i v.  For i in S,
+        e_i y lies in p^v Lambda_0, which is in Lambda, so whether y M is in
+        Lambda does not depend on the a_i with i in S: each of them runs
+        freely over a_i >= e_i v and contributes the geometric tail
+        t^{f_i e_i v} / (1 - t^{f_i}), while every a_i outside S is below
+        e_i v.  Multiplying by 1/Z_{Lambda_0,p} = prod (1 - t^{f_i}) cancels
+        the tails, so each (M, S, a outside S) gives a polynomial of degree at
+        most
+            sum_{i not in S} f_i (e_i v - 1 + 1) + sum_{i in S} f_i e_i v
+              + v_p[Lambda_0 : M] - v_p[Lambda_0 : Lambda]
+            = n v + v_p[Lambda_0 : M] - v_p[Lambda_0 : Lambda]
+            <= 2 n v - v_p[Lambda_0 : Lambda],
+        since M contains p^v Lambda_0.  There are finitely many M, so delta_p
+        is a polynomial of degree at most D_p, and counting ideals at p to
+        depth D_p determines it."""
+        return 2 * len(self.basis) * valuation(self.conductor, p) - valuation(self.index, p)
 
 
 def maximal_order(t: TableAlgebra) -> MaximalOrderData:

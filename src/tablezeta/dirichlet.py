@@ -9,7 +9,7 @@ the symbolic mode of the genus calculus.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal, NotStabilized
+from .errors import DegreeBoundExceeded, InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal
 from .exact import is_prime, primes_up_to
 from .polys import padd, pdeg, peval, pmul, pnorm
 
@@ -389,16 +389,20 @@ def _residue_degrees(rings, p):
     return tuple(sorted(degrees))
 
 
-def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction):
-    """delta_p(t) = (sum a_{p^k} t^k) / maximal factor, by series division;
-    accepted once >= 3 trailing zero coefficients are observed."""
+def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction, degree_bound):
+    """delta_p(t) = (sum a_{p^k} t^k) / maximal factor, by series division
+    of the counts a_1, a_p, ..., a_{p^kmax}.  delta_p is a polynomial of
+    degree at most degree_bound (MaximalOrderData.degree_bound), so with
+    kmax >= degree_bound the quotient is exact; a nonzero coefficient above
+    the bound would disprove it and raises DegreeBoundExceeded."""
     kmax = len(oracle_counts) - 1
+    if kmax < degree_bound:
+        raise InputError(f"counts to p^{kmax} cannot determine delta_p up to its degree bound {degree_bound}")
     base = expand(maximal_factor, kmax)
     if base[0] != 1:
         raise NonIntegralQuotient("maximal-order series must start at 1")
     q = expand(LocalRationalFunction(maximal_factor.p, oracle_counts, base), kmax)
-    # locate the last nonzero
-    last = max((i for i, x in enumerate(q) if x != 0), default=0)
-    if kmax - last < 3:
-        raise NotStabilized(q)
-    return pnorm(tuple(q[: last + 1]))
+    for k in range(degree_bound + 1, kmax + 1):
+        if q[k]:
+            raise DegreeBoundExceeded(f"delta_{maximal_factor.p} has {q[k]}*t^{k}, above its degree bound {degree_bound}")
+    return pnorm(tuple(q[: degree_bound + 1]))

@@ -52,10 +52,9 @@ class MissingBadPrime(TableZetaError):
     pass
 
 
-class NotStabilized(TableZetaError):
-    def __init__(self, partial):
-        self.partial = list(partial)
-        super().__init__(f"series quotient did not stabilize; partial quotient {self.partial}")
+class DegreeBoundExceeded(TableZetaError):
+    """A bad-prime quotient with a nonzero coefficient above the proven
+    degree bound D_p; it would disprove the bound."""
 
 
 class NonIntegralQuotient(TableZetaError):

@@ -17,7 +17,7 @@ from .dirichlet import (
     infer_local_polynomial,
     maximal_local_factor,
 )
-from .errors import InputError, NotStabilized
+from .errors import InputError
 from .ideals import count_ideals, count_ideals_at_prime
 from .polys import pmul
 
@@ -35,40 +35,54 @@ def analyze(t: TableAlgebra) -> AnalyzedOrder:
     return AnalyzedOrder(algebra=t, decomposition=data.decomposition, order=data)
 
 
+@dataclass
+class ExceptionalFactor:
+    """The local factor at a bad prime p: delta (the exceptional polynomial),
+    full = delta times the maximal-order factor, the proven bound D_p on
+    deg delta, and the depth k to which the oracle counted a_{p^k}."""
+
+    delta: tuple
+    full: LocalRationalFunction
+    degree_bound: int
+    depth: int
+
+
 def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, progress=None):
-    """For each bad prime, run the oracle deep enough to stabilize the
-    quotient by the maximal-order factor; returns {p: (delta_poly, full
-    local factor)}."""
+    """For each bad prime p, count ideals at p once, to depth
+    max(D_p, floor(log_p bound)), and divide by the maximal-order factor;
+    D_p (MaximalOrderData.degree_bound) makes the quotient exact.  Returns
+    {p: ExceptionalFactor}."""
     out = {}
     for p in analyzed.order.bad_primes:
-        kmax = 5
-        while p**kmax <= bound:
-            kmax += 1
+        degree_bound = analyzed.order.degree_bound(p)
+        depth = degree_bound
+        while p ** (depth + 1) <= bound:
+            depth += 1
+        if progress:
+            print(f"counting ideals of {_label(t)} at p={p} up to p^{depth}, D_{p} = {degree_bound} ...", file=progress)
         base = maximal_local_factor(analyzed.order.rings, p)
-        while True:
-            if progress:
-                print(f"counting ideals of {_label(t)} at p={p} up to p^{kmax} ...", file=progress)
-            counts = count_ideals_at_prime(t.lam, p, kmax)
-            try:
-                delta = infer_local_polynomial(counts, base)
-                break
-            except NotStabilized:
-                if kmax >= 11:
-                    raise
-                kmax += 3
+        delta = infer_local_polynomial(count_ideals_at_prime(t.lam, p, depth), base, degree_bound)
         full = LocalRationalFunction(p, pmul(delta, base.num), base.den)
-        out[p] = (delta, full)
+        out[p] = ExceptionalFactor(delta, full, degree_bound, depth)
     return out
 
 
 @dataclass
 class VerifyResult:
+    """The oracle against the assembled series to bound.  factors[p] is the
+    ExceptionalFactor at the bad prime p: delta_p, its proven degree bound
+    D_p and the depth to which a_{p^k} was counted to determine it."""
+
     passed: bool
     bound: int
     oracle: DirichletSeries
     assembled: DirichletSeries
-    deltas: dict = field(default_factory=dict)
+    factors: dict = field(default_factory=dict)
     mismatches: list = field(default_factory=list)
+
+    @property
+    def deltas(self):
+        return {p: f.delta for p, f in self.factors.items()}
 
 
 def _assembled(t: TableAlgebra, bound, progress):
@@ -81,7 +95,7 @@ def _assembled(t: TableAlgebra, bound, progress):
     assembled = assemble_global(
         analyzed.order.rings,
         analyzed.order.bad_primes,
-        {p: full for p, (_, full) in exc.items()},
+        {p: f.full for p, f in exc.items()},
         bound,
     )
     return exc, assembled
@@ -105,7 +119,7 @@ def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
         bound=bound,
         oracle=DirichletSeries(bound, oracle.counts),
         assembled=assembled,
-        deltas={p: delta for p, (delta, _) in exc.items()},
+        factors=exc,
         mismatches=mismatches,
     )
 

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tablezeta
 from tablezeta.algfile import dump_algebra, parse_algebra
 from tablezeta.cli import main
 from tablezeta.errors import InputError
@@ -180,9 +185,19 @@ def test_cli_zeta(capsys):
 
 def test_cli_verify_pass(capsys):
     assert main(["verify", "--family", "fusion", "--name", "ising", "--max-index", "32"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "delta_2\t1 - t + 2*t^2" in out
+    captured = capsys.readouterr()
+    assert captured.out == "delta_2\t1 - t + 2*t^2\nPASS\n"
+    # the progress line names the depth counted and the proven degree bound
+    assert "at p=2 up to p^5, D_2 = 5 ..." in captured.err
+
+
+def test_python_m_tablezeta_runs_the_cli(capsys):
+    argv = ["validate", "--family", "fusion", "--name", "c2"]
+    src = str(pathlib.Path(tablezeta.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tablezeta", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == main(argv) == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_cli_genus_m0(capsys):

@@ -15,7 +15,7 @@ from tablezeta import (
 )
 from tablezeta.decomposition import NumberRing
 from tablezeta.dirichlet import factor_degrees_mod_p, maximal_local_factor, zeta_p
-from tablezeta.errors import MissingBadPrime, NotCertifiedMaximal, NotStabilized
+from tablezeta.errors import DegreeBoundExceeded, InputError, MissingBadPrime, NotCertifiedMaximal
 from tablezeta.exact import factorize, primes_up_to
 from tablezeta.families import conference, drt, fusion
 from tablezeta.polys import pmul
@@ -254,13 +254,13 @@ def test_infer_drt1_at_7():
     # enumeration oracle through k = 3 (full depth 5 is the same family rule)
     counts = [1, 1, 8, 15, 22, 29]
     base = LocalRationalFunction(7, (1,), (1, -2, 1))
-    assert infer_local_polynomial(counts, base) == (1, -1, 7)
+    assert infer_local_polynomial(counts, base, 5) == (1, -1, 7)
 
 
 def test_infer_good_prime_trivial():
     base = dedekind_euler_factor(GOLDEN_RING, 11)
     counts = expand(base, 5)
-    assert infer_local_polynomial(counts, base) == (1,)
+    assert infer_local_polynomial(counts, base, 0) == (1,)
 
 
 def test_infer_ising_from_real_oracle():
@@ -268,13 +268,26 @@ def test_infer_ising_from_real_oracle():
     data = analyze(t)
     counts = count_ideals_at_prime(t.lam, 2, 5)
     base = maximal_local_factor(data.order.rings, 2)
-    assert infer_local_polynomial(counts, base) == (1, -1, 2)
+    assert infer_local_polynomial(counts, base, data.order.degree_bound(2)) == (1, -1, 2)
 
 
-def test_infer_not_stabilized():
+def test_infer_rejects_coefficient_above_degree_bound():
+    # drt(1)'s counts at 7 are 1 + (k-1)*7, quotient 1 - t + 7t^2; one extra
+    # ideal at 7^7 leaves 1*t^7 in the quotient, above the bound 5
     base = LocalRationalFunction(7, (1,), (1, -2, 1))
-    with pytest.raises(NotStabilized):
-        infer_local_polynomial([1, 1, 8, 15], base)
+    counts = [1, 1, 8, 15, 22, 29, 36, 43]
+    assert infer_local_polynomial(counts, base, 5) == (1, -1, 7)
+    with pytest.raises(DegreeBoundExceeded, match=r"delta_7 has 1\*t\^7, above its degree bound 5"):
+        infer_local_polynomial(counts[:-1] + [44], base, 5)
+    # so does a bound below the true degree, at the first offending term
+    with pytest.raises(DegreeBoundExceeded, match=r"delta_7 has 7\*t\^2, above its degree bound 1"):
+        infer_local_polynomial(counts, base, 1)
+
+
+def test_infer_rejects_counts_short_of_the_bound():
+    base = LocalRationalFunction(7, (1,), (1, -2, 1))
+    with pytest.raises(InputError, match="degree bound 5"):
+        infer_local_polynomial([1, 1, 8, 15], base, 5)
 
 
 def test_local_function_printing():

@@ -125,4 +125,4 @@ def test_membership_congruence_rejects_a_singular_target():
 def test_infer_local_polynomial_rejects_series_not_starting_at_one():
     # 2 / (1 - t) expands to 2 + 2t + ..., which no ideal count can divide
     with pytest.raises(NonIntegralQuotient):
-        infer_local_polynomial([1] * 6, LocalRationalFunction(2, (2,), (1, -1)))
+        infer_local_polynomial([1] * 6, LocalRationalFunction(2, (2,), (1, -1)), 5)
