@@ -13,11 +13,8 @@ from .algebra import BasisKind, TableAlgebra, degree_map, regular_representation
 from .algfile import dump_algebra, load_algebra, parse_algebra
 from .decomposition import (
     CharacterTable,
-    NumberRing,
-    RationalDecomposition,
     character_formula_idempotents,
     character_table,
-    factor_min_poly,
     find_generator,
     maximal_order,
     primitive_idempotents,
@@ -56,6 +53,6 @@ from .ideals import (
     enumerate_sublattices,
     is_ideal,
 )
-from .pipeline import analyze, verify_order, zeta_series
+from .pipeline import verify_order, zeta_series
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonCommutative, NonIntegralRescale
-from .exact import charpoly, mat_identity, mat_mul
+from .exact import charpoly
 from .polys import AlgebraicNumber, factor_rational, largest_real_root, squarefree_part
 
 
@@ -148,16 +148,6 @@ def regular_representation(t: TableAlgebra, i: int):
 def radical_of_charpoly(m):
     "Squarefree part of the characteristic polynomial (same roots, each once)."
     return squarefree_part(charpoly(m))
-
-
-def _annihilates(poly, m):
-    d = len(m)
-    acc = tuple(tuple(poly[0] if i == j else 0 for j in range(d)) for i in range(d))
-    power = mat_identity(d)
-    for c in poly[1:]:
-        power = mat_mul(power, m)
-        acc = tuple(tuple(acc[i][j] + c * power[i][j] for j in range(d)) for i in range(d))
-    return all(all(x == 0 for x in row) for row in acc)
 
 
 def perron_root(m) -> AlgebraicNumber:

@@ -5,10 +5,13 @@ mu is squarefree of degree = rank, factor mu over Q, and read off
 
   * primitive idempotents of QB (two independent routes: CRT projectors in
     Q[g], and the character/multiplicity formula),
-  * the rings of integers of the simple components (degree <= 2 by the
-    discriminant rule; in degree 3 only the certified cubic is accepted),
+  * the rings of integers of the simple components, each as the defining
+    polynomial of a monogenic Z-basis (degree <= 2 by the discriminant
+    rule; in degree 3 only the certified cubic is accepted),
   * a Z-basis of the maximal order Lambda_0, the index [Lambda_0 : ZB],
     the conductor, and the bad primes.
+
+maximal_order runs this once and returns all of it in one MaximalOrderData.
 """
 
 from dataclasses import dataclass
@@ -17,13 +20,12 @@ from fractions import Fraction
 from .algebra import (
     BasisKind,
     TableAlgebra,
-    _annihilates,
     _commutative_or_raise,
     radical_of_charpoly,
     regular_representation,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import factorize, fmat_det, fmat_inv, valuation, vec_mat
+from .exact import factorize, fmat_det, fmat_inv, squarefree_kernel, valuation, vec_mat
 from math import gcd
 
 from .polys import (
@@ -34,51 +36,10 @@ from .polys import (
     pdiv_exact,
     pdivmod,
     pmul,
-    pnorm,
     to_int_poly,
 )
 
 CERTIFIED_CUBIC = (1, -1, -2, 1)  # x^3 - 2x^2 - x + 1, ring of integers of its field
-
-
-@dataclass(frozen=True)
-class NumberRing:
-    """Ring of integers of a simple component, degree <= 3.
-
-    defining_poly is the minimal polynomial of the chosen integral
-    generator omega (so the ring is Z[omega] on the nose).
-    """
-
-    defining_poly: tuple
-    is_maximal_certified: bool
-    discriminant: int
-
-    @property
-    def degree(self):
-        return pdeg(self.defining_poly)
-
-
-@dataclass
-class RationalDecomposition:
-    generator_index: int
-    minpoly: tuple
-    factors: list
-    idempotents: list  # rational vectors in basis B, aligned with factors
-    component_rings: list
-
-    def check_idempotent_suite(self, algebra):
-        "e^2 = e, e_f e_g = 0, sum e = 1, exactly."
-        d = algebra.rank
-        one = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
-        total = tuple(Fraction(0) for _ in range(d))
-        for a, ea in enumerate(self.idempotents):
-            total = tuple(x + y for x, y in zip(total, ea))
-            for b, eb in enumerate(self.idempotents):
-                prod = algebra.multiply(ea, eb)
-                want = ea if a == b else tuple(Fraction(0) for _ in range(d))
-                if tuple(prod) != tuple(want):
-                    return False
-        return total == one
 
 
 @dataclass
@@ -128,7 +89,9 @@ def _generator_candidates(t: TableAlgebra):
     for i in range(1, d):
         m = regular_representation(t, i)
         sf = radical_of_charpoly(m)
-        if pdeg(sf) == d and _annihilates(sf, m):
+        # the squarefree part of the characteristic polynomial chi has degree
+        # d only when it is chi itself, and chi(M) = 0 by Cayley-Hamilton
+        if pdeg(sf) == d:
             yield i, to_int_poly(sf)
 
 
@@ -144,7 +107,7 @@ def find_generator(t: TableAlgebra):
             first = (i, tuple(mu))
         try:
             for f in factor_rational(mu):
-                _number_ring(f, require_certified=True)
+                _ring_polynomial(f)
         except MaximalityUncertified:
             continue
         return i, tuple(mu)
@@ -153,47 +116,30 @@ def find_generator(t: TableAlgebra):
     raise NotMonogenic("no basis element generates the algebra over Q")
 
 
-def factor_min_poly(mu):
-    "Irreducible factors over Q of a monic squarefree poly, degree <= 4 once its integer roots are divided out."
-    return factor_rational(tuple(mu))
-
-
-def _number_ring(f, require_certified=False) -> NumberRing:
-    from .exact import squarefree_kernel
-
+def _ring_polynomial(f):
+    """Defining polynomial of the ring of integers of Q[x]/(f), for an
+    irreducible monic f of degree <= 3: f itself in degree 1,
+    x^2 - x + (1 - d0)/4 or x^2 - d0 in degree 2 for the squarefree kernel
+    d0 of disc(f) (as d0 is 1 mod 4 or not), and in degree 3 only the
+    certified cubic, whose own ring of integers it is."""
     d = pdeg(f)
     if d == 1:
-        return NumberRing(defining_poly=f, is_maximal_certified=True, discriminant=1)
+        return f
     if d == 2:
-        b, c = f[1], f[0]
-        disc = b * b - 4 * c
-        d0, _ = squarefree_kernel(disc)
-        if d0 % 4 == 1:
-            # ring of integers Z[(1+sqrt(d0))/2]
-            poly = (int((1 - d0) // 4), -1, 1)
-            return NumberRing(defining_poly=pnorm(poly), is_maximal_certified=True, discriminant=d0)
-        poly = (-d0, 0, 1)
-        return NumberRing(defining_poly=pnorm(poly), is_maximal_certified=True, discriminant=4 * d0)
+        d0, _ = squarefree_kernel(f[1] * f[1] - 4 * f[0])
+        return ((1 - d0) // 4, -1, 1) if d0 % 4 == 1 else (-d0, 0, 1)
     if d == 3:
         if tuple(f) == CERTIFIED_CUBIC:
-            return NumberRing(defining_poly=f, is_maximal_certified=True, discriminant=_cubic_disc(f))
-        ring = NumberRing(defining_poly=f, is_maximal_certified=False, discriminant=_cubic_disc(f))
-        if require_certified:
-            raise MaximalityUncertified(f"cubic {f} carries no maximality certificate")
-        return ring
+            return f
+        raise MaximalityUncertified(f"cubic {f} carries no maximality certificate")
     raise MaximalityUncertified(f"no maximal-order rule for degree {d}")
-
-
-def _cubic_disc(f):
-    c, b, a, _ = f  # x^3 + a x^2 + b x + c
-    return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
 def primitive_idempotents(t: TableAlgebra):
     """CRT projector route: for each irreducible factor f of mu, the
     idempotent is ((mu/f) * ((mu/f)^-1 mod f))(g), as a vector in B."""
     gen, mu = find_generator(t)
-    return _crt_idempotents(t, gen, mu, factor_min_poly(mu))
+    return _crt_idempotents(t, gen, mu, factor_rational(mu))
 
 
 def _crt_idempotents(t: TableAlgebra, gen, mu, factors):
@@ -284,7 +230,7 @@ def _factors_and_coordinates(t: TableAlgebra):
     """(factors of mu, [q_i with b_i = q_i(g)]) for the generator g: the
     input of every character evaluation."""
     gen, mu = find_generator(t)
-    return factor_min_poly(mu), basis_in_generator(t, gen)
+    return factor_rational(mu), basis_in_generator(t, gen)
 
 
 def degree_character_values(t: TableAlgebra):
@@ -320,12 +266,35 @@ def character_formula_idempotents(t: TableAlgebra):
 
 @dataclass
 class MaximalOrderData:
+    """The analysed order: the generator g = b_generator_index, its minimal
+    polynomial, the irreducible factors of that polynomial, the primitive
+    idempotents (rational vectors in basis B) and the defining polynomials
+    of the components' rings of integers, all aligned with the factors;
+    and the maximal order Lambda_0 built from them."""
+
+    generator_index: int
+    minpoly: tuple
+    factors: list
+    idempotents: list
+    rings: tuple  # defining polynomial of each component's ring of integers
     basis: tuple  # rows: Lambda_0 basis vectors in B coordinates (Fractions)
     index: int
     conductor: int
     bad_primes: list
-    rings: list
-    decomposition: RationalDecomposition  # the decomposition Lambda_0 is built from
+
+    def check_idempotent_suite(self, algebra):
+        "e^2 = e, e_f e_g = 0, sum e = 1, exactly."
+        d = algebra.rank
+        one = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
+        total = tuple(Fraction(0) for _ in range(d))
+        for a, ea in enumerate(self.idempotents):
+            total = tuple(x + y for x, y in zip(total, ea))
+            for b, eb in enumerate(self.idempotents):
+                prod = algebra.multiply(ea, eb)
+                want = ea if a == b else tuple(Fraction(0) for _ in range(d))
+                if tuple(prod) != tuple(want):
+                    return False
+        return total == one
 
     def degree_bound(self, p):
         """D_p = 2*n*v - v_p[Lambda_0 : Lambda], a proven bound on the degree
@@ -369,18 +338,18 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     index = [Lambda_0 : ZB]; conductor = least f with f*Lambda_0 in ZB;
     bad primes = primes dividing the conductor (equivalently the index),
     which are exactly the p with Z_p B != Lambda_{0,p}.  This is the one
-    pass through generator, factors, component rings and idempotents; the
-    result carries them as its decomposition.
+    pass through generator, factors, component rings and idempotents, and
+    the result carries all of them.
     """
     gen, mu = find_generator(t)
-    factors = factor_min_poly(mu)
-    rings = [_number_ring(f, require_certified=True) for f in factors]
+    factors = factor_rational(mu)
+    rings = tuple(_ring_polynomial(f) for f in factors)
     idems = _crt_idempotents(t, gen, mu, factors)
     mg = regular_representation(t, gen)
     d = t.rank
 
     rows = []
-    for f, ring, e in zip(factors, rings, idems):
+    for f, e in zip(factors, idems):
         deg = pdeg(f)
         theta_e = [e]
         for _ in range(deg - 1):
@@ -390,10 +359,7 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
             rows.append(theta_e[0])
         elif deg == 2:
             b = f[1]
-            disc = b * b - 4 * f[0]
-            from .exact import squarefree_kernel
-
-            d0, tt = squarefree_kernel(disc)
+            d0, tt = squarefree_kernel(b * b - 4 * f[0])
             if d0 % 4 == 1:
                 # omega = (t + 2 theta + b) / (2 t)
                 omega = tuple(
@@ -427,12 +393,15 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
 
     bad = sorted(factorize(conductor).keys())
     return MaximalOrderData(
+        generator_index=gen,
+        minpoly=mu,
+        factors=factors,
+        idempotents=idems,
+        rings=rings,
         basis=basis,
         index=index,
         conductor=conductor,
         bad_primes=bad,
-        rings=rings,
-        decomposition=RationalDecomposition(gen, mu, factors, idems, rings),
     )
 
 

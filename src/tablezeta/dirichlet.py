@@ -9,7 +9,7 @@ the symbolic mode of the genus calculus.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeBoundExceeded, InputError, MissingBadPrime, NonIntegralQuotient, NotCertifiedMaximal
+from .errors import DegreeBoundExceeded, InputError, MissingBadPrime, NonIntegralQuotient
 from .exact import is_prime, primes_up_to
 from .polys import padd, pdeg, peval, pmul, pnorm
 
@@ -151,49 +151,53 @@ def expand(f: LocalRationalFunction, kmax):
     return out
 
 
-def factor_degrees_mod_p(poly, p):
-    """Distinct irreducible factors of a monic integer polynomial f of
-    degree <= 3 mod the prime p, as (degree, multiplicity) pairs: one
-    (1, mult) per root in increasing order, then the irreducible factor of
-    degree 2 or 3 left over, if any.
+def residue_degrees_mod_p(poly, p):
+    """Degrees of the distinct irreducible factors of a monic integer
+    polynomial f of degree <= 3 mod the prime p: one 1 per root, then the
+    degree of the irreducible factor of degree 2 or 3 left over, if any.
+    These are the residue degrees of the primes above p in Z[x]/(f) when
+    that ring is maximal at p.
 
-    f is squarefree mod p exactly when p does not divide disc(f).  Then
-    every multiplicity is 1, and for degree <= 3 the number r of distinct
-    roots fixes the rest: r linear factors and one irreducible factor of
-    degree deg f - r.  At an odd p the residue symbol of the discriminant,
-    disc^((p-1)/2) mod p (Euler's criterion), gives r for a quadratic: 2
-    when it is +1, else 0.  For a cubic, Stickelberger's theorem says the
-    symbol is (-1)^(3 - number of irreducible factors), so a symbol of -1
-    means r = 1; only a symbol of +1, where r is 3 or 0, and p = 2 count
-    the roots as deg gcd(f, x^p - x), with x^p mod f by square-and-multiply.
-    Only at the finitely many p dividing disc(f) are the roots and their
-    multiplicities found by a search over the residues; so are those of an
-    f that is not monic mod p, or of a p that is not prime."""
-    return _factor_degrees(poly, p, is_prime(p))
+    The number r of distinct roots fixes the rest.  If p does not divide
+    disc(f), f is squarefree mod p, with r linear factors and one
+    irreducible factor of degree deg f - r.  At an odd p the residue symbol
+    of the discriminant, disc^((p-1)/2) mod p (Euler's criterion), gives r
+    for a quadratic: 2 when it is +1, else 0.  For a cubic, Stickelberger's
+    theorem says the symbol is (-1)^(3 - number of irreducible factors),
+    so a symbol of -1 means r = 1.  If p divides disc(f), f has a repeated
+    factor mod p, which for degree <= 3 must be linear, so every distinct
+    factor is linear.  In the remaining cases (a cubic of symbol +1, where
+    r is 3 or 0, p = 2, and p dividing the discriminant) r is
+    deg gcd(f, x^p - x), with x^p mod f by square-and-multiply.  A p that
+    is not prime or an f that is not monic mod p raises InputError."""
+    if not is_prime(p):
+        raise InputError(f"residue degrees need a prime, got {p}")
+    return _residue_degrees_mod(poly, p)
 
 
-def _factor_degrees(poly, p, p_is_prime):
-    "factor_degrees_mod_p, with the primality of p already decided."
+def _residue_degrees_mod(poly, p):
+    "residue_degrees_mod_p for a p already known to be prime."
     coeffs = [x % p for x in poly]
     deg = len(coeffs) - 1
     if deg > 3:
         raise InputError("modular factorization implemented for degree <= 3")
     if deg <= 0:
         return []
-    if coeffs[-1] != 1 or not p_is_prime:
-        return _factor_degrees_by_search(coeffs, p)
+    if coeffs[-1] != 1:
+        raise InputError(f"{tuple(poly)} is not monic mod {p}")
     if deg == 1:
-        return [(1, 1)]
+        return [1]
     disc = _monic_discriminant(coeffs) % p
-    if disc == 0:
-        return _factor_degrees_by_search(coeffs, p)
-    if p > 2 and deg == 2:
-        roots = 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
-    elif p > 2 and pow(disc, (p - 1) // 2, p) != 1:
+    symbol = pow(disc, (p - 1) // 2, p) if p > 2 else 0  # 0 when p = 2 or p | disc
+    if symbol and deg == 2:
+        roots = 2 if symbol == 1 else 0
+    elif symbol == p - 1:
         roots = 1  # Stickelberger: a cubic with two irreducible factors
     else:
         roots = _fp_gcd_deg(coeffs, _fp_sub(_fp_x_power_mod(p, coeffs, p), [0, 1], p), p)
-    return [(1, 1)] * roots + ([(deg - roots, 1)] if roots < deg else [])
+    if not disc:
+        return [1] * roots  # the repeated factor is linear, so every factor is
+    return [1] * roots + ([deg - roots] if roots < deg else [])
 
 
 def _monic_discriminant(coeffs):
@@ -203,34 +207,6 @@ def _monic_discriminant(coeffs):
         return b * b - 4 * c
     c, b, a, _ = coeffs
     return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
-
-
-def _factor_degrees_by_search(coeffs, p):
-    "factor_degrees_mod_p by trying every residue r as a root, with multiplicity."
-    out = []
-    for r in range(p):
-        mult = 0
-        while len(coeffs) > 1:
-            val = 0
-            for c in reversed(coeffs):
-                val = (val * r + c) % p
-            if val != 0:
-                break
-            # synthetic division by (x - r), descending sweep
-            rev = coeffs[::-1]
-            q = []
-            acc = 0
-            for c in rev[:-1]:
-                acc = (acc * r + c) % p
-                q.append(acc)
-            coeffs = q[::-1]
-            mult += 1
-        if mult:
-            out.append((1, mult))
-    rest = len(coeffs) - 1
-    if rest > 0:
-        out.append((rest, 1))  # no roots left: irreducible of degree 2 or 3
-    return out
 
 
 # Polynomials over F_p: ascending coefficient lists reduced mod p with no
@@ -289,17 +265,10 @@ def _fp_x_power_mod(e, f, p):
 
 
 def dedekind_euler_factor(ring, p) -> LocalRationalFunction:
-    """Euler factor of the Dedekind zeta function of the ring at p:
-    product over the distinct irreducible factors of the defining
-    polynomial mod p of (1 - t^deg)^{-1}."""
-    _require_certified(ring)
-    degrees = [d for d, _ in factor_degrees_mod_p(ring.defining_poly, p)]
-    return LocalRationalFunction(p, (1,), _dedekind_den(degrees))
-
-
-def _require_certified(ring):
-    if not ring.is_maximal_certified:
-        raise NotCertifiedMaximal(f"ring {ring.defining_poly} is not certified maximal")
+    """Euler factor at p of the Dedekind zeta function of the ring of
+    integers Z[x]/(ring), given by its defining polynomial: product over
+    the distinct irreducible factors of ring mod p of (1 - t^deg)^{-1}."""
+    return LocalRationalFunction(p, (1,), _dedekind_den(residue_degrees_mod_p(ring, p)))
 
 
 def _dedekind_den(degrees):
@@ -331,7 +300,7 @@ def theorem_local_factor(family: str, p) -> LocalRationalFunction:
 
 
 def maximal_local_factor(rings, p) -> LocalRationalFunction:
-    "Local factor of the maximal order: product over the component rings."
+    "Local factor of the maximal order: product over the component rings' defining polynomials."
     out = LocalRationalFunction(p, (1,), (1,))
     for ring in rings:
         out = out * dedekind_euler_factor(ring, p)
@@ -340,11 +309,12 @@ def maximal_local_factor(rings, p) -> LocalRationalFunction:
 
 def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
     """Coefficients a_1..a_N of the Euler product: good primes get the
-    product of the component Dedekind factors, bad primes the supplied
-    full local factor.  Strictly multiplicative assembly.
+    product of the Dedekind factors of the component rings, given by their
+    defining polynomials, bad primes the supplied full local factor.
+    Strictly multiplicative assembly.
 
     A good prime's factor prod (1 - t^deg)^{-1} depends only on the
-    residue degrees of the primes above p, which factor_degrees_mod_p
+    residue degrees of the primes above p, which residue_degrees_mod_p
     reads off the residue symbol of each component's discriminant (with
     Stickelberger's theorem for a cubic), so each pattern of degrees is
     expanded once per depth.  The sweep multiplies the multiples of p by
@@ -382,11 +352,7 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
 
 def _residue_degrees(rings, p):
     "Sorted residue degrees of the primes above the prime p in every ring."
-    degrees = []
-    for ring in rings:
-        _require_certified(ring)
-        degrees += [d for d, _ in _factor_degrees(ring.defining_poly, p, True)]
-    return tuple(sorted(degrees))
+    return tuple(sorted(d for ring in rings for d in _residue_degrees_mod(ring, p)))
 
 
 def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction, degree_bound):

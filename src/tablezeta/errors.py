@@ -40,10 +40,6 @@ class MaximalityUncertified(UnsupportedCaseError):
     pass
 
 
-class NotCertifiedMaximal(UnsupportedCaseError):
-    pass
-
-
 class BasisKindMismatch(TableZetaError):
     pass
 

@@ -212,12 +212,6 @@ def fmat_inv(rows):
     return tuple(tuple(r) for r in inv)
 
 
-def fmat_solve(a, b):
-    "Solve x * a == b for a single row vector b (a square, invertible)."
-    inv = fmat_inv(a)
-    return vec_mat(tuple(Fraction(x) for x in b), inv)
-
-
 def charpoly(m):
     """Characteristic polynomial det(xI - M) of an integer matrix, monic,
     as a tuple of integer coefficients in ascending order.

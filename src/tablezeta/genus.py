@@ -236,19 +236,20 @@ def complement_numeric(model: LocalModel, m_rows, target_rows, K):
 
 def complementary_lattice(model: LocalModel, lattice, target=None):
     """{M : target} = {x in A : M x subseteq target}; target defaults to
-    Z_p B.  Numeric mode solves the divisibility system at precision
-    p^(2m+2) and re-checks at p^(2m+4); symbolic mode uses closed forms
-    for the representative shapes."""
+    Z_p B.  Numeric mode solves the divisibility system once, at precision
+    p^K with K = 2m+2; symbolic mode uses closed forms for the
+    representative shapes.
+
+    One precision suffices: with W = p^K T^(-1), where the rows of T span
+    the target, x A_g W = 0 mod p^K holds exactly when x A_g T^(-1) is
+    integral, a condition that does not involve K.  So every K at which W
+    is integral gives the same lattice, and _membership_congruence_matrix
+    raises PrecisionUnstable at a K where it is not."""
     if model.symbolic:
         return _complement_symbolic(model, lattice, target)
     m_rows = _rows_of(model, lattice)
     target_rows = _rows_of(model, target) if target is not None else triple_matrix(model, model.lam_triple)
-    k0 = 2 * model.m + 2
-    first = complement_numeric(model, m_rows, target_rows, k0)
-    second = complement_numeric(model, m_rows, target_rows, k0 + 2)
-    if first != second:
-        raise PrecisionUnstable("complementary lattice changed under precision increase")
-    return LatticeHNF(3, first)
+    return LatticeHNF(3, complement_numeric(model, m_rows, target_rows, 2 * model.m + 2))
 
 
 def _rows_of(model, lattice):

@@ -9,7 +9,7 @@ coefficient-by-coefficient with no tolerance.
 from dataclasses import dataclass, field
 
 from .algebra import TableAlgebra
-from .decomposition import MaximalOrderData, RationalDecomposition, maximal_order
+from .decomposition import MaximalOrderData, maximal_order
 from .dirichlet import (
     DirichletSeries,
     LocalRationalFunction,
@@ -20,19 +20,6 @@ from .dirichlet import (
 from .errors import InputError
 from .ideals import count_ideals, count_ideals_at_prime
 from .polys import pmul
-
-
-@dataclass
-class AnalyzedOrder:
-    algebra: TableAlgebra
-    decomposition: RationalDecomposition
-    order: MaximalOrderData
-
-
-def analyze(t: TableAlgebra) -> AnalyzedOrder:
-    "Decomposition and maximal order, from one maximal_order pass."
-    data = maximal_order(t)
-    return AnalyzedOrder(algebra=t, decomposition=data.decomposition, order=data)
 
 
 @dataclass
@@ -47,20 +34,20 @@ class ExceptionalFactor:
     depth: int
 
 
-def infer_exceptional_factors(t: TableAlgebra, analyzed: AnalyzedOrder, bound, progress=None):
+def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, progress=None):
     """For each bad prime p, count ideals at p once, to depth
     max(D_p, floor(log_p bound)), and divide by the maximal-order factor;
     D_p (MaximalOrderData.degree_bound) makes the quotient exact.  Returns
     {p: ExceptionalFactor}."""
     out = {}
-    for p in analyzed.order.bad_primes:
-        degree_bound = analyzed.order.degree_bound(p)
+    for p in order.bad_primes:
+        degree_bound = order.degree_bound(p)
         depth = degree_bound
         while p ** (depth + 1) <= bound:
             depth += 1
         if progress:
             print(f"counting ideals of {_label(t)} at p={p} up to p^{depth}, D_{p} = {degree_bound} ...", file=progress)
-        base = maximal_local_factor(analyzed.order.rings, p)
+        base = maximal_local_factor(order.rings, p)
         delta = infer_local_polynomial(count_ideals_at_prime(t.lam, p, depth), base, degree_bound)
         full = LocalRationalFunction(p, pmul(delta, base.num), base.den)
         out[p] = ExceptionalFactor(delta, full, degree_bound, depth)
@@ -86,18 +73,13 @@ class VerifyResult:
 
 
 def _assembled(t: TableAlgebra, bound, progress):
-    """(exceptional factors, assembled series a_1..a_bound): analyze, infer
-    the bad-prime factors, assemble the Euler product."""
+    """(exceptional factors, assembled series a_1..a_bound): analyse the
+    order, infer the bad-prime factors, assemble the Euler product."""
     if bound < 1:
         raise InputError(f"the index bound must be at least 1, got {bound}")
-    analyzed = analyze(t)
-    exc = infer_exceptional_factors(t, analyzed, bound, progress)
-    assembled = assemble_global(
-        analyzed.order.rings,
-        analyzed.order.bad_primes,
-        {p: f.full for p, f in exc.items()},
-        bound,
-    )
+    order = maximal_order(t)
+    exc = infer_exceptional_factors(t, order, bound, progress)
+    assembled = assemble_global(order.rings, order.bad_primes, {p: f.full for p, f in exc.items()}, bound)
     return exc, assembled
 
 

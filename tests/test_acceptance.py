@@ -24,7 +24,8 @@ from tablezeta.genus import (
     total_local_zeta,
 )
 from tablezeta.ideals import count_ideals, count_ideals_at_prime, divisor_tuples, enumerate_sublattices
-from tablezeta.pipeline import analyze, verify_order
+from tablezeta.decomposition import maximal_order
+from tablezeta.pipeline import verify_order
 from tablezeta.ppoly import PPoly
 
 ALL_BUILTINS = {
@@ -160,7 +161,7 @@ def test_acceptance_7_global_fusion_zetas():
 
 def test_acceptance_8_idempotent_double_derivation():
     for label, t in ALL_BUILTINS.items():
-        crt = analyze(t).decomposition.idempotents
+        crt = maximal_order(t).idempotents
         char = character_formula_idempotents(t)
         assert crt == char, label
     print("ACCEPTANCE 8: PASS - character-formula idempotents equal CRT idempotents on every "

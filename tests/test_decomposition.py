@@ -5,7 +5,6 @@ import pytest
 from tablezeta import (
     character_formula_idempotents,
     character_table,
-    factor_min_poly,
     find_generator,
     maximal_order,
     primitive_idempotents,
@@ -14,7 +13,7 @@ from tablezeta.algebra import TableAlgebra
 from tablezeta.decomposition import order_closed_under_multiplication
 from tablezeta.errors import DegreeTooLarge
 from tablezeta.families import conference, drt, fusion
-from tablezeta.pipeline import analyze
+from tablezeta.polys import factor_rational, pdeg
 
 BUILTINS = [drt(1), drt(6), conference(1), conference(3)] + [
     fusion(n) for n in ("fib", "c2", "ising", "reps3", "psu5l2", "e6", "c3")
@@ -40,27 +39,27 @@ def test_find_generator_psu5l2_picks_certified_cubic():
 
 
 def test_factor_min_poly_drt():
-    fs = factor_min_poly((-6, -1, -2, 1))
+    fs = factor_rational((-6, -1, -2, 1))
     assert fs == [(-3, 1), (2, 1, 1)]
 
 
 def test_factor_min_poly_certified_cubic_irreducible():
-    assert factor_min_poly((1, -1, -2, 1)) == [(1, -1, -2, 1)]
+    assert factor_rational((1, -1, -2, 1)) == [(1, -1, -2, 1)]
 
 
 def test_factor_min_poly_difference_of_squares():
-    assert factor_min_poly((-1, 0, 1)) == [(-1, 1), (1, 1)]
+    assert factor_rational((-1, 0, 1)) == [(-1, 1), (1, 1)]
 
 
 def test_factor_min_poly_quartic_splits():
     # (x^2 - 2)(x^2 - 3) = x^4 - 5x^2 + 6
-    assert factor_min_poly((6, 0, -5, 0, 1)) == [(-3, 0, 1), (-2, 0, 1)]
+    assert factor_rational((6, 0, -5, 0, 1)) == [(-3, 0, 1), (-2, 0, 1)]
 
 
 def test_factor_min_poly_degree_cap():
     # x^5 - x - 1 has no integer root, so a quintic is left to factor
     with pytest.raises(DegreeTooLarge):
-        factor_min_poly((-1, -1, 0, 0, 0, 1))
+        factor_rational((-1, -1, 0, 0, 0, 1))
 
 
 def test_cyclic_group_ring_c6_decomposes():
@@ -69,7 +68,7 @@ def test_cyclic_group_ring_c6_decomposes():
     # roots 1 and -1 are divided out
     lam = [[[int(k == (i + j) % 6) for k in range(6)] for j in range(6)] for i in range(6)]
     order = maximal_order(TableAlgebra(6, lam, tuple(-i % 6 for i in range(6))))
-    assert order.decomposition.factors == [(-1, 1), (1, 1), (1, -1, 1), (1, 1, 1)]
+    assert order.factors == [(-1, 1), (1, 1), (1, -1, 1), (1, 1, 1)]
     assert (order.index, order.conductor, order.bad_primes) == (72, 6, [2, 3])
 
 
@@ -92,28 +91,25 @@ def test_primitive_idempotents_rank_one():
 
 @pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
 def test_idempotent_suite(t):
-    data = analyze(t)
-    assert data.decomposition.check_idempotent_suite(t)
+    assert maximal_order(t).check_idempotent_suite(t)
 
 
 @pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
 def test_analyze_matches_standalone_stages(t):
-    # analyze takes everything from one maximal_order pass; each field must
-    # equal what the stage computes on its own
-    data = analyze(t)
-    dec = data.decomposition
+    # maximal_order takes everything from one pass; each field must equal
+    # what the stage computes on its own
+    data = maximal_order(t)
     gen, mu = find_generator(t)
-    assert (dec.generator_index, dec.minpoly) == (gen, mu)
-    assert dec.factors == factor_min_poly(mu)
-    assert dec.idempotents == primitive_idempotents(t)
-    assert dec.component_rings == data.order.rings
-    assert data.order == maximal_order(t)
-    assert data.algebra is t
+    assert (data.generator_index, data.minpoly) == (gen, mu)
+    assert data.factors == factor_rational(mu)
+    assert data.idempotents == primitive_idempotents(t)
+    assert [pdeg(r) for r in data.rings] == [pdeg(f) for f in data.factors]
+    assert data == maximal_order(t)
 
 
 @pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
 def test_character_formula_matches_crt(t):
-    assert character_formula_idempotents(t) == analyze(t).decomposition.idempotents
+    assert character_formula_idempotents(t) == maximal_order(t).idempotents
 
 
 def test_multiplicities_ising():

@@ -13,16 +13,15 @@ from tablezeta import (
     infer_local_polynomial,
     theorem_local_factor,
 )
-from tablezeta.decomposition import NumberRing
-from tablezeta.dirichlet import factor_degrees_mod_p, maximal_local_factor, zeta_p
-from tablezeta.errors import DegreeBoundExceeded, InputError, MissingBadPrime, NotCertifiedMaximal
+from tablezeta.decomposition import maximal_order
+from tablezeta.dirichlet import maximal_local_factor, residue_degrees_mod_p, zeta_p
+from tablezeta.errors import DegreeBoundExceeded, InputError, MissingBadPrime
 from tablezeta.exact import factorize, primes_up_to
 from tablezeta.families import conference, drt, fusion
 from tablezeta.polys import pmul
 from tablezeta.ideals import IdealCountSeries, count_ideals, count_ideals_at_prime
-from tablezeta.pipeline import analyze
 
-GOLDEN_RING = NumberRing(defining_poly=(-1, -1, 1), is_maximal_certified=True, discriminant=5)
+GOLDEN_RING = (-1, -1, 1)  # x^2 - x - 1, discriminant 5
 
 
 def test_dedekind_factor_ramified():
@@ -42,16 +41,10 @@ def test_dedekind_factor_inert():
     assert expand(f, 2) == [1, 0, 1]
 
 
-def test_dedekind_factor_requires_certificate():
-    bad = NumberRing(defining_poly=(-2, 0, 0, 1), is_maximal_certified=False, discriminant=-108)
-    with pytest.raises(NotCertifiedMaximal):
-        dedekind_euler_factor(bad, 5)
-
-
 def test_dedekind_matches_oracle_counts():
     from tablezeta.ideals import quotient_ring_table
 
-    lam = quotient_ring_table(GOLDEN_RING.defining_poly)
+    lam = quotient_ring_table(GOLDEN_RING)
     for p in (2, 3, 5, 11):
         counts = count_ideals_at_prime(lam, p, 2)
         assert counts == expand(dedekind_euler_factor(GOLDEN_RING, p), 2)
@@ -59,13 +52,14 @@ def test_dedekind_matches_oracle_counts():
 
 def test_totally_ramified_cubic_at_7():
     # x^3 - 2x^2 - x + 1 mod 7 = (x - 3)^3
-    assert factor_degrees_mod_p((1, -1, -2, 1), 7) == [(1, 3)]
+    assert residue_degrees_mod_p((1, -1, -2, 1), 7) == [1]
 
 
 def _degrees_by_root_search(poly, p):
-    """Reference for factor_degrees_mod_p: the multiplicity of each residue r
-    as a root is how often (x - r) divides f mod p; whatever degree is left
-    after removing all roots is one irreducible factor (deg f <= 3)."""
+    """Reference for residue_degrees_mod_p, as (degree, multiplicity) pairs:
+    the multiplicity of each residue r as a root is how often (x - r)
+    divides f mod p; whatever degree is left after removing all roots is
+    one irreducible factor (deg f <= 3)."""
     f = [c % p for c in poly]
     out = []
     for r in range(p):
@@ -90,43 +84,65 @@ def test_factor_degrees_match_root_search(p):
     for deg in (1, 2, 3):
         for low in itertools.product(range(-4, 5), repeat=deg):
             poly = (*low, 1)
-            assert factor_degrees_mod_p(poly, p) == _degrees_by_root_search(poly, p), poly
+            assert residue_degrees_mod_p(poly, p) == [d for d, _ in _degrees_by_root_search(poly, p)], poly
+
+
+def _with_repeated_root(low, p):
+    """(x - r)^2 (x - s)^(deg - 2) + p (low), with r = low[0], s = low[-1]
+    and deg = len(low): monic, and p divides its discriminant."""
+    f = (1,)
+    for root in (low[0], low[0], low[-1])[: len(low)]:
+        f = pmul(f, (-root, 1))
+    return tuple(c + p * x for c, x in zip(f, low)) + (1,)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(min_value=-1000, max_value=1000), min_size=2, max_size=3),
     st.sampled_from(primes_up_to(2000)),
+    st.booleans(),
 )
-def test_factor_degrees_match_root_search_large(low, p):
-    poly = (*low, 1)
-    assert factor_degrees_mod_p(poly, p) == _degrees_by_root_search(poly, p)
+def test_factor_degrees_match_root_search_large(low, p, p_divides_disc):
+    poly = _with_repeated_root(low, p) if p_divides_disc else (*low, 1)
+    assert residue_degrees_mod_p(poly, p) == [d for d, _ in _degrees_by_root_search(poly, p)]
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 91, 6561])
+def test_residue_degrees_reject_composite_p(p):
+    with pytest.raises(InputError):
+        residue_degrees_mod_p((-1, -1, 1), p)
+
+
+@pytest.mark.parametrize("poly, p", [((1, 0, 2), 3), ((1, 1, 1, 3), 5), ((2, 0, 0, 7), 7)])
+def test_residue_degrees_reject_non_monic(poly, p):
+    with pytest.raises(InputError):
+        residue_degrees_mod_p(poly, p)
 
 
 @pytest.mark.parametrize(
     "poly, p, expected",
     [
-        ((1, 1, 1), 2, [(2, 1)]),  # p = 2, squarefree: roots by gcd(f, x^2 - x)
-        ((0, 1, 1), 2, [(1, 1), (1, 1)]),
-        ((1, 1, 0, 1), 2, [(3, 1)]),
-        ((-5, 0, 1), 5, [(1, 2)]),  # p | disc: residue search with multiplicities
-        ((0, 0, -1, 1), 5, [(1, 2), (1, 1)]),
-        ((-2, 0, 0, 1), 3, [(1, 3)]),
-        ((-2, 0, 0, 1), 5, [(1, 1), (2, 1)]),  # disc -108 is a non-residue mod 5: one root
-        ((1, -1, -2, 1), 13, [(1, 1), (1, 1), (1, 1)]),  # psu5l2's cubic, symbol +1, splits
-        ((1, -1, -2, 1), 3, [(3, 1)]),  # same cubic, symbol +1, irreducible
+        ((1, 1, 1), 2, [2]),  # p = 2, squarefree: roots by gcd(f, x^2 - x)
+        ((0, 1, 1), 2, [1, 1]),
+        ((1, 1, 0, 1), 2, [3]),
+        ((-5, 0, 1), 5, [1]),  # p | disc: every distinct factor is linear, counted by the gcd
+        ((0, 0, -1, 1), 5, [1, 1]),
+        ((-2, 0, 0, 1), 3, [1]),
+        ((-2, 0, 0, 1), 5, [1, 2]),  # disc -108 is a non-residue mod 5: one root
+        ((1, -1, -2, 1), 13, [1, 1, 1]),  # psu5l2's cubic, symbol +1, splits
+        ((1, -1, -2, 1), 3, [3]),  # same cubic, symbol +1, irreducible
     ],
 )
 def test_factor_degrees_each_branch(poly, p, expected):
-    assert factor_degrees_mod_p(poly, p) == expected == _degrees_by_root_search(poly, p)
+    assert residue_degrees_mod_p(poly, p) == expected == [d for d, _ in _degrees_by_root_search(poly, p)]
 
 
 @pytest.mark.parametrize("p", [6481, 6491, 6521, 6529, 6547, 6551, 6553, 6563])
 def test_factor_degrees_large_prime_euler_criterion(p):
     # x^2 - x - 1 has discriminant 5: two roots mod p iff 5 is a square mod p
     roots = 2 if pow(5, (p - 1) // 2, p) == 1 else 0
-    expected = [(1, 1), (1, 1)] if roots else [(2, 1)]
-    assert factor_degrees_mod_p((-1, -1, 1), p) == expected
+    expected = [1, 1] if roots else [2]
+    assert residue_degrees_mod_p((-1, -1, 1), p) == expected
 
 
 def _product_over_factorization(rings, exceptional, bound):
@@ -136,7 +152,7 @@ def _product_over_factorization(rings, exceptional, bound):
         if p not in local:
             den = (1,)
             for ring in rings:
-                for deg, _ in _degrees_by_root_search(ring.defining_poly, p):
+                for deg, _ in _degrees_by_root_search(ring, p):
                     den = pmul(den, (1,) + (0,) * (deg - 1) + (-1,))
             local[p] = LocalRationalFunction(p, (1,), den)
     out = []
@@ -161,14 +177,13 @@ def _product_over_factorization(rings, exceptional, bound):
     ],
 )
 def test_assemble_matches_product_over_factorization(t, deltas):
-    data = analyze(t)
-    assert sorted(deltas) == data.order.bad_primes
+    data = maximal_order(t)
+    assert sorted(deltas) == data.bad_primes
     exceptional = {
-        p: LocalRationalFunction(p, delta, (1,)) * maximal_local_factor(data.order.rings, p)
-        for p, delta in deltas.items()
+        p: LocalRationalFunction(p, delta, (1,)) * maximal_local_factor(data.rings, p) for p, delta in deltas.items()
     }
-    series = assemble_global(data.order.rings, data.order.bad_primes, exceptional, 3000)
-    assert series.coefficients == _product_over_factorization(data.order.rings, exceptional, 3000)
+    series = assemble_global(data.rings, data.bad_primes, exceptional, 3000)
+    assert series.coefficients == _product_over_factorization(data.rings, exceptional, 3000)
 
 
 def test_expand_geometric_square():
@@ -193,8 +208,8 @@ def test_theorem_factor_coefficients():
 
 def test_assemble_fib_is_dedekind_zeta():
     t = fusion("fib")
-    data = analyze(t)
-    series = assemble_global(data.order.rings, data.order.bad_primes, {}, 40)
+    data = maximal_order(t)
+    series = assemble_global(data.rings, data.bad_primes, {}, 40)
     oracle = count_ideals(t.lam, 40)
     assert series.coefficients == oracle.counts
 
@@ -202,43 +217,29 @@ def test_assemble_fib_is_dedekind_zeta():
 def test_assemble_reps3_formula():
     # (2^{1-2s} - 2^{-s} + 1)(3^{1-2s} - 3^{-s} + 1) zeta^3
     t = fusion("reps3")
-    data = analyze(t)
+    data = maximal_order(t)
     exceptional = {}
     for p in (2, 3):
-        base = maximal_local_factor(data.order.rings, p)
+        base = maximal_local_factor(data.rings, p)
         exceptional[p] = LocalRationalFunction(p, (1, -1, p), (1,)) * base
-    series = assemble_global(data.order.rings, data.order.bad_primes, exceptional, 36)
+    series = assemble_global(data.rings, data.bad_primes, exceptional, 36)
     oracle = count_ideals(t.lam, 36)
     assert series.coefficients == oracle.counts
 
 
 def test_assemble_rank_one_all_ones():
-    ring = NumberRing(defining_poly=(0, 1), is_maximal_certified=True, discriminant=1)
-    series = assemble_global([ring], [], {}, 30)
+    series = assemble_global([(0, 1)], [], {}, 30)
     assert series.coefficients == (1,) * 30
 
 
 def test_assemble_missing_bad_prime():
     t = fusion("c2")
-    data = analyze(t)
+    data = maximal_order(t)
     with pytest.raises(MissingBadPrime):
-        assemble_global(data.order.rings, data.order.bad_primes, {}, 10)
-    # raised before any local factor is built, so before the certificate is checked
-    bad = NumberRing(defining_poly=(-2, 0, 0, 1), is_maximal_certified=False, discriminant=-108)
+        assemble_global(data.rings, data.bad_primes, {}, 10)
+    # raised before any local factor is built
     with pytest.raises(MissingBadPrime):
-        assemble_global([bad], [2, 3], {2: zeta_p(2)}, 100)
-
-
-def test_assemble_uncertified_ring_needs_a_good_prime():
-    bad = NumberRing(defining_poly=(-2, 0, 0, 1), is_maximal_certified=False, discriminant=-108)
-    assert assemble_global([bad], [], {}, 1).coefficients == (1,)
-    # every prime up to 4 has its full factor supplied, so no Dedekind factor is needed
-    covered = {2: zeta_p(2), 3: zeta_p(3)}
-    assert assemble_global([bad], [2, 3], covered, 4).coefficients == (1, 1, 1, 1)
-    with pytest.raises(NotCertifiedMaximal):
-        assemble_global([bad], [2, 3], covered, 5)
-    with pytest.raises(NotCertifiedMaximal):
-        assemble_global([GOLDEN_RING, bad], [], {}, 10)
+        assemble_global([(-2, 0, 0, 1)], [2, 3], {2: zeta_p(2)}, 100)
 
 
 @pytest.mark.parametrize("series", [DirichletSeries(3, (1, 2, 3)), IdealCountSeries(3, (1, 2, 3))])
@@ -265,10 +266,10 @@ def test_infer_good_prime_trivial():
 
 def test_infer_ising_from_real_oracle():
     t = fusion("ising")
-    data = analyze(t)
+    data = maximal_order(t)
     counts = count_ideals_at_prime(t.lam, 2, 5)
-    base = maximal_local_factor(data.order.rings, 2)
-    assert infer_local_polynomial(counts, base, data.order.degree_bound(2)) == (1, -1, 2)
+    base = maximal_local_factor(data.rings, 2)
+    assert infer_local_polynomial(counts, base, data.degree_bound(2)) == (1, -1, 2)
 
 
 def test_infer_rejects_coefficient_above_degree_bound():

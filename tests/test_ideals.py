@@ -9,7 +9,7 @@ from tablezeta.dirichlet import expand, maximal_local_factor, theorem_local_fact
 from tablezeta.ideals import _count_for_index, _sublattice, divisor_tuples, quotient_ring_table
 from tablezeta.exact import hnf
 from tablezeta.modp import rref
-from tablezeta.pipeline import analyze
+from tablezeta.decomposition import maximal_order
 
 
 def sublattice_count_formula(n):
@@ -130,7 +130,7 @@ def test_descent_matches_closed_forms_on_deep_towers():
     # no count: the maximal order's Dedekind factors times 1 - t + p t^2
     # (Solomon's factor for c3 = Z[C3]), and the valuation-3 closed form
     for t, p, kmax in [(fusion("ising"), 2, 13), (fusion("c3"), 3, 9), (conference(1), 5, 6), (drt(1), 7, 5)]:
-        local = maximal_local_factor(analyze(t).order.rings, p) * (1, -1, p)
+        local = maximal_local_factor(maximal_order(t).rings, p) * (1, -1, p)
         assert count_ideals_at_prime(t.lam, p, kmax) == expand(local, kmax), (p, kmax)
     assert count_ideals_at_prime(drt(6).lam, 3, 9) == expand(theorem_local_factor("v3", 3), 9)
 

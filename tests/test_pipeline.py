@@ -1,10 +1,11 @@
 import pytest
 
 from tablezeta.algebra import TableAlgebra
-from tablezeta.dirichlet import expand, factor_degrees_mod_p
+from tablezeta.decomposition import maximal_order
+from tablezeta.dirichlet import expand, residue_degrees_mod_p
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.ideals import count_ideals_at_prime
-from tablezeta.pipeline import analyze, infer_exceptional_factors, verify_order, zeta_series
+from tablezeta.pipeline import infer_exceptional_factors, verify_order, zeta_series
 
 Z_C4 = TableAlgebra(4, [[[int((i + j) % 4 == k) for k in range(4)] for j in range(4)] for i in range(4)], (0, 3, 2, 1))
 ORDERS = {
@@ -36,7 +37,7 @@ def test_verify_counts_past_the_degree_bound_to_reach_the_index_bound():
 )
 def test_degree_bound_values(label, p, bound):
     # D_p = 2 n v - v_p[Lambda_0 : ZB]; drt(6): n = 3, v = 3, index 3^4
-    assert analyze(ORDERS[label]).order.degree_bound(p) == bound
+    assert maximal_order(ORDERS[label]).degree_bound(p) == bound
 
 
 @pytest.mark.parametrize("label", ORDERS)
@@ -45,9 +46,9 @@ def test_counts_past_the_degree_bound_match_delta(label):
     # equal the expansion of delta_p (found at depth D_p) times the
     # maximal-order factor, so the quotient vanishes above D_p
     t = ORDERS[label]
-    analyzed = analyze(t)
-    for p, f in infer_exceptional_factors(t, analyzed, 1).items():
-        assert f.depth == f.degree_bound == analyzed.order.degree_bound(p)
+    order = maximal_order(t)
+    for p, f in infer_exceptional_factors(t, order, 1).items():
+        assert f.depth == f.degree_bound == order.degree_bound(p)
         assert count_ideals_at_prime(t.lam, p, f.depth + 2) == expand(f.full, f.depth + 2), p
 
 
@@ -65,11 +66,10 @@ def test_zeta_series_matches_verify_assembly():
 
 
 def test_unramified_degrees_sum_to_field_degree():
-    rings = analyze(fusion("psu5l2")).order.rings
+    rings = maximal_order(fusion("psu5l2")).rings
     ring = rings[0]
     for p in (2, 3, 5, 11, 13):
-        degs = factor_degrees_mod_p(ring.defining_poly, p)
-        assert sum(d for d, _ in degs) == 3
-        assert all(mult == 1 for _, mult in degs)
+        # the degrees of the distinct factors sum to 3 only when each has multiplicity 1
+        assert sum(residue_degrees_mod_p(ring, p)) == 3
     # ramified at 7: one prime of residue degree 1
-    assert factor_degrees_mod_p(ring.defining_poly, 7) == [(1, 3)]
+    assert residue_degrees_mod_p(ring, 7) == [1]
