@@ -29,13 +29,20 @@ from .pipeline import verify_order, zeta_series
 
 
 def _source(args) -> TableAlgebra:
+    "The algebra a file or a family names; an option the source would ignore is an error."
     if args.file:
+        if args.family or args.u is not None or args.name:
+            raise InputError("a file takes no --family, --u or --name")
         return load_algebra(args.file)
     if args.family == "fusion":
+        if args.u is not None:
+            raise InputError("--family fusion takes no --u")
         if not args.name:
             raise InputError("--family fusion needs --name")
         return FamilySpec("fusion", name=args.name).resolve()
     if args.family in ("drt", "conference"):
+        if args.name:
+            raise InputError(f"--family {args.family} takes no --name")
         if args.u is None:
             raise InputError(f"--family {args.family} needs --u")
         return FamilySpec(args.family, u=args.u).resolve()
@@ -98,12 +105,18 @@ def _vec(v):
 def cmd_count(args):
     t = _source(args)
     if args.prime is not None:
-        counts = count_ideals_at_prime(t.lam, args.prime, args.kmax)
+        if args.max_index is not None:
+            raise InputError("--prime takes --kmax, not --max-index")
+        kmax = 3 if args.kmax is None else args.kmax
+        counts = count_ideals_at_prime(t.lam, args.prime, kmax)
         for k, a in enumerate(counts):
             print(f"{args.prime}^{k}\t{a}")
     else:
-        series = count_ideals(t.lam, args.max_index)
-        for n in range(1, args.max_index + 1):
+        if args.kmax is not None:
+            raise InputError("--kmax needs --prime")
+        bound = 20 if args.max_index is None else args.max_index
+        series = count_ideals(t.lam, bound)
+        for n in range(1, bound + 1):
             print(f"{n}\t{series.a(n)}")
     return 0
 
@@ -169,9 +182,9 @@ def _parser():
 
     sp = sub.add_parser("count", help="brute-force ideal counts")
     _add_source_args(sp)
-    sp.add_argument("--max-index", type=int, default=20)
+    sp.add_argument("--max-index", type=int, help="count a_1 .. a_N (default 20)")
     sp.add_argument("--prime", type=int)
-    sp.add_argument("--kmax", type=int, default=3)
+    sp.add_argument("--kmax", type=int, help="with --prime, count a_1, a_p .. a_(p^kmax) (default 3)")
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("zeta", help="assembled Euler-product series")

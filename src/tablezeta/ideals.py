@@ -15,20 +15,26 @@ residues row-major; golden outputs rely on it.
 One kernel does the counting: both entry points run the descent
 (``_descend``) on every rank.  It goes breadth-first from Lambda = Z^dim
 through maximal sub-ideals: the children of an ideal I are the J with
-mI <= J < I and I/J = Lambda/m for a maximal ideal m of Lambda/pLambda
-(``modp``), so its cost grows with the number of ideals it finds, not
-with the number of lattices.  ``count_ideals`` descends at every prime
-up to the bound, ``count_ideals_at_prime`` at one prime.  The plain
-stream (``_count_for_index``), which tests every HNF in turn, serves no
-entry point: it is the reference the descent is checked against in the
-test suite.
+mI <= J < I and I/J = Lambda/m for a maximal ideal m of Lambda/pLambda,
+so its cost grows with the number of ideals it finds, not with the
+number of lattices.  ``count_ideals`` descends at every prime up to the
+bound, ``count_ideals_at_prime`` at one prime.  At a prime p with
+p^2 > bound only the maximal ideals of residue degree 1 can be used, and
+when p does not divide the discriminant D of one characteristic
+polynomial chi they are the (theta - a) for the roots a of chi mod p
+(``_linear_maximal_ideals``); at every other prime they come from
+``modp.maximal_ideals``.  The plain stream (``_count_for_index``), which
+tests every HNF in turn, serves no entry point: it is the reference the
+descent is checked against in the test suite.
 
 Costs on a 2-core machine with Python 3.11, interpreter start-up
-(about 0.2 s) included: ``count`` on Z[C4] to N=64 takes about 0.25 s
+(about 0.17 s) included: ``count`` on Z[C4] to N=64 takes about 0.2 s
 (44 s with the stream); ``verify --family conference --u 3
---max-index 64``, which counts to 13^5 at p=13, takes about 0.25 s;
-``zeta --family drt --u 6 --max-index 50``, which counts to 3^11 at
-p=3, takes about 0.35 s.
+--max-index 64``, which counts to 13^5 at p=13, takes about 0.18 s;
+``zeta --family drt --u 6 --max-index 50``, which counts to 3^14 at
+p=3 (its bound D_3), takes about 0.36 s; ``count --family fusion
+--name e6 --max-index 1000``, where 157 primes take the roots of chi,
+takes about 0.4 s (0.58 s with ``maximal_ideals`` at every prime).
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first: a
@@ -41,8 +47,8 @@ from heapq import heappop, heappush
 from itertools import product
 
 from .errors import InputError, NonCommutative
-from .exact import divisors, is_prime, primes_up_to
-from .modp import kernel, maximal_ideals, pivots, rref
+from .exact import charpoly, divisors, fmat_det, is_prime, mat_mul, primes_up_to
+from .modp import MaximalIdeal, _horner, kernel, maximal_ideals, pivots, rref
 
 
 @dataclass(frozen=True)
@@ -229,6 +235,17 @@ def _descend(table, bound, primes):
     """{n: number of index-n ideals} for every n <= bound with a nonzero
     count whose prime factors lie in ``primes`` (ascending).
 
+    The steps are the maximal ideals m of Lambda/pLambda for p in primes.
+    At a p with p^2 > bound that does not divide the discriminant D of the
+    characteristic polynomial chi of ``_splitting_element``, they are the
+    residue-degree-1 ideals (theta - a) for the roots a of chi mod p
+    (``_linear_maximal_ideals``): an m of residue degree f >= 2 there has
+    p^f > bound and gives no child.  At every other p, and everywhere when
+    no candidate theta has D != 0 or the rank is 1, they are all of
+    ``modp.maximal_ideals``.  theta is chosen only when the last prime
+    has p^2 > bound, so a tower at one prime to p^k with k >= 2 never
+    chooses it.
+
     Breadth-first from Lambda in order of index.  An ideal I of index n
     gets, for a maximal ideal m of residue degree f above a prime p in
     primes with n p^f <= bound, the children J with mI <= J < I and
@@ -245,9 +262,14 @@ def _descend(table, bound, primes):
     once."""
     r = len(table)
     acts = _action_matrices(table)
-    steps = [  # (p, m, the action matrices of the generators of m)
-        (p, m, [_times_matrix(table, g) for g in m.generators]) for p in primes for m in maximal_ideals(table, p)
-    ]
+    split = _splitting_element(table) if primes and primes[-1] ** 2 > bound else None
+    steps = []  # (p, m, the action matrices of the generators of m)
+    for p in primes:
+        if split and p * p > bound and split[2] % p:
+            ms = _linear_maximal_ideals(table, split, p)
+        else:
+            ms = maximal_ideals(table, p)
+        steps.extend((p, m, [_times_matrix(table, g) for g in m.generators]) for m in ms)
     top = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     levels = {1: {top: 0}}  # index -> {HNF rows: position in steps of the last step}
     pending = [1]
@@ -280,6 +302,56 @@ def _descend(table, bound, primes):
                 for sub in subs:
                     child[_sublattice(rows, sub, p)] = pos
     return found
+
+
+def _splitting_element(table):
+    """(theta, chi, D): the first of b_1, ..., b_(r-1), b_1 + 2 b_2 + ... +
+    (r-1) b_(r-1) whose characteristic polynomial chi (of multiplication
+    by theta) has a nonzero discriminant D, or None if there is none or
+    the rank is 1.  D is the determinant of the Hankel matrix of the power
+    sums Tr(M^(i+j)), M the action matrix of theta: it is V V^T for the
+    Vandermonde matrix V of the roots of chi."""
+    r = len(table)
+    if r == 1:
+        return None
+    for theta in [tuple(int(i == j) for j in range(r)) for i in range(1, r)] + [tuple(range(r))]:
+        m = _times_matrix(table, theta)
+        sums, power = [r], m  # Tr(M^0), ..., Tr(M^(2r-2))
+        for _ in range(2 * r - 2):
+            sums.append(sum(power[i][i] for i in range(r)))
+            power = mat_mul(power, m)
+        disc = int(fmat_det([sums[i : i + r] for i in range(r)]))
+        if disc:
+            return theta, charpoly(m), disc
+    return None
+
+
+def _linear_maximal_ideals(table, split, p):
+    """The maximal ideals of residue degree 1 of Lambda/pLambda, sorted as
+    ``maximal_ideals`` sorts them, for (theta, chi, D) from
+    ``_splitting_element`` with p not dividing D: (theta - a) for each root
+    a of chi mod p.
+
+    chi mod p is squarefree, because p does not divide its discriminant,
+    so multiplication by theta mod p has r distinct eigenvalues and its
+    minimal polynomial is chi mod p, of degree r; that is also the minimal
+    polynomial of theta mod p, since g(theta) = 1 . g(M).  So 1, theta,
+    ..., theta^(r-1) are independent, Lambda/pLambda = F_p[theta] is
+    F_p[x]/(chi), and by the Chinese remainder theorem its maximal ideals
+    are (g(theta)) for the irreducible factors g of chi mod p, of residue
+    degree deg g (the Dedekind-Kummer correspondence; Cohen, A Course in
+    Computational Algebraic Number Theory, Thm 4.8.13).  Those of degree 1
+    are the (theta - a), spanned by (theta - a) b_j."""
+    theta, chi, _ = split
+    r = len(table)
+    out = []
+    for a in range(p):
+        if _horner(chi, a, p) == 0:
+            g = ((theta[0] - a) % p,) + tuple(x % p for x in theta[1:])
+            out.append(MaximalIdeal(1, rref(_times_matrix(table, g), p), (g,)))
+            if len(out) == r:
+                break
+    return sorted(out, key=lambda m: m.basis)
 
 
 def _products(rows, act):

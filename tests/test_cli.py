@@ -248,6 +248,37 @@ def test_cli_genus_rejects_ignored_flags(argv, capsys):
     assert "input error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "drt", "--u", "1", "--kmax", "2"],
+        ["count", "--family", "drt", "--u", "1", "--prime", "7", "--max-index", "8"],
+        ["count", "--family", "fusion", "--name", "c2", "--u", "1"],
+        ["zeta", "--family", "fusion", "--name", "c2", "--u", "1"],
+        ["verify", "--family", "drt", "--u", "1", "--name", "c2"],
+        ["validate", "--family", "conference", "--u", "1", "--name", "fib"],
+        ["count", "FILE", "--family", "drt"],
+        ["count", "FILE", "--u", "1"],
+        ["decompose", "FILE", "--name", "c2"],
+    ],
+)
+def test_cli_rejects_ignored_source_and_count_flags(argv, tmp_path, capsys):
+    path = tmp_path / "c2.json"
+    path.write_text(GOOD_FILE)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err
+
+
+def test_cli_count_defaults(capsys):
+    # without --max-index the series runs to 20; without --kmax the tower to p^3
+    assert main(["count", "--family", "fusion", "--name", "c2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+    assert main(["count", "--family", "fusion", "--name", "c2", "--prime", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("3^3\t")
+
+
 def test_cli_genus_unsupported_m(capsys):
     # v_p(n) = 5 at p = 3 needs m = 2: declared unsupported, exit 3
     assert main(["genus", "--family", "drt", "--u", "60", "--prime", "3"]) == 3

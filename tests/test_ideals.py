@@ -6,9 +6,16 @@ from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import expand, maximal_local_factor, theorem_local_factor
-from tablezeta.ideals import _count_for_index, _sublattice, divisor_tuples, quotient_ring_table
-from tablezeta.exact import hnf
-from tablezeta.modp import rref
+from tablezeta.ideals import (
+    _count_for_index,
+    _linear_maximal_ideals,
+    _splitting_element,
+    _sublattice,
+    divisor_tuples,
+    quotient_ring_table,
+)
+from tablezeta.exact import fmat_det, hnf, primes_up_to
+from tablezeta.modp import maximal_ideals, multiply, rref
 from tablezeta.decomposition import maximal_order
 
 
@@ -152,6 +159,76 @@ def test_descent_matches_stream_on_group_rings():
     for lam, bound in cases:
         slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, bound + 1))
         assert count_ideals(lam, bound).counts == slow
+
+
+def assert_linear_route_matches(lam):
+    """At every p <= 200 prime to D, the maximal ideals read off the roots
+    of chi mod p are the residue-degree-1 ideals of maximal_ideals, in its
+    order, and each one's generator spans its basis."""
+    split = _splitting_element(lam)
+    assert split is not None
+    r = len(lam)
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    for p in primes_up_to(200):
+        if split[2] % p == 0:
+            continue
+        got = _linear_maximal_ideals(lam, split, p)
+        want = [m.basis for m in maximal_ideals(lam, p) if m.f == 1]
+        assert [m.basis for m in got] == want, p
+        for m in got:
+            assert m.f == 1 and len(m.generators) == 1
+            assert rref([multiply(lam, m.generators[0], e, p) for e in unit], p) == m.basis
+
+
+def test_linear_route_matches_maximal_ideals():
+    tables = [t.lam for t in (drt(1), drt(6), conference(1), conference(3))]
+    tables += [fusion(name).lam for name in FUSION_NAMES]
+    tables += [
+        group_table(4, lambda i, j: (i + j) % 4),  # Z[C4]
+        group_table(4, lambda i, j: i ^ j),  # Z[C2 x C2]
+        group_table(6, lambda i, j: (i + j) % 6),  # Z[C6]
+    ]
+    for lam in tables:
+        assert_linear_route_matches(lam)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=4))
+@example([1, -1, 0])  # x^3 - x + 1, disc -23
+@example([2, 0, 0, 0])  # x^4 + 2, Eisenstein at 2
+def test_linear_route_on_random_monic_orders(low):
+    # Z[x]/(f) for a monic cubic or quartic f with disc f != 0: theta is
+    # b_1 = x, chi is f and D is disc f
+    f = (*low, 1)
+    disc = sylvester_discriminant(f)
+    if disc:
+        lam = quotient_ring_table(f)
+        assert _splitting_element(lam) == (tuple(int(j == 1) for j in range(len(low))), f, disc)
+        assert_linear_route_matches(lam)
+
+
+def sylvester_discriminant(f):
+    "disc f = (-1)^(n(n-1)/2) Res(f, f') for a monic f of degree n, from the Sylvester matrix."
+    n = len(f) - 1
+    a = list(reversed(f))
+    b = list(reversed([k * c for k, c in enumerate(f)][1:]))
+    size = 2 * n - 1
+    rows = [[0] * i + a + [0] * (size - len(a) - i) for i in range(n - 1)]
+    rows += [[0] * i + b + [0] * (size - len(b) - i) for i in range(n)]
+    return (-1) ** (n * (n - 1) // 2) * int(fmat_det(rows))
+
+
+def test_linear_route_needs_p_prime_to_d():
+    # Z[C2 x C2]: every b_i has a repeated eigenvalue, so theta = b1 + 2 b2 +
+    # 3 b3, with eigenvalues 6, -4, -2, 0.  Mod 5 two of them meet, and
+    # chi has three roots, while Lambda/5 Lambda = F_5^4 has four maximal
+    # ideals: 5 divides D, so the descent asks maximal_ideals at 5
+    lam = group_table(4, lambda i, j: i ^ j)
+    theta, chi, disc = _splitting_element(lam)
+    assert theta == (0, 1, 2, 3) and disc % 5 == 0
+    assert sum(1 for a in range(5) if sum(c * a**k for k, c in enumerate(chi)) % 5 == 0) == 3
+    assert [m.f for m in maximal_ideals(lam, 5)] == [1, 1, 1, 1]
+    assert count_ideals(lam, 24).a(5) == 4
 
 
 def test_descent_residue_field_f4():
