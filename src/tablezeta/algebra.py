@@ -6,14 +6,21 @@ sum_k lambda[i][j][k] b_k), an involution permutation i -> i*, and the
 pseudo-inverse axiom: lambda[i][j][0] > 0 exactly when j = i*, with
 lambda[i][i*][0] == lambda[i*][i][0].  Commutativity is required
 throughout this package.
+
+Every other module reads lambda through the primitives here: the product
+``multiply``, the action matrix ``action_matrix``, the ring axioms
+``ring_violations`` and the gate ``check_ring``, which refuses a tensor
+that is not the table of a commutative, associative ring with identity
+b_0 before anything is computed on it.
 """
 
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
-from .errors import NonCommutative, NonIntegralRescale
-from .exact import charpoly
+from .errors import InputError, NonCommutative, NonIntegralRescale
+from .exact import charpoly, int_tuple
 from .polys import AlgebraicNumber, factor_rational, largest_real_root, squarefree_part
 
 
@@ -32,9 +39,9 @@ class TableAlgebra:
     names: tuple = None
 
     def __post_init__(self):
-        lam = tuple(tuple(tuple(int(x) for x in row) for row in plane) for plane in self.lam)
+        lam = tuple(tuple(int_tuple(row) for row in plane) for plane in self.lam)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "involution", tuple(int(x) for x in self.involution))
+        object.__setattr__(self, "involution", int_tuple(self.involution))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
         d = self.rank
@@ -48,18 +55,79 @@ class TableAlgebra:
 
     def multiply(self, u, v):
         "Product of two coefficient vectors in the basis."
-        d = self.rank
-        out = [0] * d
-        for i in range(d):
-            if u[i]:
-                row = self.lam[i]
-                for j in range(d):
-                    if v[j]:
-                        c = u[i] * v[j]
-                        for k in range(d):
-                            if row[j][k]:
-                                out[k] += c * row[j][k]
-        return tuple(out)
+        return multiply(self.lam, u, v)
+
+
+def multiply(lam, u, v):
+    """The product sum_ij u_i v_j b_i b_j of two coefficient vectors (ints
+    or Fractions), exactly: the one contraction of lambda with two
+    vectors."""
+    out = [0] * len(lam)
+    for i, ui in enumerate(u):
+        if ui:
+            plane = lam[i]
+            for j, vj in enumerate(v):
+                if vj:
+                    c = ui * vj
+                    for k, x in enumerate(plane[j]):
+                        if x:
+                            out[k] += c * x
+    return tuple(out)
+
+
+def unit_vectors(r):
+    "The coefficient vectors of b_0, ..., b_(r-1)."
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
+
+
+def action_matrix(lam, g):
+    "The action matrix of g: row l is g b_l, so x . A is g x for a row vector x."
+    return tuple(multiply(lam, g, e) for e in unit_vectors(len(lam)))
+
+
+def ring_violations(lam):
+    """(axiom, detail) for each failure of the ring axioms, in order:
+    commutativity, b_0 as the identity on both sides, then associativity,
+    which compares (b_i b_j) b_k with b_i (b_j b_k) and so does not assume
+    commutativity."""
+    r = len(lam)
+    unit = unit_vectors(r)
+    for i in range(r):
+        for j in range(i + 1, r):
+            if tuple(lam[i][j]) != tuple(lam[j][i]):
+                yield "commutativity", f"b{i} b{j} != b{j} b{i}"
+    for j in range(r):
+        if tuple(lam[0][j]) != unit[j]:
+            yield "identity", f"b0 b{j} != b{j}"
+        if tuple(lam[j][0]) != unit[j]:
+            yield "identity", f"b{j} b0 != b{j}"
+    for i, j, k in product(range(r), repeat=3):
+        if multiply(lam, lam[i][j], unit[k]) != multiply(lam, unit[i], lam[j][k]):
+            yield "associativity", f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})"
+
+
+_REFUSALS = {
+    "commutativity": "the table is not commutative",
+    "identity": "b0 is not the identity",
+    "associativity": "the table is not associative",
+}
+
+
+def check_ring(lam):
+    """Refuse a tensor that is not the table of a commutative, associative
+    ring with identity b_0: a ragged tensor or a non-integer entry with
+    InputError, then the first ring violation, with NonCommutative for
+    commutativity and InputError for any other."""
+    try:
+        r = len(lam)
+        ok = r >= 1 and all(len(plane) == r and all(len(int_tuple(row)) == r for row in plane) for plane in lam)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InputError("the multiplication table must be an r x r x r tensor with r >= 1")
+    for axiom, detail in ring_violations(lam):
+        error = NonCommutative if axiom == "commutativity" else InputError
+        raise error(f"{_REFUSALS[axiom]}: {detail}")
 
 
 @dataclass
@@ -84,18 +152,9 @@ def validate(t: TableAlgebra) -> ValidationReport:
     d = t.rank
     lam = t.lam
     rep = ValidationReport()
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if lam[i][j][k] < 0:
-                    rep.add("nonnegativity", f"lambda[{i}][{j}][{k}] = {lam[i][j][k]}")
-    for j in range(d):
-        for k in range(d):
-            want = 1 if j == k else 0
-            if lam[0][j][k] != want:
-                rep.add("identity", f"lambda[0][{j}][{k}] = {lam[0][j][k]}, expected {want}")
-            if lam[j][0][k] != want:
-                rep.add("identity", f"lambda[{j}][0][{k}] = {lam[j][0][k]}, expected {want}")
+    for i, j, k in product(range(d), repeat=3):
+        if lam[i][j][k] < 0:
+            rep.add("nonnegativity", f"lambda[{i}][{j}][{k}] = {lam[i][j][k]}")
     inv = t.involution
     if inv[0] != 0:
         rep.add("involution", f"0* = {inv[0]}, expected 0")
@@ -112,37 +171,16 @@ def validate(t: TableAlgebra) -> ValidationReport:
                 )
         if lam[i][inv[i]][0] != lam[inv[i]][i][0]:
             rep.add("pseudo-inverse", f"lambda[{i}][{i}*][0] != lambda[{i}*][{i}][0]")
-    for i in range(d):
-        for j in range(i + 1, d):
-            if lam[i][j] != lam[j][i]:
-                rep.add("commutativity", f"lambda[{i}][{j}] != lambda[{j}][{i}]")
-                break
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    lhs = sum(lam[i][j][m] * lam[m][k][l] for m in range(d))
-                    rhs = sum(lam[j][k][m] * lam[i][m][l] for m in range(d))
-                    if lhs != rhs:
-                        rep.add("associativity", f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) at coordinate {l}")
-                        break
-                else:
-                    continue
-                break
+    for axiom, detail in ring_violations(lam):
+        rep.add(axiom, detail)
     return rep
-
-
-def _commutative_or_raise(t: TableAlgebra):
-    if any(axiom == "commutativity" for axiom, _ in validate(t).violations):
-        raise NonCommutative("the table algebra is not commutative")
 
 
 def regular_representation(t: TableAlgebra, i: int):
     "Matrix M with M[k][j] = lambda[i][j][k]: column j expands b_i * b_j."
     if not 0 <= i < t.rank:
         raise IndexError(f"basis index {i} out of range for rank {t.rank}")
-    d = t.rank
-    return tuple(tuple(t.lam[i][j][k] for j in range(d)) for k in range(d))
+    return tuple(zip(*action_matrix(t.lam, unit_vectors(t.rank)[i])))
 
 
 def radical_of_charpoly(m):
@@ -162,7 +200,7 @@ def perron_root(m) -> AlgebraicNumber:
 def degree_map(t: TableAlgebra):
     """delta(b_i) for each basis element: the Perron-Frobenius eigenvalue of
     its regular representation.  delta extends to an algebra character."""
-    _commutative_or_raise(t)
+    check_ring(t.lam)
     return [perron_root(regular_representation(t, i)) for i in range(t.rank)]
 
 

@@ -20,13 +20,15 @@ from fractions import Fraction
 from .algebra import (
     BasisKind,
     TableAlgebra,
-    _commutative_or_raise,
+    check_ring,
+    multiply,
     radical_of_charpoly,
     regular_representation,
+    unit_vectors,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
 from .exact import factorize, fmat_det, fmat_inv, squarefree_kernel, valuation, vec_mat
-from math import gcd
+from math import lcm
 
 from .polys import (
     FieldElt,
@@ -62,12 +64,10 @@ class CharacterTable:
 
 def powers_of_generator(t: TableAlgebra, gen: int):
     "Columns g^0, g^1, ..., g^(rank-1) as vectors in basis B."
-    d = t.rank
-    m = regular_representation(t, gen)
-    vecs = [tuple(1 if i == 0 else 0 for i in range(d))]
-    for _ in range(d - 1):
-        prev = vecs[-1]
-        vecs.append(tuple(sum(m[k][j] * prev[j] for j in range(d)) for k in range(d)))
+    unit = unit_vectors(t.rank)
+    vecs = [unit[0]]
+    for _ in range(t.rank - 1):
+        vecs.append(multiply(t.lam, unit[gen], vecs[-1]))
     return vecs
 
 
@@ -100,7 +100,7 @@ def find_generator(t: TableAlgebra):
     degree and whose irreducible factors all admit a certified maximal
     order.  Falls back to the least monogenic index when no candidate is
     fully certifiable (maximal_order will then refuse)."""
-    _commutative_or_raise(t)
+    check_ring(t.lam)
     first = None
     for i, mu in _generator_candidates(t):
         if first is None:
@@ -117,20 +117,24 @@ def find_generator(t: TableAlgebra):
 
 
 def _ring_polynomial(f):
-    """Defining polynomial of the ring of integers of Q[x]/(f), for an
-    irreducible monic f of degree <= 3: f itself in degree 1,
-    x^2 - x + (1 - d0)/4 or x^2 - d0 in degree 2 for the squarefree kernel
-    d0 of disc(f) (as d0 is 1 mod 4 or not), and in degree 3 only the
-    certified cubic, whose own ring of integers it is."""
+    """(R, omega) for an irreducible monic f of degree <= 3: Z[omega] is
+    the ring of integers of Q[x]/(f), R is the defining polynomial of
+    omega and omega = c_0 + c_1 x is given as (c_0, c_1).  In degree 1,
+    and in degree 3 for the certified cubic, whose own ring of integers
+    it is, that is (f, x).  In degree 2, with disc(f) = d0 s^2 for the
+    squarefree kernel d0, omega is (s + b + 2x)/(2s) = (1 + sqrt(d0))/2,
+    a root of x^2 - x + (1 - d0)/4, when d0 is 1 mod 4, and else
+    (b + 2x)/s = sqrt(d0), a root of x^2 - d0, where b = f[1]."""
     d = pdeg(f)
-    if d == 1:
-        return f
+    if d == 1 or (d == 3 and tuple(f) == CERTIFIED_CUBIC):
+        return f, (0, 1)
     if d == 2:
-        d0, _ = squarefree_kernel(f[1] * f[1] - 4 * f[0])
-        return ((1 - d0) // 4, -1, 1) if d0 % 4 == 1 else (-d0, 0, 1)
+        b = f[1]
+        d0, s = squarefree_kernel(b * b - 4 * f[0])
+        if d0 % 4 == 1:
+            return ((1 - d0) // 4, -1, 1), (Fraction(s + b, 2 * s), Fraction(1, s))
+        return (-d0, 0, 1), (Fraction(b, s), Fraction(2, s))
     if d == 3:
-        if tuple(f) == CERTIFIED_CUBIC:
-            return f
         raise MaximalityUncertified(f"cubic {f} carries no maximality certificate")
     raise MaximalityUncertified(f"no maximal-order rule for degree {d}")
 
@@ -343,35 +347,17 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     """
     gen, mu = find_generator(t)
     factors = factor_rational(mu)
-    rings = tuple(_ring_polynomial(f) for f in factors)
+    rings, omegas = zip(*map(_ring_polynomial, factors))
     idems = _crt_idempotents(t, gen, mu, factors)
-    mg = regular_representation(t, gen)
-    d = t.rank
+    unit = unit_vectors(t.rank)
 
-    rows = []
-    for f, e in zip(factors, idems):
-        deg = pdeg(f)
-        theta_e = [e]
-        for _ in range(deg - 1):
-            prev = theta_e[-1]
-            theta_e.append(tuple(sum(Fraction(mg[k][j]) * prev[j] for j in range(d)) for k in range(d)))
-        if deg == 1:
-            rows.append(theta_e[0])
-        elif deg == 2:
-            b = f[1]
-            d0, tt = squarefree_kernel(b * b - 4 * f[0])
-            if d0 % 4 == 1:
-                # omega = (t + 2 theta + b) / (2 t)
-                omega = tuple(
-                    (Fraction(tt + b, 2 * tt) * theta_e[0][c] + Fraction(2, 2 * tt) * theta_e[1][c])
-                    for c in range(d)
-                )
-            else:
-                omega = tuple(Fraction(b, tt) * theta_e[0][c] + Fraction(2, tt) * theta_e[1][c] for c in range(d))
-            rows.extend([theta_e[0], omega])
-        else:
-            rows.extend(theta_e)
-    basis = tuple(tuple(r) for r in rows)
+    rows = []  # e, omega e, omega^2 e, ... for each component
+    for ring, (c0, c1), e in zip(rings, omegas, idems):
+        omega = tuple(c0 * x + c1 * y for x, y in zip(unit[0], unit[gen]))
+        rows.append(e)
+        for _ in range(pdeg(ring) - 1):
+            rows.append(multiply(t.lam, omega, rows[-1]))
+    basis = tuple(rows)
 
     det = fmat_det(basis)
     if det == 0:
@@ -385,11 +371,7 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     if any(Fraction(x).denominator != 1 for row in inv_basis for x in row):
         raise MaximalityUncertified("ZB is not contained in the assembled order")
 
-    conductor = 1
-    for row in basis:
-        for x in row:
-            lc = Fraction(x).denominator
-            conductor = conductor * lc // gcd(conductor, lc)
+    conductor = lcm(*(Fraction(x).denominator for row in basis for x in row))
 
     bad = sorted(factorize(conductor).keys())
     return MaximalOrderData(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, InputError, MissingBadPrime, NonIntegralQuotient
-from .exact import is_prime, primes_up_to
+from .exact import int_tuple, is_prime, primes_up_to
 from .polys import padd, pdeg, peval, pmul, pnorm
 
 
@@ -20,7 +20,7 @@ class DirichletSeries:
     coefficients: tuple  # a_1 .. a_N
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(x) for x in self.coefficients))
+        object.__setattr__(self, "coefficients", int_tuple(self.coefficients))
         if len(self.coefficients) != self.bound:
             raise InputError("coefficient list must have length N")
         if self.bound >= 1 and self.coefficients[0] != 1:
@@ -268,7 +268,7 @@ def dedekind_euler_factor(ring, p) -> LocalRationalFunction:
     """Euler factor at p of the Dedekind zeta function of the ring of
     integers Z[x]/(ring), given by its defining polynomial: product over
     the distinct irreducible factors of ring mod p of (1 - t^deg)^{-1}."""
-    return LocalRationalFunction(p, (1,), _dedekind_den(residue_degrees_mod_p(ring, p)))
+    return maximal_local_factor((ring,), p)
 
 
 def _dedekind_den(degrees):
@@ -300,11 +300,12 @@ def theorem_local_factor(family: str, p) -> LocalRationalFunction:
 
 
 def maximal_local_factor(rings, p) -> LocalRationalFunction:
-    "Local factor of the maximal order: product over the component rings' defining polynomials."
-    out = LocalRationalFunction(p, (1,), (1,))
-    for ring in rings:
-        out = out * dedekind_euler_factor(ring, p)
-    return out
+    """Local factor of the maximal order: (1 - t^f)^{-1} over the residue
+    degrees f of the primes above the prime p in every component ring,
+    given by its defining polynomial."""
+    if not is_prime(p):
+        raise InputError(f"residue degrees need a prime, got {p}")
+    return LocalRationalFunction(p, (1,), _dedekind_den(_residue_degrees(rings, p)))
 
 
 def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:

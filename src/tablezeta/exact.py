@@ -6,8 +6,21 @@ Hermite normal form is upper triangular with positive diagonal and
 off-diagonal entries reduced modulo the diagonal of their column.
 """
 
+import operator
 from fractions import Fraction
 from math import isqrt
+
+from .errors import InputError
+
+
+def int_tuple(xs):
+    """The entries of xs as a tuple of ints.  An entry that is not an
+    integer (1.5, Fraction(3, 2), even 1.0) raises InputError; it is never
+    truncated."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError as e:
+        raise InputError(f"expected integers: {e}") from None
 
 
 def valuation(n, p):

@@ -37,17 +37,18 @@ p=3 (its bound D_3), takes about 0.36 s; ``count --family fusion
 takes about 0.4 s (0.58 s with ``maximal_ideals`` at every prime).
 
 The descent counts the ideals of a commutative, associative ring with
-identity b_0, and both entry points refuse any other table first: a
-non-commutative one with ``NonCommutative``, any other with
-``InputError``.
+identity b_0, and both entry points refuse any other table first, through
+``algebra.check_ring``: a non-commutative one with ``NonCommutative``,
+any other with ``InputError``.
 """
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
 
-from .errors import InputError, NonCommutative
-from .exact import charpoly, divisors, fmat_det, is_prime, mat_mul, primes_up_to
+from .algebra import action_matrix, check_ring, unit_vectors
+from .errors import InputError
+from .exact import charpoly, divisors, fmat_det, int_tuple, is_prime, mat_mul, primes_up_to
 from .modp import MaximalIdeal, _horner, kernel, maximal_ideals, pivots, rref
 
 
@@ -57,7 +58,7 @@ class LatticeHNF:
     matrix: tuple  # rows
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(map(int_tuple, self.matrix))
         object.__setattr__(self, "matrix", m)
         if len(m) != self.dim or any(len(r) != self.dim for r in m):
             raise InputError("matrix shape does not match dim")
@@ -84,7 +85,7 @@ class IdealCountSeries:
     counts: tuple  # a_1 .. a_N
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(x) for x in self.counts))
+        object.__setattr__(self, "counts", int_tuple(self.counts))
         if len(self.counts) != self.bound:
             raise InputError("counts length must equal the bound")
         if self.bound >= 1 and self.counts[0] != 1:
@@ -129,14 +130,7 @@ def _hnf_rows(dim, n):
 def _action_matrices(table):
     """Row-action matrices of b_1 .. b_{r-1}: for x a row vector, x . A_i
     is b_i x.  The identity b_0 is skipped."""
-    r = len(table)
-    return [_times_matrix(table, [int(i == j) for j in range(r)]) for i in range(1, r)]
-
-
-def _times_matrix(table, g):
-    "The action matrix of g: x . A is g x for a row vector x."
-    r = len(table)
-    return tuple(tuple(sum(x * table[i][l][k] for i, x in enumerate(g) if x) for k in range(r)) for l in range(r))
+    return [action_matrix(table, e) for e in unit_vectors(len(table))[1:]]
 
 
 def _in_lattice(rows, v):
@@ -183,7 +177,7 @@ def count_ideals(table, bound) -> IdealCountSeries:
     count: the descent at every prime up to the bound."""
     if bound < 1:
         raise InputError("bound must be >= 1")
-    _check_table(table)
+    check_ring(table)
     found = _descend(table, bound, primes_up_to(bound))
     return IdealCountSeries(bound, tuple(found.get(n, 0) for n in range(1, bound + 1)))
 
@@ -195,33 +189,9 @@ def count_ideals_at_prime(table, p, kmax):
         raise InputError(f"{p} is not a prime")
     if kmax < 0:
         raise InputError(f"kmax must be at least 0, got {kmax}")
-    _check_table(table)
+    check_ring(table)
     found = _descend(table, p**kmax, (p,))
     return [found.get(p**k, 0) for k in range(kmax + 1)]
-
-
-def _check_table(table):
-    """The descent counts the ideals of a commutative, associative ring
-    with identity b_0; any other tensor is refused before counting."""
-    r = len(table)
-    try:
-        ok = r >= 1 and all(len(plane) == r and all(len(row) == r for row in plane) for plane in table)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InputError(f"the multiplication table must be {r}x{r}x{r}")
-    for i in range(r):
-        for j in range(i + 1, r):
-            if tuple(table[i][j]) != tuple(table[j][i]):
-                raise NonCommutative(f"the table is not commutative: b{i} b{j} != b{j} b{i}")
-    for j in range(r):
-        if any(table[0][j][k] != (j == k) for k in range(r)):
-            raise InputError(f"b0 is not the identity: b0 b{j} != b{j}")
-    # row k of the action matrix of b_i b_j is (b_i b_j) b_k
-    times = [[_times_matrix(table, table[i][j]) for j in range(r)] for i in range(r)]
-    for i, j, k in product(range(r), repeat=3):
-        if times[i][j][k] != times[j][k][i]:
-            raise InputError(f"the table is not associative: (b{i} b{j}) b{k} != b{i} (b{j} b{k})")
 
 
 def _count_for_index(job):
@@ -269,8 +239,8 @@ def _descend(table, bound, primes):
             ms = _linear_maximal_ideals(table, split, p)
         else:
             ms = maximal_ideals(table, p)
-        steps.extend((p, m, [_times_matrix(table, g) for g in m.generators]) for m in ms)
-    top = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        steps.extend((p, m, [action_matrix(table, g) for g in m.generators]) for m in ms)
+    top = tuple(unit_vectors(r))
     levels = {1: {top: 0}}  # index -> {HNF rows: position in steps of the last step}
     pending = [1]
     found = {}
@@ -314,8 +284,8 @@ def _splitting_element(table):
     r = len(table)
     if r == 1:
         return None
-    for theta in [tuple(int(i == j) for j in range(r)) for i in range(1, r)] + [tuple(range(r))]:
-        m = _times_matrix(table, theta)
+    for theta in unit_vectors(r)[1:] + [tuple(range(r))]:
+        m = action_matrix(table, theta)
         sums, power = [r], m  # Tr(M^0), ..., Tr(M^(2r-2))
         for _ in range(2 * r - 2):
             sums.append(sum(power[i][i] for i in range(r)))
@@ -348,7 +318,7 @@ def _linear_maximal_ideals(table, split, p):
     for a in range(p):
         if _horner(chi, a, p) == 0:
             g = ((theta[0] - a) % p,) + tuple(x % p for x in theta[1:])
-            out.append(MaximalIdeal(1, rref(_times_matrix(table, g), p), (g,)))
+            out.append(MaximalIdeal(1, rref(action_matrix(table, g), p), (g,)))
             if len(out) == r:
                 break
     return sorted(out, key=lambda m: m.basis)

@@ -30,6 +30,8 @@ that makes the ideal all of A is taken on no field of J.
 
 from collections import namedtuple
 
+from . import algebra
+from .algebra import action_matrix, unit_vectors
 from .exact import charpoly, hnf_square, mat_mul
 
 # f: residue degree [A : m] over F_p; basis: the reduced row echelon basis
@@ -118,18 +120,7 @@ def kernel_mod_pk(rows, p, K):
 
 def multiply(lam, u, v, p):
     "The product of two coefficient vectors in Lambda / p Lambda."
-    r = len(lam)
-    out = [0] * r
-    for i, ui in enumerate(u):
-        if ui:
-            plane = lam[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    c = ui * vj
-                    for k, x in enumerate(plane[j]):
-                        if x:
-                            out[k] += c * x
-    return tuple(x % p for x in out)
+    return tuple(x % p for x in algebra.multiply(lam, u, v))
 
 
 def _power(lam, x, e, p):
@@ -156,7 +147,7 @@ def maximal_ideals(lam, p):
     """The maximal ideals of Lambda / p Lambda with their residue degrees,
     ordered by their bases."""
     r = len(lam)
-    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    unit = unit_vectors(r)
     frob = tuple(_power(lam, e, p, p) for e in unit)  # row i: b_i^p
     frob_k, reach = frob, p
     while reach < r:
@@ -171,14 +162,14 @@ def maximal_ideals(lam, p):
         if len(ideals) == fields:
             break
         # the values of t on the fields are roots of its characteristic polynomial
-        chi = charpoly(tuple(multiply(lam, e, t, p) for e in unit))
+        chi = charpoly(action_matrix(lam, t))
         values = [x for x in range(p) if _horner(chi, x, p) == 0]
         split = []
         for ideal in ideals:
             left = r - len(ideal)  # dim A/ideal, shared out among the pieces
             for value in values:
                 shifted = ((t[0] - value) % p,) + tuple(t[1:])
-                piece = rref(list(ideal) + [multiply(lam, shifted, e, p) for e in unit], p)
+                piece = rref(ideal + action_matrix(lam, shifted), p)
                 if len(piece) < r:
                     split.append(piece)
                     left -= r - len(piece)
@@ -191,11 +182,10 @@ def maximal_ideals(lam, p):
 def _ideal_generators(lam, basis, p):
     """A few members of the basis of an ideal that generate it: each is
     the one that enlarges the ideal generated so far the most."""
-    unit = [tuple(int(i == j) for j in range(len(lam))) for i in range(len(lam))]
     gens, span = [], ()
     while len(span) < len(basis):
         span, g = max(
-            ((rref(list(span) + [multiply(lam, g, e, p) for e in unit], p), g) for g in basis),
+            ((rref(span + action_matrix(lam, g), p), g) for g in basis),
             key=lambda pair: len(pair[0]),
         )
         gens.append(g)

@@ -1,7 +1,14 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tablezeta import BasisKind, TableAlgebra, degree_map, regular_representation, rescale, validate
-from tablezeta.errors import NonIntegralRescale
+from tablezeta import modp
+from tablezeta.algebra import action_matrix, check_ring, multiply, ring_violations
+from tablezeta.errors import InputError, NonCommutative, NonIntegralRescale
 from tablezeta.families import conference, drt, fusion
 from tablezeta.polys import AlgebraicNumber
 
@@ -136,3 +143,98 @@ def test_rescale_roundtrip():
 def test_rescale_standard_family_is_fixed_point():
     t = drt(1)
     assert rescale(t, "standard").lam == t.lam
+
+
+def reference_product(lam, u, v):
+    "The triple sum sum_ijk u_i v_j lambda[i][j][k] b_k, entry by entry."
+    r = len(lam)
+    return tuple(sum(u[i] * v[j] * lam[i][j][k] for i in range(r) for j in range(r)) for k in range(r))
+
+
+def reference_ring_axioms(lam):
+    """The ring axioms a tensor breaks, found by the entrywise loops:
+    lambda[0][j] and lambda[j][0] against the unit vectors, lambda[i][j]
+    against lambda[j][i], and every coordinate of (b_i b_j) b_k against
+    b_i (b_j b_k)."""
+    r = len(lam)
+    found = set()
+    for j, k in product(range(r), repeat=2):
+        if lam[0][j][k] != (j == k) or lam[j][0][k] != (j == k):
+            found.add("identity")
+    for i, j in product(range(r), repeat=2):
+        if lam[i][j] != lam[j][i]:
+            found.add("commutativity")
+    for i, j, k, l in product(range(r), repeat=4):
+        lhs = sum(lam[i][j][m] * lam[m][k][l] for m in range(r))
+        rhs = sum(lam[j][k][m] * lam[i][m][l] for m in range(r))
+        if lhs != rhs:
+            found.add("associativity")
+    return found
+
+
+@st.composite
+def _small_tensors(draw):
+    """A random r x r x r tensor with r <= 3 and entries 0..2, made
+    unital, commutative or both as often as not, so that every subset of
+    the ring axioms can fail."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=0, max_value=2)
+    lam = draw(st.lists(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        for i in range(r):
+            for j in range(i):
+                lam[i][j] = list(lam[j][i])
+    if draw(st.booleans()):
+        for j in range(r):
+            lam[0][j] = lam[j][0] = [int(j == k) for k in range(r)]
+    return lam
+
+
+def _vectors(r, entries):
+    return st.lists(entries, min_size=r, max_size=r)
+
+
+RING_AXIOMS = {"identity", "commutativity", "associativity"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_tensors(), st.data())
+@example(fusion("e6").lam, None)
+@example(drt(1).lam, None)
+@example([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 1, 1]]], None)
+# upper triangular 2 x 2 matrices on 1, E12, E22: associative, not commutative
+@example([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 1]]], None)
+def test_table_primitives_match_the_reference_loops(lam, data):
+    r = len(lam)
+    if data is not None:
+        rationals = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
+        u, v = data.draw(_vectors(r, rationals)), data.draw(_vectors(r, rationals))
+        assert multiply(lam, u, v) == reference_product(lam, u, v)
+        rows = action_matrix(lam, u)
+        for l in range(r):
+            assert rows[l] == multiply(lam, u, [int(i == l) for i in range(r)])
+        x, y = data.draw(_vectors(r, st.integers(-9, 9))), data.draw(_vectors(r, st.integers(-9, 9)))
+        for p in (2, 3, 7):
+            assert modp.multiply(lam, x, y, p) == tuple(c % p for c in reference_product(lam, x, y))
+    broken = reference_ring_axioms(lam)
+    assert {axiom for axiom, _ in ring_violations(lam)} == broken
+    assert {axiom for axiom, _ in validate(TableAlgebra(r, lam, tuple(range(r)))).violations} & RING_AXIOMS == broken
+    if "commutativity" in broken:
+        with pytest.raises(NonCommutative):
+            check_ring(lam)
+    elif broken:
+        with pytest.raises(InputError):
+            check_ring(lam)
+    else:
+        check_ring(lam)
+
+
+def test_check_ring_refuses_ragged_and_non_integer_tensors():
+    with pytest.raises(InputError):
+        check_ring([[[1, 0], [0, 1]], [[0, 1]]])
+    with pytest.raises(InputError):
+        check_ring([])
+    with pytest.raises(InputError):
+        check_ring([[[1, 0], [0, 1]], [[0, 1], [1.0, 0]]])
+    with pytest.raises(InputError):
+        check_ring([[[1, 0], [0, 1]], [[0, 1], [Fraction(1), 0]]])

@@ -6,9 +6,10 @@ import pytest
 from tablezeta.algebra import TableAlgebra, degree_map
 from tablezeta.cli import main
 from tablezeta.decomposition import character_table, find_generator, maximal_order
-from tablezeta.dirichlet import LocalRationalFunction, infer_local_polynomial
+from tablezeta.dirichlet import DirichletSeries, LocalRationalFunction, infer_local_polynomial
 from tablezeta.errors import (
     BasisKindMismatch,
+    InputError,
     MaximalityUncertified,
     NonCommutative,
     NonIntegralQuotient,
@@ -18,7 +19,7 @@ from tablezeta.errors import (
 )
 from tablezeta.exact import hnf_square
 from tablezeta.genus import LocalModel, _membership_congruence_matrix, block_triangularize, triple_matrix
-from tablezeta.ideals import quotient_ring_table
+from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, quotient_ring_table
 
 
 def klein_four_table():
@@ -79,6 +80,63 @@ def test_count_refuses_non_associative_table(tmp_path, capsys, mode):
     assert main(["count", _table_file(tmp_path, non_associative_table()), *mode]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not associative" in captured.err
+
+
+# commutative with identity b0, b1^2 = b1 b2 = 0 and b2^2 = 1 + b1 + b2, so
+# (b1 b2) b2 = 0 but b1 (b2 b2) = b1; it has no bad prime
+NON_ASSOCIATIVE_RANK3 = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [1, 1, 1]],
+]
+
+
+@pytest.mark.parametrize("command", ["decompose", "zeta", "verify", "count"])
+def test_every_command_refuses_a_non_associative_table(tmp_path, capsys, command):
+    args = [] if command == "decompose" else ["--max-index", "12"]
+    assert main([command, _table_file(tmp_path, NON_ASSOCIATIVE_RANK3), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not associative" in captured.err
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_analysis_refuses_the_non_associative_group_ring_variant(tmp_path, capsys, command):
+    assert main([command, _table_file(tmp_path, non_associative_table())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not associative" in captured.err
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_analysis_refuses_a_non_commutative_table(tmp_path, capsys, command):
+    assert main([command, _table_file(tmp_path, NON_COMMUTATIVE)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not commutative" in captured.err
+
+
+def test_maximal_order_and_degree_map_refuse_a_non_associative_table():
+    t = TableAlgebra(3, NON_ASSOCIATIVE_RANK3, (0, 1, 2))
+    with pytest.raises(InputError, match="not associative"):
+        maximal_order(t)
+    with pytest.raises(InputError, match="not associative"):
+        degree_map(t)
+
+
+def test_count_ideals_refuses_a_float_entry():
+    lam = [[[1, 0], [0, 1]], [[0, 1], [1.0, 0]]]
+    with pytest.raises(InputError):
+        count_ideals(lam, 8)
+
+
+def test_constructors_refuse_non_integer_entries():
+    # int() would truncate each of these instead of refusing it
+    with pytest.raises(InputError):
+        TableAlgebra(2, [[[1, 0], [0, 1]], [[0, 1], [1.5, 0]]], (0, 1))
+    with pytest.raises(InputError):
+        DirichletSeries(2, (1, Fraction(3, 2)))
+    with pytest.raises(InputError):
+        IdealCountSeries(2, (1, 2.5))
+    with pytest.raises(InputError):
+        LatticeHNF(2, ((1, 0), (0, 1.5)))
 
 
 def test_uncertified_cubic_refused():
