@@ -214,8 +214,10 @@ def rescale(t: TableAlgebra, target) -> TableAlgebra:
     standard the factors are delta(b_i)/lambda[i][i*][0], evaluated
     exactly in the degree character's field; irrational results raise
     NonIntegralRescale (e.g. the E6 fusion ring, where delta(d) = 1+sqrt(3)
-    makes the standard basis non-integral).
+    makes the standard basis non-integral).  A table that check_ring
+    refuses is refused first, with its error, toward either target.
     """
+    check_ring(t.lam)
     if isinstance(target, str):
         target = BasisKind(target)
     if target not in (BasisKind.STANDARD, BasisKind.TRANSITIONAL):

@@ -19,6 +19,11 @@ its HNF coordinates; each region has a closed-form integral.  Counts of
 regions are polynomials in p, so the same tree serves the symbolic mode;
 all lattice-level computations in the numeric mode are independent exact
 integer arithmetic, and residue-count certificates tie the two together.
+
+A genus zeta function sums its regions' integrals over one denominator
+p^e (p-1)^c, read off the regions, in integers (numeric mode) or PPoly
+(symbolic mode); after the factor mu(Aut M)^{-1} every coefficient is
+divided by it exactly, and a remainder raises ArithmeticError.
 """
 
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from .exact import hnf_square, is_prime, lattice_det, mat_mul, valuation
 from .ideals import LatticeHNF
 from .modp import kernel_mod_pk, rref
 from .polys import padd
-from .ppoly import PM1, PFrac, PPoly
+from .ppoly import PM1, PPoly
 
 
 @dataclass(frozen=True)
@@ -520,92 +525,37 @@ def _split(model, state, lead_r, lead_z, pend_r, pend_z, count, out, bound, dept
 # --- region integrals and genus zeta functions ------------------------------
 
 
-def _scalars(model):
-    "one, p-as-scalar, and converters for the two coefficient modes."
-    if model.symbolic:
-        return PFrac(1), PFrac(PPoly.var())
-    return Fraction(1), Fraction(model.p)
+def _region_sum(model, regions):
+    """Sum of the regions' integrals as (num, C): the integral is
+    num(t) / (C (1-t)^2), num has integer (numeric) or PPoly (symbolic)
+    coefficients, and C = p^e (p-1)^c is one denominator for every region.
 
-
-def _part_value(model, part: RegionPart):
-    "(t-exponent, zeta-power, scalar measure factor) of one component."
-    one, p = _scalars(model)
-    if part.kind == "tail":
-        return part.valuation, 1, one
-    d = part.depth
-    if model.symbolic:
-        meas = PFrac(PPoly(1), PPoly.power(d - 1) * PM1)
-    else:
-        meas = Fraction(1, model.p ** (d - 1) * (model.p - 1))
-    return part.valuation, 0, meas
+    Per component a tail pi^w R (or p^w Z_p) integrates to t^w zeta and a
+    unit coset of valuation w and depth d to t^w / (p^(d-1) (p-1)); over
+    (1-t)^2, with zeta = 1/(1-t), a region with cosets S contributes
+    count * t^(sum w) * (1-t)^#S / (p^sum_S(d-1) (p-1)^#S).  So e and c
+    are the largest sum_S(d-1) and #S over the regions, and the region's
+    numerator term carries p^(e - sum_S(d-1)) (p-1)^(c - #S)."""
+    p, zero = (PPoly.var(), PPoly(0)) if model.symbolic else (model.p, 0)
+    cosets = [[part for part in (reg.quadratic, reg.rational) if part.kind == "coset"] for reg in regions]
+    depths = [sum(part.depth - 1 for part in parts) for parts in cosets]
+    e, c = max(depths), max(map(len, cosets))
+    num = [zero] * (max(reg.quadratic.valuation + reg.rational.valuation for reg in regions) + 3)
+    for reg, parts, d in zip(regions, cosets, depths):
+        count = reg.count if model.symbolic else reg.count(p)
+        term = count * p ** (e - d) * (p - 1) ** (c - len(parts))
+        texp = reg.quadratic.valuation + reg.rational.valuation
+        for k, mult in enumerate(((1,), (1, -1), (1, -2, 1))[len(parts)]):
+            num[texp + k] = num[texp + k] + term * mult
+    return num, p**e * (p - 1) ** c
 
 
 def region_integral(model: LocalModel, region: Region) -> LocalRationalFunction:
-    "count * product of the component integrals, as num/(1-t)^2."
-    acc = {0: {}, 1: {}, 2: {}}
-    _accumulate_region(model, region, acc)
-    return _finalize(model, acc, shift=0, scale=_scalars(model)[0], integral=False)
-
-
-def _accumulate_region(model, region, acc):
-    one, _ = _scalars(model)
-    texp = 0
-    zpow = 0
-    meas = one
-    for part in (region.quadratic, region.rational):
-        t, z, s = _part_value(model, part)
-        texp += t
-        zpow += z
-        meas = meas * s
+    "count * product of the component integrals, as num/(1-t)^2 with Fraction coefficients."
     if model.symbolic:
-        cnt = PFrac(region.count)
-    else:
-        cnt = Fraction(region.count(model.p))
-    val = meas * cnt
-    acc[zpow][texp] = acc[zpow].get(texp, one * 0) + val
-
-
-def _finalize(model, acc, shift, scale, integral=True):
-    "Assemble sum_z A_z(t) zeta^z as N(t) / (1-t)^2, then shift by t^-shift."
-    one, _ = _scalars(model)
-    zero = one * 0
-    length = max((e for d in acc.values() for e in d), default=0) + 3
-    num = [zero] * length
-    for zpow, d in acc.items():
-        mult = {0: (1, -2, 1), 1: (1, -1), 2: (1,)}[zpow]
-        for e, val in d.items():
-            for k, c in enumerate(mult):
-                num[e + k] = num[e + k] + val * c
-    for _ in range(shift):
-        if not _is_zero_scalar(num[0]):
-            raise ArithmeticError("index shift below t^0")
-        num.pop(0)
-    num = [x * scale for x in num]
-    coeffs = [_demote(model, x, integral) for x in num]
-    while len(coeffs) > 1 and _is_zero_scalar(coeffs[-1]):
-        coeffs.pop()
-    return LocalRationalFunction(None if model.symbolic else model.p, tuple(coeffs), (1, -2, 1))
-
-
-def _is_zero_scalar(x):
-    if isinstance(x, PFrac):
-        return x.is_zero()
-    return x == 0
-
-
-def _demote(model, x, integral=True):
-    "Genus sums must clear every measure denominator; single regions need not."
-    if model.symbolic:
-        if not integral:
-            return x
-        poly = x.as_poly() if isinstance(x, PFrac) else PPoly(x)
-        return poly if poly.degree() > 0 else poly.c[0]
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    if integral:
-        raise ArithmeticError(f"non-integral zeta coefficient {f}")
-    return f
+        raise UnsupportedM("region integrals need a concrete prime; symbolic sums go through genus_zeta")
+    num, den = _region_sum(model, [region])
+    return LocalRationalFunction(model.p, tuple(Fraction(x, den) for x in num), (1, -2, 1))
 
 
 def automorphism_measure_inverse(model: LocalModel, lattice):
@@ -671,18 +621,25 @@ def genus_zeta(model: LocalModel, lattice, muinv=None) -> LocalRationalFunction:
     params = lattice.params if isinstance(lattice, IntermediateLattice) else tuple(lattice)
     r, i, j = params
     comp = complementary_lattice(model, lattice if isinstance(lattice, IntermediateLattice) else params)
-    regions = decompose_domain(model, comp)
-    acc = {0: {}, 1: {}, 2: {}}
-    for reg in regions:
-        _accumulate_region(model, reg, acc)
+    num, den = _region_sum(model, decompose_domain(model, comp))
     if muinv is None:
         muinv = automorphism_measure_inverse(model, params)
-    if model.symbolic:
-        scale = PFrac(muinv)
-    else:
-        scale = Fraction(muinv)
     shift = (3 * model.m + 1) - (i + j)
-    return _finalize(model, acc, shift=shift, scale=scale)
+    if any(x != 0 for x in num[:shift]):
+        raise ArithmeticError("index shift below t^0")
+    coeffs = [_divide_exact(x * muinv, den) for x in num[shift:]]
+    return LocalRationalFunction(None if model.symbolic else model.p, tuple(coeffs), (1, -2, 1))
+
+
+def _divide_exact(x, den):
+    "x / den for genus sums, which must clear every measure denominator; constants as int."
+    if isinstance(x, PPoly):
+        q = x.divide_exact(den)
+        return q if q.degree() > 0 else q.c[0]
+    q, r = divmod(x, den)
+    if r:
+        raise ArithmeticError(f"non-integral zeta coefficient {Fraction(x, den)}")
+    return q
 
 
 def total_local_zeta(model: LocalModel) -> LocalRationalFunction:
@@ -698,7 +655,8 @@ def sum_genus_zetas(zetas) -> LocalRationalFunction:
 
 
 def _add_same_den(a: LocalRationalFunction, b: LocalRationalFunction) -> LocalRationalFunction:
-    assert a.den == b.den
+    if a.den != b.den:
+        raise ArithmeticError(f"genus zeta functions over different denominators {a.den} and {b.den}")
     return LocalRationalFunction(a.p, padd(a.num, b.num), a.den)
 
 

@@ -165,7 +165,9 @@ def _closed(acts, rows):
 
 
 def is_ideal(table, lattice: LatticeHNF) -> bool:
-    "True iff the lattice is closed under multiplication by every basis element."
+    """True iff the lattice is closed under multiplication by every basis
+    element of the table, which check_ring must accept first."""
+    check_ring(table)
     dim = len(table)
     if lattice.dim != dim:
         raise InputError(f"lattice dimension {lattice.dim} != table rank {dim}")

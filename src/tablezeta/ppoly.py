@@ -1,12 +1,10 @@
 """Integer polynomials in a formal prime parameter.
 
 Used by the symbolic mode of the local genus calculus: measures and
-lattice-point counts there are polynomials in p, and every division that
-occurs (by powers of p and of p-1) must be exact.
+lattice-point counts there are polynomials in p.  A genus sum is
+accumulated as a PPoly over one denominator p^e (p-1)^c, and the one
+division it needs, by that denominator, must be exact.
 """
-
-from fractions import Fraction
-from math import gcd
 
 from .polys import padd, pdiv_exact, peval, pmul, to_int_poly
 
@@ -73,6 +71,12 @@ class PPoly:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e):
+        out = PPoly(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
     def __call__(self, value):
         return peval(self.c, value)
 
@@ -80,12 +84,6 @@ class PPoly:
         """Exact division in Z[p]: ArithmeticError on a remainder or a
         non-integral quotient, ZeroDivisionError on a zero divisor."""
         return PPoly(to_int_poly(pdiv_exact(self.c, _lift(other).c)))
-
-    def content(self):
-        g = 0
-        for x in self.c:
-            g = gcd(g, x)
-        return g if g else 1
 
     def __repr__(self):
         return f"PPoly({self.c})"
@@ -120,102 +118,3 @@ def _lift(x):
 
 P = PPoly.var()
 PM1 = PPoly((-1, 1))  # p - 1
-
-
-class PFrac:
-    """Quotient of PPolys.  Denominators only ever accumulate factors
-    p^a * (p-1)^b * integer, so reduction is a few exact divisions."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=PPoly((1,))):
-        self.num = _lift(num)
-        self.den = _lift(den)
-        if self.den.is_zero():
-            raise ZeroDivisionError
-        self._reduce()
-
-    def _reduce(self):
-        num, den = self.num, self.den
-        if num.is_zero():
-            self.num, self.den = PPoly(0), PPoly(1)
-            return
-        # strip powers of p
-        while len(num.c) > 1 and num.c[0] == 0 and len(den.c) > 1 and den.c[0] == 0:
-            num = PPoly(num.c[1:])
-            den = PPoly(den.c[1:])
-        # strip factors of (p-1)
-        while num(1) == 0 and den(1) == 0:
-            num = num.divide_exact(PM1)
-            den = den.divide_exact(PM1)
-        g = gcd(num.content(), den.content())
-        if den.c[-1] < 0:
-            g = -g
-        if g != 1:
-            num = PPoly(tuple(x // g for x in num.c))
-            den = PPoly(tuple(x // g for x in den.c))
-        self.num, self.den = num, den
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        other = _lift_frac(other)
-        return other is not None and (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        return hash((self.num.c, self.den.c))
-
-    def __add__(self, other):
-        other = _lift_frac(other)
-        if other is None:
-            return NotImplemented
-        return PFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _lift_frac(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _lift_frac(other) - self
-
-    def __mul__(self, other):
-        other = _lift_frac(other)
-        if other is None:
-            return NotImplemented
-        return PFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        return PFrac(self.den, self.num)
-
-    def as_poly(self):
-        "Exact conversion back to PPoly; raises if the denominator survives."
-        return self.num.divide_exact(self.den)
-
-    def __call__(self, value):
-        return Fraction(self.num(value), self.den(value))
-
-    def __repr__(self):
-        return f"PFrac({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == PPoly(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def _lift_frac(x):
-    if isinstance(x, PFrac):
-        return x
-    if isinstance(x, (int, PPoly)):
-        return PFrac(x)
-    return None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tablezeta.algebra import TableAlgebra, degree_map
+from tablezeta.algebra import TableAlgebra, degree_map, rescale
 from tablezeta.cli import main
 from tablezeta.decomposition import character_table, find_generator, maximal_order
 from tablezeta.dirichlet import DirichletSeries, LocalRationalFunction, infer_local_polynomial
@@ -19,7 +19,7 @@ from tablezeta.errors import (
 )
 from tablezeta.exact import hnf_square
 from tablezeta.genus import LocalModel, _membership_congruence_matrix, block_triangularize, triple_matrix
-from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, quotient_ring_table
+from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal, quotient_ring_table
 
 
 def klein_four_table():
@@ -119,6 +119,30 @@ def test_maximal_order_and_degree_map_refuse_a_non_associative_table():
         maximal_order(t)
     with pytest.raises(InputError, match="not associative"):
         degree_map(t)
+
+
+@pytest.mark.parametrize(
+    "lam, error",
+    [([[[1.5]]], InputError), (NON_ASSOCIATIVE_RANK3, InputError), (NON_COMMUTATIVE, NonCommutative)],
+    ids=["float", "non-associative", "non-commutative"],
+)
+def test_is_ideal_refuses_a_table_that_is_not_a_ring(lam, error):
+    rank = len(lam)
+    whole = LatticeHNF(rank, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+    with pytest.raises(error):
+        is_ideal(lam, whole)
+
+
+@pytest.mark.parametrize("target", ["standard", "transitional"])
+def test_rescale_refuses_a_non_associative_table(target):
+    # commutative with identity b0, but (b1 b1) b2 = (b0 + b1) b2 = 2 b2 while b1 (b1 b2) = b1 b2 = b2
+    lam = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [0, 0, 1], [1, 0, 0]],
+    ]
+    with pytest.raises(InputError, match="the table is not associative"):
+        rescale(TableAlgebra(3, lam, (0, 1, 2)), target)
 
 
 def test_count_ideals_refuses_a_float_entry():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tablezeta.dirichlet import expand, theorem_local_factor
+from tablezeta.dirichlet import LocalRationalFunction, expand, theorem_local_factor
 from tablezeta.errors import InputError, UnsupportedM
 from tablezeta.exact import valuation
 from tablezeta.genus import (
@@ -22,6 +22,7 @@ from tablezeta.genus import (
     model_for_order,
     region_integral,
     residue_certificate,
+    sum_genus_zetas,
     total_local_zeta,
     triple_matrix,
     Region,
@@ -271,6 +272,12 @@ def test_region_scaling_shifts_exponent():
     assert fs.num == (0,) + fb.num
 
 
+def test_region_integral_needs_a_concrete_prime():
+    reg = Region(RegionPart("coset", 0, 2), RegionPart("tail", 0), PPoly(1))
+    with pytest.raises(UnsupportedM):
+        region_integral(LocalModel(p=None, m=1, v=None), reg)
+
+
 def test_decompose_lambda0_single_tail_pair():
     model = model_for_order(27, 3)
     regions = decompose_domain(model, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -354,6 +361,21 @@ def test_genus_zeta_m0():
     assert z0.num == (0, 1) and z0.den == (1, -2, 1)  # p^{-s} zeta^2
     z1 = genus_zeta(model, (0, 0, 1))
     assert z1.num == (1, -2, 7)  # 1 + (p-1) t^2 zeta^2 over (1-t)^2
+
+
+@pytest.mark.parametrize("model", [model_for_order(27, 3), LocalModel(p=None, m=1, v=None)], ids=["p3", "symbolic"])
+def test_genus_zeta_refuses_a_non_integral_sum(model):
+    # mu(Aut M(0,0,1))^-1 is p - 1 = 2 at p = 3; with 1 in its place the
+    # region sum does not clear the measure denominator p^e (p-1)^c
+    with pytest.raises(ArithmeticError):
+        genus_zeta(model, (0, 0, 1), muinv=1)
+
+
+def test_sum_genus_zetas_refuses_different_denominators():
+    a = LocalRationalFunction(3, (1,), (1, -2, 1))
+    b = LocalRationalFunction(3, (1,), (1, -1))
+    with pytest.raises(ArithmeticError, match="different denominators"):
+        sum_genus_zetas([a, b])
 
 
 @pytest.mark.parametrize("params", M1_REPS)
@@ -440,6 +462,7 @@ def test_ppoly_arithmetic_matches_evaluation(a, b, x):
     a, b = PPoly(a), PPoly(b)
     assert (a + b)(x) == a(x) + b(x)
     assert (a * b)(x) == a(x) * b(x)
+    assert (a**3)(x) == a(x) ** 3
     if not b.is_zero():
         assert (a * b).divide_exact(b) == a
 
