@@ -7,52 +7,50 @@ them against each other: brute-force sublattice enumeration, Euler
 products of Dedekind factors with exceptional polynomials counted to a
 proven degree bound, and (for the rank-3 families) a symbolic local
 genus-zeta calculus.
+
+Submodules load on first use: ``import tablezeta`` imports none of them,
+and a name below (``tablezeta.count_ideals``) or a submodule
+(``tablezeta.genus``) imports its module when it is first looked up.  So
+a command line run compiles only the modules its command calls.
 """
 
-from .algebra import BasisKind, TableAlgebra, degree_map, regular_representation, rescale, validate
-from .algfile import dump_algebra, load_algebra, parse_algebra
-from .decomposition import (
-    CharacterTable,
-    character_formula_idempotents,
-    character_table,
-    find_generator,
-    maximal_order,
-    primitive_idempotents,
-)
-from .dirichlet import (
-    DirichletSeries,
-    LocalRationalFunction,
-    assemble_global,
-    dedekind_euler_factor,
-    expand,
-    infer_local_polynomial,
-    theorem_local_factor,
-)
-from .families import FamilySpec, conference, drt, fusion
-from .genus import (
-    IntermediateLattice,
-    LocalModel,
-    Region,
-    RegionPart,
-    block_triangularize,
-    complementary_lattice,
-    automorphism_measure_inverse,
-    decompose_domain,
-    enumerate_genus_representatives,
-    genus_zeta,
-    lattices_isomorphic,
-    model_for_order,
-    region_integral,
-    total_local_zeta,
-)
-from .ideals import (
-    IdealCountSeries,
-    LatticeHNF,
-    count_ideals,
-    count_ideals_at_prime,
-    enumerate_sublattices,
-    is_ideal,
-)
-from .pipeline import verify_order, zeta_series
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines; each module's own name gives the module
+_EXPORTS = {
+    "algebra": "BasisKind TableAlgebra degree_map regular_representation rescale validate",
+    "algfile": "dump_algebra load_algebra parse_algebra",
+    "cli": "",
+    "decomposition": "CharacterTable character_formula_idempotents character_table find_generator"
+    " maximal_order primitive_idempotents",
+    "dirichlet": "DirichletSeries LocalRationalFunction assemble_global dedekind_euler_factor expand"
+    " infer_local_polynomial theorem_local_factor",
+    "errors": "",
+    "exact": "",
+    "families": "FamilySpec conference drt fusion",
+    "genus": "IntermediateLattice LocalModel Region RegionPart block_triangularize complementary_lattice"
+    " automorphism_measure_inverse decompose_domain enumerate_genus_representatives genus_zeta"
+    " lattices_isomorphic model_for_order region_integral total_local_zeta",
+    "ideals": "IdealCountSeries LatticeHNF count_ideals count_ideals_at_prime enumerate_sublattices is_ideal",
+    "modp": "",
+    "pipeline": "verify_order zeta_series",
+    "polys": "",
+    "ppoly": "",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}
+
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -21,7 +21,6 @@ from itertools import product
 
 from .errors import InputError, NonCommutative, NonIntegralRescale
 from .exact import charpoly, int_tuple
-from .polys import AlgebraicNumber, factor_rational, largest_real_root, squarefree_part
 
 
 class BasisKind(enum.Enum):
@@ -185,12 +184,17 @@ def regular_representation(t: TableAlgebra, i: int):
 
 def radical_of_charpoly(m):
     "Squarefree part of the characteristic polynomial (same roots, each once)."
+    from .polys import squarefree_part  # not at module level: loading a table needs no polynomial algebra
+
     return squarefree_part(charpoly(m))
 
 
-def perron_root(m) -> AlgebraicNumber:
+def perron_root(m):
     """Largest real eigenvalue of a nonnegative integer matrix, as an exact
-    algebraic number (minimal polynomial = its irreducible factor)."""
+    algebraic number (``polys.AlgebraicNumber``; minimal polynomial = its
+    irreducible factor)."""
+    from .polys import factor_rational, largest_real_root
+
     _, best = largest_real_root(factor_rational(radical_of_charpoly(m)))
     if best is None:
         raise ArithmeticError("matrix has no real eigenvalue")

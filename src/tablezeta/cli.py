@@ -11,21 +11,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import TableAlgebra, validate
+from .algebra import TableAlgebra
 from .algfile import load_algebra
-from .decomposition import maximal_order
-from .dirichlet import _poly_str
 from .errors import InputError, TableZetaError, UnsupportedCaseError
 from .families import FUSION_NAMES, FamilySpec
-from .genus import (
-    LocalModel,
-    enumerate_genus_representatives,
-    genus_zeta,
-    model_for_order,
-    sum_genus_zetas,
-)
-from .ideals import count_ideals, count_ideals_at_prime
-from .pipeline import verify_order, zeta_series
 
 
 def _source(args) -> TableAlgebra:
@@ -56,7 +45,13 @@ def _add_source_args(sp):
     sp.add_argument("--name", choices=list(FUSION_NAMES), help="fusion ring name")
 
 
+# Each command imports the modules it runs when it is called, so that
+# parsing the arguments and loading the algebra compile nothing else.
+
+
 def cmd_validate(args):
+    from .algebra import validate
+
     t = _source(args)
     report = validate(t)
     if args.format == "json-like":
@@ -67,6 +62,8 @@ def cmd_validate(args):
 
 
 def cmd_decompose(args):
+    from .decomposition import maximal_order
+
     t = _source(args)
     order = maximal_order(t)
     if args.format == "json-like":
@@ -103,6 +100,8 @@ def _vec(v):
 
 
 def cmd_count(args):
+    from .ideals import count_ideals, count_ideals_at_prime
+
     t = _source(args)
     if args.prime is not None:
         if args.max_index is not None:
@@ -122,6 +121,8 @@ def cmd_count(args):
 
 
 def cmd_zeta(args):
+    from .pipeline import zeta_series
+
     t = _source(args)
     series = zeta_series(t, args.max_index, progress=sys.stderr)
     print(series)
@@ -129,6 +130,9 @@ def cmd_zeta(args):
 
 
 def cmd_verify(args):
+    from .dirichlet import _poly_str
+    from .pipeline import verify_order
+
     t = _source(args)
     res = verify_order(t, args.max_index, progress=sys.stderr)
     for p in sorted(res.deltas):
@@ -140,7 +144,14 @@ def cmd_verify(args):
 
 
 def cmd_genus(args):
-    from . import genus  # resolved at call time, so the benchmark's traced run times the one measure call per class
+    from .genus import (
+        LocalModel,
+        automorphism_measure_inverse,
+        enumerate_genus_representatives,
+        genus_zeta,
+        model_for_order,
+        sum_genus_zetas,
+    )
 
     n = FamilySpec(args.family, u=args.u).order()
     if args.symbolic_p:
@@ -155,7 +166,7 @@ def cmd_genus(args):
         model = model_for_order(n, args.prime)
     zetas = []
     for rep in enumerate_genus_representatives(model):
-        mu = genus.automorphism_measure_inverse(model, rep.params)
+        mu = automorphism_measure_inverse(model, rep.params)
         z = genus_zeta(model, rep, muinv=mu)
         zetas.append(z)
         r, i, j = rep.params

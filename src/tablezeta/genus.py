@@ -575,9 +575,10 @@ def automorphism_measure_inverse(model: LocalModel, lattice):
             oi, oj = 1, 1
         else:
             raise UnsupportedM("symbolic measure implemented for the m <= 1 representatives")
-        out = PPoly.power(oi)
+        p = PPoly.var()
+        out = p**oi
         if oj >= 1:
-            out = out * PPoly.power(oj - 1) * PM1
+            out = out * p ** (oj - 1) * PM1
         return out
     m_rows = _rows_of(model, lattice)
     k0 = 2 * model.m + 2
@@ -677,10 +678,11 @@ def residue_certificate(model: LocalModel, lattice, regions, K):
     exps = _exp_matrix(model, lattice)
     det_exp = exps[0][0] + exps[1][1] + exps[2][2]
     if model.symbolic:
+        p = PPoly.var()
         lhs = PPoly(0)
         for reg in regions:
-            lhs = lhs + reg.count * PPoly.power(region_residue_exponent(reg, K))
-        rhs = PPoly.power(3 * K - det_exp)
+            lhs = lhs + reg.count * p ** region_residue_exponent(reg, K)
+        rhs = p ** (3 * K - det_exp)
         return lhs, rhs
     p = model.p
     lhs = sum(reg.count(p) * p ** region_residue_exponent(reg, K) for reg in regions)

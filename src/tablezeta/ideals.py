@@ -27,14 +27,15 @@ polynomial chi they are the (theta - a) for the roots a of chi mod p
 tests every HNF in turn, serves no entry point: it is the reference the
 descent is checked against in the test suite.
 
-Costs on a 2-core machine with Python 3.11, interpreter start-up
-(about 0.17 s) included: ``count`` on Z[C4] to N=64 takes about 0.2 s
+Costs on a 2-core machine with Python 3.11, wall time of the command
+with interpreter start and the import of the CLI (about 0.10 s, with no
+bytecode cache) included: ``count`` on Z[C4] to N=64 takes about 0.16 s
 (44 s with the stream); ``verify --family conference --u 3
---max-index 64``, which counts to 13^5 at p=13, takes about 0.18 s;
+--max-index 64``, which counts to 13^5 at p=13, takes about 0.16 s;
 ``zeta --family drt --u 6 --max-index 50``, which counts to 3^14 at
-p=3 (its bound D_3), takes about 0.36 s; ``count --family fusion
+p=3 (its bound D_3), takes about 0.38 s; ``count --family fusion
 --name e6 --max-index 1000``, where 157 primes take the roots of chi,
-takes about 0.4 s (0.58 s with ``maximal_ideals`` at every prime).
+takes about 0.36 s (0.58 s with ``maximal_ideals`` at every prime).
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through

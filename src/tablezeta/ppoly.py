@@ -26,10 +26,6 @@ class PPoly:
     def var():
         return PPoly((0, 1))
 
-    @staticmethod
-    def power(e):
-        return PPoly((0,) * e + (1,))
-
     def degree(self):
         return len(self.c) - 1
 
@@ -116,5 +112,4 @@ def _lift(x):
     return None
 
 
-P = PPoly.var()
 PM1 = PPoly((-1, 1))  # p - 1
