@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, InputError, MissingBadPrime, NonIntegralQuotient
 from .exact import int_tuple, is_prime, primes_up_to
+from .modp import root_count
 from .polys import padd, pdeg, peval, pmul, pnorm
 
 
@@ -194,7 +195,7 @@ def _residue_degrees_mod(poly, p):
     elif symbol == p - 1:
         roots = 1  # Stickelberger: a cubic with two irreducible factors
     else:
-        roots = _fp_gcd_deg(coeffs, _fp_sub(_fp_x_power_mod(p, coeffs, p), [0, 1], p), p)
+        roots = root_count(coeffs, p)
     if not disc:
         return [1] * roots  # the repeated factor is linear, so every factor is
     return [1] * roots + ([deg - roots] if roots < deg else [])
@@ -207,61 +208,6 @@ def _monic_discriminant(coeffs):
         return b * b - 4 * c
     c, b, a, _ = coeffs
     return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
-
-
-# Polynomials over F_p: ascending coefficient lists reduced mod p with no
-# trailing zeros; [] is the zero polynomial.
-
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _fp_rem(a, b, p):
-    "a mod b for b != 0."
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        q = a[-1] * inv % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * c) % p
-        _fp_trim(a)
-    return a
-
-
-def _fp_gcd_deg(a, b, p):
-    "Degree of gcd(a, b) for a != 0."
-    while b:
-        a, b = b, _fp_rem(a, b, p)
-    return len(a) - 1
-
-
-def _fp_mul_mod(a, b, f, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _fp_rem(_fp_trim([c % p for c in prod]), f, p)
-
-
-def _fp_x_power_mod(e, f, p):
-    "x^e mod f over F_p by square-and-multiply, for deg f >= 2."
-    out, base = [1], [0, 1]
-    while e:
-        if e & 1:
-            out = _fp_mul_mod(out, base, f, p)
-        base = _fp_mul_mod(base, base, f, p)
-        e >>= 1
-    return out
 
 
 def dedekind_euler_factor(ring, p) -> LocalRationalFunction:

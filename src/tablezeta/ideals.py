@@ -18,24 +18,30 @@ through maximal sub-ideals: the children of an ideal I are the J with
 mI <= J < I and I/J = Lambda/m for a maximal ideal m of Lambda/pLambda,
 so its cost grows with the number of ideals it finds, not with the
 number of lattices.  ``count_ideals`` descends at every prime up to the
-bound, ``count_ideals_at_prime`` at one prime.  At a prime p with
-p^2 > bound only the maximal ideals of residue degree 1 can be used, and
-when p does not divide the discriminant D of one characteristic
-polynomial chi they are the (theta - a) for the roots a of chi mod p
-(``_linear_maximal_ideals``); at every other prime they come from
-``modp.maximal_ideals``.  The plain stream (``_count_for_index``), which
-tests every HNF in turn, serves no entry point: it is the reference the
-descent is checked against in the test suite.
+bound, ``count_ideals_at_prime`` at one prime.  A step at p from an
+ideal of index prime to p has one child, and a child that can take no
+further step is counted, not built.  At a prime p with p^2 > bound
+every step is such a leaf, so the descent needs only the number of
+maximal ideals of residue degree 1 above p: when p does not divide the
+discriminant D of one characteristic polynomial chi, the number of
+roots of chi mod p (``_degree_one_count``).  At every other prime the
+maximal ideals come from ``modp.maximal_ideals``.  The plain stream
+(``_count_for_index``), which tests every HNF in turn, serves no entry
+point: it is the reference the descent is checked against in the test
+suite.
 
-Costs on a 2-core machine with Python 3.11, wall time of the command
-with interpreter start and the import of the CLI (about 0.10 s, with no
-bytecode cache) included: ``count`` on Z[C4] to N=64 takes about 0.16 s
-(44 s with the stream); ``verify --family conference --u 3
---max-index 64``, which counts to 13^5 at p=13, takes about 0.16 s;
-``zeta --family drt --u 6 --max-index 50``, which counts to 3^14 at
-p=3 (its bound D_3), takes about 0.38 s; ``count --family fusion
---name e6 --max-index 1000``, where 157 primes take the roots of chi,
-takes about 0.36 s (0.58 s with ``maximal_ideals`` at every prime).
+Costs on a 2-core machine with Python 3.11, median wall time of five
+runs of the command with interpreter start and the import of the CLI
+(about 0.07 s, with no bytecode cache) included, and in brackets the
+same runs when every child was built: ``count`` on Z[C4] to N=64 takes
+about 0.11 s (0.18 s; 44 s with the stream); ``verify --family
+conference --u 3 --max-index 64``, which counts to 13^5 at p=13, takes
+about 0.11 s (0.11 s); ``zeta --family drt --u 6 --max-index 50``, which
+counts to 3^14 at p=3 (its bound D_3), takes about 0.21 s (0.22 s);
+``count --family fusion --name e6 --max-index 1000``, where each of 157
+primes takes only a root count of chi, takes about 0.12 s (0.32 s); and
+``count --family fusion --name reps3 --max-index 1000``, with many
+leaves over its bad primes 2 and 3, takes about 0.28 s (0.65 s).
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
@@ -43,6 +49,7 @@ identity b_0, and both entry points refuse any other table first, through
 any other with ``InputError``.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
@@ -50,7 +57,7 @@ from itertools import product
 from .algebra import action_matrix, check_ring, unit_vectors
 from .errors import InputError
 from .exact import charpoly, divisors, fmat_det, int_tuple, is_prime, mat_mul, primes_up_to
-from .modp import MaximalIdeal, _horner, kernel, maximal_ideals, pivots, rref
+from .modp import kernel, maximal_ideals, pivots, root_count, rref
 
 
 @dataclass(frozen=True)
@@ -208,17 +215,6 @@ def _descend(table, bound, primes):
     """{n: number of index-n ideals} for every n <= bound with a nonzero
     count whose prime factors lie in ``primes`` (ascending).
 
-    The steps are the maximal ideals m of Lambda/pLambda for p in primes.
-    At a p with p^2 > bound that does not divide the discriminant D of the
-    characteristic polynomial chi of ``_splitting_element``, they are the
-    residue-degree-1 ideals (theta - a) for the roots a of chi mod p
-    (``_linear_maximal_ideals``): an m of residue degree f >= 2 there has
-    p^f > bound and gives no child.  At every other p, and everywhere when
-    no candidate theta has D != 0 or the rank is 1, they are all of
-    ``modp.maximal_ideals``.  theta is chosen only when the last prime
-    has p^2 > bound, so a tower at one prime to p^k with k >= 2 never
-    chooses it.
-
     Breadth-first from Lambda in order of index.  An ideal I of index n
     gets, for a maximal ideal m of residue degree f above a prime p in
     primes with n p^f <= bound, the children J with mI <= J < I and
@@ -227,32 +223,49 @@ def _descend(table, bound, primes):
     them), and I gets children only at the m of its own last step and
     after it.  Every ideal J of index at most bound is still reached:
     Lambda/J is the direct sum of its localizations at the m in its
-    support, so a composition series can take all its factors at the
-    first m, then all at the next, and so on, and each step is a
-    maximal sub-ideal.  That path is found, and the others are not
-    followed, so fewer children are built twice.  Children are kept by
-    canonical HNF, so an ideal reached from several parents is counted
-    once."""
+    support (Solomon 1977; Bushnell-Reiner 1980), so a composition series
+    can take all its factors at the first m, then all at the next, and so
+    on, and each step is a maximal sub-ideal.  That path is found, and the
+    others are not followed, so fewer children are built twice.  Children
+    are kept by canonical HNF, so an ideal reached from several parents is
+    counted once.
+
+    Leaves are counted, not built.  If p does not divide n, then
+    I_p = Lambda_p, so I/mI = I_m/mI_m = Lambda/m is one-dimensional over
+    F_q and I has the one child mI at m.  That child has no other parent.
+    The primes of the steps on a path never decrease, so the step that
+    makes an ideal is at the largest prime of its support, here p.  A
+    parent I' of mI at p has (mI)_p = m_p < I'_p with a simple quotient,
+    so I'_p = Lambda_p = I_p; away from p, I' and I both localize as mI
+    does, so I' = I.  So when mI can take no further step, n q p > bound,
+    it is counted by adding 1 to the count of index n q, with no HNF
+    built or kept: no other path reaches it.  At a p with p^2 > bound
+    every child is such a leaf (n p <= bound makes n < p and n p^2 >
+    bound), and only the m of residue degree 1 have children, so every
+    ideal of index n <= bound / p that the descent keeps adds their
+    number (``_degree_one_count``) to the count of index n p."""
     r = len(table)
     acts = _action_matrices(table)
-    split = _splitting_element(table) if primes and primes[-1] ** 2 > bound else None
-    steps = []  # (p, m, the action matrices of the generators of m)
-    for p in primes:
-        if split and p * p > bound and split[2] % p:
-            ms = _linear_maximal_ideals(table, split, p)
-        else:
-            ms = maximal_ideals(table, p)
-        steps.extend((p, m, [action_matrix(table, g) for g in m.generators]) for m in ms)
+    small = [p for p in primes if p * p <= bound]
+    large = primes[len(small) :]
+    # (p, m, the action matrices of the generators of m)
+    steps = [(p, m, [action_matrix(table, g) for g in m.generators]) for p in small for m in maximal_ideals(table, p)]
+    split = _splitting_element(table) if large else None
+    leaf_primes = [(p, count) for p in large if (count := _degree_one_count(table, split, p))]
     top = tuple(unit_vectors(r))
     levels = {1: {top: 0}}  # index -> {HNF rows: position in steps of the last step}
     pending = [1]
-    found = {}
+    found = defaultdict(int)
     while pending:
         n = heappop(pending)
         level = levels.pop(n)
-        found[n] = len(level)
+        found[n] += len(level)
         if not primes or n * primes[0] > bound:
             continue
+        for p, count in leaf_primes:
+            if n * p > bound:
+                break
+            found[n * p] += count * len(level)
         for rows, first in level.items():
             for pos in range(first, len(steps)):
                 p, m, gens = steps[pos]
@@ -260,6 +273,9 @@ def _descend(table, bound, primes):
                     break  # and every later step, whose p is no smaller
                 q = p**m.f
                 if n * q > bound:
+                    continue
+                if n % p and n * q * p > bound:
+                    found[n * q] += 1  # the one child mI, a leaf
                     continue
                 # mI / pI in the coordinates of I: the generators of m times the rows of I
                 w = rref([c for g in gens for c in _products(rows, g)], p)
@@ -299,11 +315,11 @@ def _splitting_element(table):
     return None
 
 
-def _linear_maximal_ideals(table, split, p):
-    """The maximal ideals of residue degree 1 of Lambda/pLambda, sorted as
-    ``maximal_ideals`` sorts them, for (theta, chi, D) from
-    ``_splitting_element`` with p not dividing D: (theta - a) for each root
-    a of chi mod p.
+def _degree_one_count(table, split, p):
+    """The number of maximal ideals of residue degree 1 of Lambda/pLambda,
+    for (theta, chi, D) from ``_splitting_element``, or None if there is
+    none.  If p does not divide D it is the number of roots of chi mod p;
+    otherwise it is read off ``modp.maximal_ideals``.
 
     chi mod p is squarefree, because p does not divide its discriminant,
     so multiplication by theta mod p has r distinct eigenvalues and its
@@ -314,17 +330,10 @@ def _linear_maximal_ideals(table, split, p):
     are (g(theta)) for the irreducible factors g of chi mod p, of residue
     degree deg g (the Dedekind-Kummer correspondence; Cohen, A Course in
     Computational Algebraic Number Theory, Thm 4.8.13).  Those of degree 1
-    are the (theta - a), spanned by (theta - a) b_j."""
-    theta, chi, _ = split
-    r = len(table)
-    out = []
-    for a in range(p):
-        if _horner(chi, a, p) == 0:
-            g = ((theta[0] - a) % p,) + tuple(x % p for x in theta[1:])
-            out.append(MaximalIdeal(1, rref(action_matrix(table, g), p), (g,)))
-            if len(out) == r:
-                break
-    return sorted(out, key=lambda m: m.basis)
+    are the (theta - a) for the roots a of chi mod p."""
+    if split and split[2] % p:
+        return root_count(split[1], p)
+    return sum(1 for m in maximal_ideals(table, p) if m.f == 1)
 
 
 def _products(rows, act):

@@ -1,5 +1,5 @@
-"""Linear algebra over F_p and Z/p^K, and the maximal ideals of
-Lambda / p Lambda.
+"""Linear algebra over F_p and Z/p^K, the number of roots of a
+polynomial mod p, and the maximal ideals of Lambda / p Lambda.
 
 Vectors are tuples of integers reduced into [0, p); a subspace is the
 tuple of its reduced row echelon basis (leading entry 1, zeros above and
@@ -141,6 +141,70 @@ def _horner(poly, x, p):
     for c in reversed(poly):
         out = (out * x + c) % p
     return out
+
+
+# Polynomials over F_p: ascending coefficient lists reduced mod p with no
+# trailing zeros; [] is the zero polynomial.
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _fp_rem(a, b, p):
+    "a mod b for b != 0."
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q = a[-1] * inv % p
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - q * c) % p
+        _fp_trim(a)
+    return a
+
+
+def _fp_gcd_deg(a, b, p):
+    "Degree of gcd(a, b) for a != 0."
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    return len(a) - 1
+
+
+def _fp_mul_mod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _fp_rem(_fp_trim([c % p for c in prod]), f, p)
+
+
+def _fp_x_power_mod(e, f, p):
+    "x^e mod f over F_p by square-and-multiply, for deg f >= 1."
+    out, base = [1], [0, 1]
+    while e:
+        if e & 1:
+            out = _fp_mul_mod(out, base, f, p)
+        base = _fp_mul_mod(base, base, f, p)
+        e >>= 1
+    return out
+
+
+def root_count(poly, p):
+    """The number of distinct roots in F_p of a monic integer polynomial f
+    of degree >= 1, given by ascending coefficients: deg gcd(f, x^p - x)
+    mod p, since x^p - x is the product of the x - a over F_p; x^p mod f
+    by square-and-multiply."""
+    f = _fp_trim([x % p for x in poly])
+    return _fp_gcd_deg(f, _fp_sub(_fp_x_power_mod(p, f, p), [0, 1], p), p)
 
 
 def maximal_ideals(lam, p):

@@ -6,16 +6,16 @@ from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import expand, maximal_local_factor, theorem_local_factor
+from tablezeta import ideals
 from tablezeta.ideals import (
     _count_for_index,
-    _linear_maximal_ideals,
     _splitting_element,
     _sublattice,
     divisor_tuples,
     quotient_ring_table,
 )
 from tablezeta.exact import fmat_det, hnf, primes_up_to
-from tablezeta.modp import maximal_ideals, multiply, rref
+from tablezeta.modp import maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 
 
@@ -161,26 +161,17 @@ def test_descent_matches_stream_on_group_rings():
         assert count_ideals(lam, bound).counts == slow
 
 
-def assert_linear_route_matches(lam):
-    """At every p <= 200 prime to D, the maximal ideals read off the roots
-    of chi mod p are the residue-degree-1 ideals of maximal_ideals, in its
-    order, and each one's generator spans its basis."""
-    split = _splitting_element(lam)
-    assert split is not None
-    r = len(lam)
-    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+def assert_root_count_matches(lam):
+    """At every p <= 200 prime to D, the number of roots of chi mod p is
+    the number of residue-degree-1 ideals of maximal_ideals: the count the
+    descent takes at a p with p^2 > bound."""
+    _, chi, disc = _splitting_element(lam)
     for p in primes_up_to(200):
-        if split[2] % p == 0:
-            continue
-        got = _linear_maximal_ideals(lam, split, p)
-        want = [m.basis for m in maximal_ideals(lam, p) if m.f == 1]
-        assert [m.basis for m in got] == want, p
-        for m in got:
-            assert m.f == 1 and len(m.generators) == 1
-            assert rref([multiply(lam, m.generators[0], e, p) for e in unit], p) == m.basis
+        if disc % p:
+            assert root_count(chi, p) == sum(1 for m in maximal_ideals(lam, p) if m.f == 1), p
 
 
-def test_linear_route_matches_maximal_ideals():
+def test_root_count_matches_maximal_ideals():
     tables = [t.lam for t in (drt(1), drt(6), conference(1), conference(3))]
     tables += [fusion(name).lam for name in FUSION_NAMES]
     tables += [
@@ -189,14 +180,14 @@ def test_linear_route_matches_maximal_ideals():
         group_table(6, lambda i, j: (i + j) % 6),  # Z[C6]
     ]
     for lam in tables:
-        assert_linear_route_matches(lam)
+        assert_root_count_matches(lam)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=4))
 @example([1, -1, 0])  # x^3 - x + 1, disc -23
 @example([2, 0, 0, 0])  # x^4 + 2, Eisenstein at 2
-def test_linear_route_on_random_monic_orders(low):
+def test_root_count_on_random_monic_orders(low):
     # Z[x]/(f) for a monic cubic or quartic f with disc f != 0: theta is
     # b_1 = x, chi is f and D is disc f
     f = (*low, 1)
@@ -204,7 +195,7 @@ def test_linear_route_on_random_monic_orders(low):
     if disc:
         lam = quotient_ring_table(f)
         assert _splitting_element(lam) == (tuple(int(j == 1) for j in range(len(low))), f, disc)
-        assert_linear_route_matches(lam)
+        assert_root_count_matches(lam)
 
 
 def sylvester_discriminant(f):
@@ -218,7 +209,7 @@ def sylvester_discriminant(f):
     return (-1) ** (n * (n - 1) // 2) * int(fmat_det(rows))
 
 
-def test_linear_route_needs_p_prime_to_d():
+def test_root_count_needs_p_prime_to_d():
     # Z[C2 x C2]: every b_i has a repeated eigenvalue, so theta = b1 + 2 b2 +
     # 3 b3, with eigenvalues 6, -4, -2, 0.  Mod 5 two of them meet, and
     # chi has three roots, while Lambda/5 Lambda = F_5^4 has four maximal
@@ -226,9 +217,35 @@ def test_linear_route_needs_p_prime_to_d():
     lam = group_table(4, lambda i, j: i ^ j)
     theta, chi, disc = _splitting_element(lam)
     assert theta == (0, 1, 2, 3) and disc % 5 == 0
-    assert sum(1 for a in range(5) if sum(c * a**k for k, c in enumerate(chi)) % 5 == 0) == 3
+    assert root_count(chi, 5) == 3
     assert [m.f for m in maximal_ideals(lam, 5)] == [1, 1, 1, 1]
     assert count_ideals(lam, 24).a(5) == 4
+
+
+def test_leaves_of_residue_degree_two_match_stream():
+    # leaves counted without building them at a maximal ideal of residue
+    # degree 2: in Z[i] index 36 = 4 * 9 at the inert 3, in Z[x]/(x^3 - 2)
+    # index 50 = 2 * 25 at the ideal above 5 of residue field F_25
+    for f, bound, leaf in [((1, 0, 1), 60, 36), ((-2, 0, 0, 1), 50, 50)]:
+        lam = quotient_ring_table(f)
+        slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, bound + 1))
+        assert slow[leaf - 1] > 0
+        assert count_ideals(lam, bound).counts == slow
+
+
+def test_no_sublattice_built_at_primes_whose_square_exceeds_the_bound(monkeypatch):
+    # e6 to 1000: every child at a p > 31 (p^2 > 1000) is a counted leaf
+    built = []
+    sublattice = ideals._sublattice
+
+    def counting(rows, sub, p):
+        built.append(p)
+        return sublattice(rows, sub, p)
+
+    monkeypatch.setattr(ideals, "_sublattice", counting)
+    series = count_ideals(fusion("e6").lam, 1000)
+    assert built and max(built) <= 31
+    assert series.a(997) == root_count(_splitting_element(fusion("e6").lam)[1], 997)
 
 
 def test_descent_residue_field_f4():

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from tablezeta.exact import hnf, hnf_square
 from tablezeta.ideals import quotient_ring_table
-from tablezeta.modp import kernel, kernel_mod_pk, maximal_ideals, multiply, pivots, rref
+from tablezeta.modp import _horner, kernel, kernel_mod_pk, maximal_ideals, multiply, pivots, root_count, rref
 
 
 def residue_degrees(lam, p):
@@ -113,3 +113,15 @@ def test_maximal_ideals_are_maximal_ideals(low, p):
         assert rref([multiply(lam, g, e, p) for g in m.basis for e in unit] + list(m.basis), p) == m.basis
         span = rref([multiply(lam, g, e, p) for g in m.generators for e in unit], p)
         assert span == m.basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 97]),
+)
+@example([0, 0, 0], 7)  # x^3: one root, repeated
+@example([-1], 2)  # x - 1
+def test_root_count_is_the_number_of_distinct_roots(low, p):
+    f = (*low, 1)
+    assert root_count(f, p) == sum(1 for a in range(p) if _horner(f, a, p) == 0)
