@@ -4,9 +4,10 @@ algebras and fusion rings.
 The package computes Solomon zeta functions of the orders ZB defined by
 commutative integral table algebras three independent ways and checks
 them against each other: brute-force sublattice enumeration, Euler
-products of Dedekind factors with exceptional polynomials counted to a
-proven degree bound, and (for the rank-3 families) a symbolic local
-genus-zeta calculus.
+products of Dedekind factors with exceptional polynomials fitted from
+ideal counts (completed by the functional equation of Gorenstein orders,
+or counted to a proven degree bound), and (for the rank-3 families) a
+symbolic local genus-zeta calculus.
 
 Submodules load on first use: ``import tablezeta`` imports none of them,
 and a name below (``tablezeta.count_ideals``) or a submodule

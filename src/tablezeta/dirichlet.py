@@ -9,7 +9,7 @@ the symbolic mode of the genus calculus.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeBoundExceeded, InputError, MissingBadPrime, NonIntegralQuotient
+from .errors import DegreeBoundExceeded, FunctionalEquationFailed, InputError, MissingBadPrime, NonIntegralQuotient
 from .exact import int_tuple, is_prime, primes_up_to
 from .modp import root_count
 from .polys import padd, pdeg, peval, pmul, pnorm
@@ -302,6 +302,15 @@ def _residue_degrees(rings, p):
     return tuple(sorted(d for ring in rings for d in _residue_degrees_mod(ring, p)))
 
 
+def _quotient(oracle_counts, maximal_factor):
+    "(sum a_{p^k} t^k) / maximal factor to t^kmax, for the counts a_1 .. a_{p^kmax}."
+    kmax = len(oracle_counts) - 1
+    base = expand(maximal_factor, kmax)
+    if base[0] != 1:
+        raise NonIntegralQuotient("maximal-order series must start at 1")
+    return expand(LocalRationalFunction(maximal_factor.p, oracle_counts, base), kmax)
+
+
 def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction, degree_bound):
     """delta_p(t) = (sum a_{p^k} t^k) / maximal factor, by series division
     of the counts a_1, a_p, ..., a_{p^kmax}.  delta_p is a polynomial of
@@ -311,11 +320,32 @@ def infer_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction,
     kmax = len(oracle_counts) - 1
     if kmax < degree_bound:
         raise InputError(f"counts to p^{kmax} cannot determine delta_p up to its degree bound {degree_bound}")
-    base = expand(maximal_factor, kmax)
-    if base[0] != 1:
-        raise NonIntegralQuotient("maximal-order series must start at 1")
-    q = expand(LocalRationalFunction(maximal_factor.p, oracle_counts, base), kmax)
+    q = _quotient(oracle_counts, maximal_factor)
     for k in range(degree_bound + 1, kmax + 1):
         if q[k]:
             raise DegreeBoundExceeded(f"delta_{maximal_factor.p} has {q[k]}*t^{k}, above its degree bound {degree_bound}")
     return pnorm(tuple(q[: degree_bound + 1]))
+
+
+def complete_local_polynomial(oracle_counts, maximal_factor: LocalRationalFunction, ell):
+    """delta_p at a prime where Lambda_p is Gorenstein, from the counts a_1,
+    a_p, ..., a_{p^kmax} with kmax >= ell = v_p[Lambda_0 : Lambda]: the
+    series quotient gives c_0 .. c_ell, and the functional equation
+    c_(2 ell - k) = p^(ell - k) c_k gives c_(ell+1) .. c_(2 ell), so
+    delta_p has degree 2 ell (pipeline.infer_exceptional_factors names the
+    theorem).  Every quotient coefficient counted past ell must equal the
+    completed one, 0 above 2 ell; one that does not raises
+    FunctionalEquationFailed."""
+    p, kmax = maximal_factor.p, len(oracle_counts) - 1
+    if kmax < ell:
+        raise InputError(f"counts to p^{kmax} cannot determine delta_p up to its middle degree {ell}")
+    q = _quotient(oracle_counts, maximal_factor)
+    delta = q[: ell + 1] + [p ** (ell - k) * q[k] for k in range(ell - 1, -1, -1)]
+    for k in range(ell + 1, kmax + 1):
+        want = delta[k] if k <= 2 * ell else 0
+        if q[k] != want:
+            raise FunctionalEquationFailed(
+                f"delta_{p} has {q[k]}*t^{k} by the count to p^{kmax}, "
+                f"but {want}*t^{k} by the functional equation from degree {ell}"
+            )
+    return pnorm(tuple(delta))

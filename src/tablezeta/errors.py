@@ -53,6 +53,11 @@ class DegreeBoundExceeded(TableZetaError):
     degree bound D_p; it would disprove the bound."""
 
 
+class FunctionalEquationFailed(TableZetaError):
+    """A count at a Gorenstein bad prime that disagrees with delta_p as the
+    functional equation completes it from the counts to depth l."""
+
+
 class NonIntegralQuotient(TableZetaError):
     pass
 

@@ -30,18 +30,20 @@ maximal ideals come from ``modp.maximal_ideals``.  The plain stream
 point: it is the reference the descent is checked against in the test
 suite.
 
-Costs on a 2-core machine with Python 3.11, median wall time of five
+Costs on a 2-core machine with Python 3.11, median wall time of seven
 runs of the command with interpreter start and the import of the CLI
-(about 0.07 s, with no bytecode cache) included, and in brackets the
-same runs when every child was built: ``count`` on Z[C4] to N=64 takes
-about 0.11 s (0.18 s; 44 s with the stream); ``verify --family
-conference --u 3 --max-index 64``, which counts to 13^5 at p=13, takes
-about 0.11 s (0.11 s); ``zeta --family drt --u 6 --max-index 50``, which
-counts to 3^14 at p=3 (its bound D_3), takes about 0.21 s (0.22 s);
+included and no bytecode cache, and in brackets the same runs,
+interleaved, while ``verify`` counted every bad prime in a tower of its
+own to its bound D_p: ``count`` on Z[C4] to N=64 takes about 0.15 s (44 s
+when rank 4 scanned every lattice with the stream); ``verify --family
+conference --u 3 --max-index 64``, which reads a_1 and a_13 off its one
+count, about 0.13 s (0.16 s, counting to 13^5); ``zeta --family drt --u 6
+--max-index 50``, which counts to 3^4 at p=3 (l = 4, where D_3 = 14),
+about 0.18 s (0.38 s); ``verify`` on Z[C4] to 64 about 0.17 s (0.26 s);
 ``count --family fusion --name e6 --max-index 1000``, where each of 157
-primes takes only a root count of chi, takes about 0.12 s (0.32 s); and
-``count --family fusion --name reps3 --max-index 1000``, with many
-leaves over its bad primes 2 and 3, takes about 0.28 s (0.65 s).
+primes takes only a root count of chi, about 0.19 s; and ``count
+--family fusion --name reps3 --max-index 1000``, with many leaves over
+its bad primes 2 and 3, about 0.30 s.
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
@@ -182,25 +184,27 @@ def is_ideal(table, lattice: LatticeHNF) -> bool:
     return _closed(_action_matrices(table), lattice.matrix)
 
 
-def count_ideals(table, bound) -> IdealCountSeries:
+def count_ideals(table, bound, maximal=None) -> IdealCountSeries:
     """a_n = number of index-n ideal sublattices for n = 1..bound, by direct
-    count: the descent at every prime up to the bound."""
+    count: the descent at every prime up to the bound.  ``maximal``, if
+    given, is a dict {p: modp.maximal_ideals(table, p)} that the count reads
+    and adds to, so that counts on one table share each list."""
     if bound < 1:
         raise InputError("bound must be >= 1")
     check_ring(table)
-    found = _descend(table, bound, primes_up_to(bound))
+    found = _descend(table, bound, primes_up_to(bound), maximal)
     return IdealCountSeries(bound, tuple(found.get(n, 0) for n in range(1, bound + 1)))
 
 
-def count_ideals_at_prime(table, p, kmax):
+def count_ideals_at_prime(table, p, kmax, maximal=None):
     """[a_1, a_p, ..., a_{p^kmax}]: the prime-power restriction, computed
-    directly by the descent at p alone."""
+    directly by the descent at p alone; ``maximal`` as for count_ideals."""
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if kmax < 0:
         raise InputError(f"kmax must be at least 0, got {kmax}")
     check_ring(table)
-    found = _descend(table, p**kmax, (p,))
+    found = _descend(table, p**kmax, (p,), maximal)
     return [found.get(p**k, 0) for k in range(kmax + 1)]
 
 
@@ -211,9 +215,11 @@ def _count_for_index(job):
     return sum(1 for rows in _hnf_rows(dim, n) if _closed(acts, rows))
 
 
-def _descend(table, bound, primes):
+def _descend(table, bound, primes, maximal=None):
     """{n: number of index-n ideals} for every n <= bound with a nonzero
-    count whose prime factors lie in ``primes`` (ascending).
+    count whose prime factors lie in ``primes`` (ascending).  ``maximal``,
+    if given, maps p to ``maximal_ideals(table, p)``; a list it lacks is
+    computed and added.
 
     Breadth-first from Lambda in order of index.  An ideal I of index n
     gets, for a maximal ideal m of residue degree f above a prime p in
@@ -245,13 +251,14 @@ def _descend(table, bound, primes):
     ideal of index n <= bound / p that the descent keeps adds their
     number (``_degree_one_count``) to the count of index n p."""
     r = len(table)
+    maximal = {} if maximal is None else maximal
     acts = _action_matrices(table)
     small = [p for p in primes if p * p <= bound]
     large = primes[len(small) :]
     # (p, m, the action matrices of the generators of m)
-    steps = [(p, m, [action_matrix(table, g) for g in m.generators]) for p in small for m in maximal_ideals(table, p)]
+    steps = [(p, m, [action_matrix(table, g) for g in m.generators]) for p in small for m in _maximal(table, p, maximal)]
     split = _splitting_element(table) if large else None
-    leaf_primes = [(p, count) for p in large if (count := _degree_one_count(table, split, p))]
+    leaf_primes = [(p, count) for p in large if (count := _degree_one_count(table, split, p, maximal))]
     top = tuple(unit_vectors(r))
     levels = {1: {top: 0}}  # index -> {HNF rows: position in steps of the last step}
     pending = [1]
@@ -315,11 +322,18 @@ def _splitting_element(table):
     return None
 
 
-def _degree_one_count(table, split, p):
+def _maximal(table, p, maximal):
+    "maximal_ideals(table, p), computed once per dict ``maximal``."
+    if p not in maximal:
+        maximal[p] = maximal_ideals(table, p)
+    return maximal[p]
+
+
+def _degree_one_count(table, split, p, maximal):
     """The number of maximal ideals of residue degree 1 of Lambda/pLambda,
     for (theta, chi, D) from ``_splitting_element``, or None if there is
     none.  If p does not divide D it is the number of roots of chi mod p;
-    otherwise it is read off ``modp.maximal_ideals``.
+    otherwise it is read off ``modp.maximal_ideals`` (through ``maximal``).
 
     chi mod p is squarefree, because p does not divide its discriminant,
     so multiplication by theta mod p has r distinct eigenvalues and its
@@ -333,7 +347,7 @@ def _degree_one_count(table, split, p):
     are the (theta - a) for the roots a of chi mod p."""
     if split and split[2] % p:
         return root_count(split[1], p)
-    return sum(1 for m in maximal_ideals(table, p) if m.f == 1)
+    return sum(1 for m in _maximal(table, p, maximal) if m.f == 1)
 
 
 def _products(rows, act):

@@ -1,5 +1,6 @@
 """Linear algebra over F_p and Z/p^K, the number of roots of a
-polynomial mod p, and the maximal ideals of Lambda / p Lambda.
+polynomial mod p, the maximal ideals of Lambda / p Lambda and the socle
+test of whether Lambda_p is Gorenstein.
 
 Vectors are tuples of integers reduced into [0, p); a subspace is the
 tuple of its reduced row echelon basis (leading entry 1, zeros above and
@@ -153,12 +154,6 @@ def _fp_trim(a):
     return a
 
 
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
-
-
 def _fp_rem(a, b, p):
     "a mod b for b != 0."
     a = list(a)
@@ -179,32 +174,43 @@ def _fp_gcd_deg(a, b, p):
     return len(a) - 1
 
 
-def _fp_mul_mod(a, b, f, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _fp_rem(_fp_trim([c % p for c in prod]), f, p)
-
-
-def _fp_x_power_mod(e, f, p):
-    "x^e mod f over F_p by square-and-multiply, for deg f >= 1."
-    out, base = [1], [0, 1]
-    while e:
-        if e & 1:
-            out = _fp_mul_mod(out, base, f, p)
-        base = _fp_mul_mod(base, base, f, p)
-        e >>= 1
-    return out
-
-
 def root_count(poly, p):
     """The number of distinct roots in F_p of a monic integer polynomial f
-    of degree >= 1, given by ascending coefficients: deg gcd(f, x^p - x)
-    mod p, since x^p - x is the product of the x - a over F_p; x^p mod f
-    by square-and-multiply."""
-    f = _fp_trim([x % p for x in poly])
-    return _fp_gcd_deg(f, _fp_sub(_fp_x_power_mod(p, f, p), [0, 1], p), p)
+    of degree d >= 1, given by ascending coefficients: deg gcd(f, x^p - x)
+    mod p, since x^p - x is the product of the x - a over F_p.
+
+    x^p mod f is taken by squaring and multiplying by x along the bits of
+    p, on residues held as d coefficients.  A square has degree at most
+    2d - 2, and its terms x^d ... x^(2d-2) are replaced by their residues
+    mod f, a table computed once (its first row, x^d mod f, also serves
+    the multiplication by x), so each step sums integer products and
+    reduces each coefficient mod p once."""
+    f = [x % p for x in poly]
+    d = len(f) - 1
+    table = [[-x % p for x in f[:d]]]  # row j: x^(d+j) mod f
+    for _ in range(d - 2):
+        row = table[-1]
+        table.append([(low + row[-1] * x) % p for low, x in zip([0] + row[:-1], table[0])])
+    x_mod_f = [0, 1] + [0] * (d - 2) if d > 1 else table[0]
+    out = x_mod_f
+    for bit in bin(p)[3:]:
+        square = [0] * (2 * d - 1)
+        for i, x in enumerate(out):
+            if x:
+                square[2 * i] += x * x
+                x += x  # each x_i x_j with i < j comes twice
+                for j in range(i + 1, d):
+                    square[i + j] += x * out[j]
+        out = square[:d]
+        for high, row in zip(square[d:], table):
+            if high:
+                out = [o + high * x for o, x in zip(out, row)]
+        if bit == "1":  # times x: shift up, x^d -> its residue
+            top = out[-1]
+            out = [low + top * x for low, x in zip([0] + out[:-1], table[0])]
+        out = [x % p for x in out]
+    moved = _fp_trim([(a - b) % p for a, b in zip(out, x_mod_f)])
+    return _fp_gcd_deg(_fp_trim(f), moved, p)
 
 
 def maximal_ideals(lam, p):
@@ -241,6 +247,28 @@ def maximal_ideals(lam, p):
                         break
         ideals = split
     return tuple(MaximalIdeal(r - len(m), m, _ideal_generators(lam, m, p)) for m in sorted(ideals))
+
+
+def socle_dimension(lam, m, p):
+    """The dimension over F_p of Ann(m) = {x : x g = 0 for every generator
+    g of m} in Lambda / p Lambda: the kernel of the action matrices of m's
+    generators set side by side (row l of each is g b_l)."""
+    mats = [action_matrix(lam, g) for g in m.generators]
+    return len(kernel([tuple(x for mat in mats for x in mat[l]) for l in range(len(lam))], p))
+
+
+def is_gorenstein(lam, ideals, p):
+    """True iff Lambda_p = Z_p Lambda is Gorenstein, given the maximal ideals
+    of A = Lambda / p Lambda (``maximal_ideals(lam, p)``): iff
+    dim Ann(m) = f(m) for every m.
+
+    p is a non-zero-divisor on Lambda_p, so Lambda_p is Gorenstein exactly
+    when A is (Bruns and Herzog, Cohen-Macaulay Rings, ch. 3).  A is
+    Artinian, the product of its localizations A_m, and m is m A_m times
+    the other factors, so Ann(m) is the socle of A_m.  The Artinian local
+    ring A_m is Gorenstein exactly when its socle is simple, a vector space
+    of dimension 1 over A/m, which has dimension f(m) over F_p."""
+    return all(socle_dimension(lam, m, p) == m.f for m in ideals)
 
 
 def _ideal_generators(lam, basis, p):

@@ -187,8 +187,25 @@ def test_cli_verify_pass(capsys):
     assert main(["verify", "--family", "fusion", "--name", "ising", "--max-index", "32"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "delta_2\t1 - t + 2*t^2\nPASS\n"
-    # the progress line names the depth counted and the proven degree bound
-    assert "at p=2 up to p^5, D_2 = 5 ..." in captured.err
+    # the progress line names l, the proven degree bound, the Gorenstein
+    # verdict, the depth counted and where each coefficient comes from
+    assert (
+        "bad prime 2 of {1, b, d}: l = 1, D_2 = 5, Gorenstein; delta_2 fitted to t^1 and fixed by the functional "
+        "equation to t^2; a_{2^k} predicted for k > 5; a_{2^k} for k <= 5 read off the count to 32\n"
+    ) in captured.err
+
+
+def test_cli_verify_stops_when_a_count_breaks_the_functional_equation(monkeypatch, capsys):
+    # with l taken one too small (3 for drt(6) at p = 3, where it is 4), the
+    # count to 3^4 disagrees with the delta_3 completed from degree 3
+    import tablezeta.pipeline as pipeline
+    from tablezeta.exact import valuation
+
+    monkeypatch.setattr(pipeline, "valuation", lambda n, p: valuation(n, p) - 1)
+    assert main(["verify", "--family", "drt", "--u", "6", "--max-index", "81"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "by the functional equation from degree 3" in captured.err
 
 
 def test_python_m_tablezeta_runs_the_cli(capsys):

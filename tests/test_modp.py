@@ -1,9 +1,23 @@
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tablezeta.decomposition import maximal_order
 from tablezeta.exact import hnf, hnf_square
+from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.ideals import quotient_ring_table
-from tablezeta.modp import _horner, kernel, kernel_mod_pk, maximal_ideals, multiply, pivots, root_count, rref
+from tablezeta.modp import (
+    _horner,
+    is_gorenstein,
+    kernel,
+    kernel_mod_pk,
+    maximal_ideals,
+    multiply,
+    pivots,
+    root_count,
+    rref,
+    socle_dimension,
+)
 
 
 def residue_degrees(lam, p):
@@ -118,10 +132,55 @@ def test_maximal_ideals_are_maximal_ideals(low, p):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5),
-    st.sampled_from([2, 3, 5, 7, 11, 13, 97]),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 97, 997]),
 )
+@example([0, -2, -2], 997)  # e6's chi at the largest prime of its count to 1000
 @example([0, 0, 0], 7)  # x^3: one root, repeated
 @example([-1], 2)  # x - 1
 def test_root_count_is_the_number_of_distinct_roots(low, p):
     f = (*low, 1)
     assert root_count(f, p) == sum(1 for a in range(p) if _horner(f, a, p) == 0)
+
+
+def group_ring(*orders):
+    "The table of Z[C_n1 x C_n2 x ...] on the group elements, identity first."
+    elements = [()]
+    for n in orders:
+        elements = [g + (a,) for g in elements for a in range(n)]
+    where = {g: i for i, g in enumerate(elements)}
+    r = len(elements)
+    lam = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i, g in enumerate(elements):
+        for j, h in enumerate(elements):
+            lam[i][j][where[tuple((a + b) % n for a, b, n in zip(g, h, orders))]] = 1
+    return lam
+
+
+BUILT_IN = {
+    **{f"drt({u})": drt(u) for u in (1, 6, 15, 18, 24, 36, 60, 141)},
+    **{f"conference({u})": conference(u) for u in (1, 3, 11, 29)},
+    **{name: fusion(name) for name in FUSION_NAMES},
+}
+
+
+@pytest.mark.parametrize("label", BUILT_IN)
+def test_socle_test_holds_at_every_built_in_bad_prime(label):
+    lam = BUILT_IN[label].lam
+    for p in maximal_order(BUILT_IN[label]).bad_primes:
+        assert is_gorenstein(lam, maximal_ideals(lam, p), p), p
+
+
+@pytest.mark.parametrize("orders", [(4,), (6,), (5,), (7,), (8,), (2, 2), (3, 3)])
+def test_group_rings_are_gorenstein(orders):
+    # Z G is a symmetric algebra over Z, so Gorenstein at every p dividing |G|
+    lam = group_ring(*orders)
+    for p in {p for n in orders for p in (2, 3, 5, 7) if n % p == 0}:
+        assert is_gorenstein(lam, maximal_ideals(lam, p), p), p
+
+
+def test_socle_of_a_field_is_the_field():
+    # Z[x]/(x^2 - x - 1) is inert at 2: Lambda / 2 Lambda = F_4, whose one
+    # maximal ideal 0 has all of F_4 as its annihilator
+    lam = quotient_ring_table((-1, -1, 1))
+    (m,) = maximal_ideals(lam, 2)
+    assert (m.f, socle_dimension(lam, m, 2)) == (2, 2)
