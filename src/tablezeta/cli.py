@@ -161,15 +161,15 @@ def cmd_genus(args):
     else:
         if args.m is not None:
             raise InputError("--m needs --symbolic-p; with --prime, m comes from v_p(n)")
-        if not args.prime:
+        if args.prime is None:
             raise InputError("genus needs --prime (or --symbolic-p with --m)")
         model = model_for_order(n, args.prime)
     zetas = []
     for rep in enumerate_genus_representatives(model):
-        mu = automorphism_measure_inverse(model, rep.params)
+        mu = automorphism_measure_inverse(model, rep)
         z = genus_zeta(model, rep, muinv=mu)
         zetas.append(z)
-        r, i, j = rep.params
+        r, i, j = rep
         idx = f"p^{3 * model.m + 1 - i - j}"
         print(f"M({r},{i},{j})\t{idx}\t{mu}\t{z}")
     print(f"total\t\t\t{sum_genus_zetas(zetas)}")

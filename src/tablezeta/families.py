@@ -21,9 +21,27 @@ from .errors import InputError
 FUSION_NAMES = ("fib", "c2", "ising", "reps3", "psu5l2", "e6", "c3")
 
 
+def _family_order(kind: str, u: int) -> int:
+    """The order n of the rank-3 family member with parameter u: 4u+3 for
+    drt (u >= 0), 4u+1 for conference (u >= 1, n not a perfect square).
+    The one copy of the parameter rules; builds no table."""
+    if kind == "drt":
+        if u < 0:
+            raise InputError("drt family needs u >= 0")
+        return 4 * u + 3
+    if kind == "conference":
+        n = 4 * u + 1
+        if u < 1:
+            raise InputError("conference family needs u >= 1")
+        r = isqrt(n)
+        if r * r == n:
+            raise InputError(f"conference order n = {n} is a perfect square; the character table is rational")
+        return n
+    raise InputError("order n is defined for the drt and conference families")
+
+
 def drt(u: int) -> TableAlgebra:
-    if u < 0:
-        raise InputError("drt family needs u >= 0")
+    _family_order("drt", u)
     lam = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for k in range(3):
         lam[0][k][k] = 1
@@ -49,12 +67,7 @@ def conference(u: int) -> TableAlgebra:
     b2^2 = b2 (J - 1 - b1) = 2u J - b2 - (u b1 + u b2) = 2u 1 + u b1 + (u-1) b2.
     That associativity holds for the completed table is checked by
     validation, as for every built-in."""
-    n = 4 * u + 1
-    if u < 1:
-        raise InputError("conference family needs u >= 1")
-    r = isqrt(n)
-    if r * r == n:
-        raise InputError(f"conference order n = {n} is a perfect square; the character table is rational")
+    _family_order("conference", u)
     lam = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for k in range(3):
         lam[0][k][k] = 1
@@ -134,8 +147,4 @@ class FamilySpec:
         raise InputError(f"unknown family kind {self.kind!r}")
 
     def order(self) -> int:
-        if self.kind == "drt":
-            return 4 * self.u + 3
-        if self.kind == "conference":
-            return 4 * self.u + 1
-        raise InputError("order n is defined for the drt and conference families")
+        return _family_order(self.kind, self.u)

@@ -13,6 +13,14 @@ admissible triples with the same (i, j) are isomorphic iff the congruence
 beta*(r*s - p^(2i+1)*v) = r - s (mod p^j) has a solution, i.e. iff
 gcd(r*s - p^(2i+1)*v, p^j) divides r - s.
 
+A class is passed around as its triple (r, i, j) and only as that:
+enumerate_genus_representatives returns triples, and complementary_lattice,
+automorphism_measure_inverse and genus_zeta take one, refusing a triple
+that is not admissible.  The lattices the calculus builds from a triple
+are a LatticeHNF in numeric mode and an exponent matrix (entry = v_p
+exponent, None = zero) in symbolic mode; decompose_domain and
+residue_certificate take those.
+
 Zeta integrals are evaluated by decomposing a lattice into product
 regions (unit cosets and full tails per component) via a digit tree on
 its HNF coordinates; each region has a closed-form integral.  Counts of
@@ -87,12 +95,6 @@ def model_for_order(n, p) -> LocalModel:
 
 
 @dataclass(frozen=True)
-class IntermediateLattice:
-    params: tuple  # (r, i, j)
-    hnf: object  # LatticeHNF (numeric) or exponent matrix (symbolic)
-
-
-@dataclass(frozen=True)
 class RegionPart:
     kind: str  # "tail" | "coset"
     valuation: int
@@ -150,39 +152,41 @@ def lattices_isomorphic(model: LocalModel, t1, t2) -> bool:
     return (r - s) % gcd(r * s - p ** (2 * i + 1) * model.v, p**j) == 0
 
 
-def enumerate_genus_representatives(model: LocalModel, classify=True):
-    """Canonical representatives of the isomorphism classes of lattices
-    between Z_p B and Lambda_0, ordered by (i+j, j, r).  Classification is
-    certified for m <= 1 only; classify=False lists all admissible triples."""
+def _class_order(t):
+    "Sort key of the class lists: (i+j, j, r)."
+    return (t[1] + t[2], t[2], t[0])
+
+
+def enumerate_genus_representatives(model: LocalModel):
+    """Canonical representatives (r, i, j) of the isomorphism classes of
+    lattices between Z_p B and Lambda_0, ordered by (i+j, j, r): each the
+    least triple of its class.  Classification is certified for m <= 1."""
     m = model.m
-    if classify and m > 1:
+    if m > 1:
         raise UnsupportedM(f"genus classification is certified for m <= 1, got m = {m}")
     if model.symbolic:
-        if not classify:
-            raise UnsupportedM("symbolic enumeration lists class representatives only")
-        triples = _uniform_class_list(m)
-        return [IntermediateLattice(t, sym_matrix_for_triple(model, t)) for t in triples]
-    p = model.p
-    all_triples = []
-    for i in range(m + 1):
-        for j in range(m + i + 2):
-            # the admissible r: 0, and p^k u with p not dividing u, u < p^(j-k), i+j-m <= k < j
-            units = (p**k * u for k in range(max(0, i + j - m), j) for u in range(1, p ** (j - k)) if u % p)
-            all_triples.extend((r, i, j) for r in [0, *sorted(units)])
-    if not classify:
-        all_triples.sort(key=lambda t: (t[1] + t[2], t[2], t[0]))
-        return [IntermediateLattice(t, LatticeHNF(3, triple_matrix(model, t))) for t in all_triples]
+        return _uniform_class_list(m)
     classes = []
-    for t in all_triples:
+    for t in _admissible_triples(model):
         for cls in classes:
             if lattices_isomorphic(model, cls[0], t):
                 cls.append(t)
                 break
         else:
             classes.append([t])
-    reps = [min(cls, key=lambda t: (t[0], t[1], t[2])) for cls in classes]
-    reps.sort(key=lambda t: (t[1] + t[2], t[2], t[0]))
-    return [IntermediateLattice(t, LatticeHNF(3, triple_matrix(model, t))) for t in reps]
+    return sorted((min(cls) for cls in classes), key=_class_order)
+
+
+def _admissible_triples(model: LocalModel):
+    "Every admissible triple (r, i, j) at a concrete prime, ordered by (i+j, j, r)."
+    m, p = model.m, model.p
+    out = []
+    for i in range(m + 1):
+        for j in range(m + i + 2):
+            # the admissible r: 0, and p^k u with p not dividing u, u < p^(j-k), i+j-m <= k < j
+            units = (p**k * u for k in range(max(0, i + j - m), j) for u in range(1, p ** (j - k)) if u % p)
+            out.extend((r, i, j) for r in [0, *units])
+    return sorted(out, key=_class_order)
 
 
 def _uniform_class_list(m):
@@ -194,8 +198,7 @@ def _uniform_class_list(m):
                 out.append((0, i, j))
             if j >= 1 and m >= i + j:
                 out.append((1, i, j))
-    out.sort(key=lambda t: (t[1] + t[2], t[2], t[0]))
-    return out
+    return sorted(out, key=_class_order)
 
 
 # --- numeric lattice machinery ---------------------------------------------
@@ -230,41 +233,34 @@ def _membership_congruence_matrix(target_rows, K, p):
     return tuple(tuple(x * pk // det for x in row) for row in adj)
 
 
-def complement_numeric(model: LocalModel, m_rows, target_rows, K):
-    "{x : g x in target for all generators g of M}, exact at precision K."
-    p = model.p
+def complementary_lattice(model: LocalModel, triple, target=None):
+    """{M : target} = {x in A : M x subseteq target} for M = M(r,i,j);
+    target is Z_p B (the default) or M itself, which gives the multiplier
+    order {M : M}.  An inadmissible triple raises InputError.  Numeric mode
+    solves the divisibility system once, at precision p^K with K = 2m+2,
+    and returns a LatticeHNF; symbolic mode returns the exponent matrix of
+    the closed form for the representative shapes.
+
+    Numeric mode: x is in {M : target} when x A_g W = 0 mod p^K for each
+    row g of M, with A_g the action matrix of g and W = p^K T^(-1), where
+    the rows of T span the target.  One precision suffices: that holds
+    exactly when x A_g T^(-1) is integral, a condition that does not
+    involve K.  So every K at which W is integral gives the same lattice,
+    and _membership_congruence_matrix raises PrecisionUnstable at a K
+    where it is not."""
+    if not admissible(model, *triple):
+        raise InputError(f"M{triple} is not admissible at m = {model.m}")
+    if target is not None and target != triple:
+        raise UnsupportedM("complementary lattices target Z_pB or M itself")
+    if model.symbolic:
+        return _complement_symbolic(model, triple, target is not None)
+    p, K = model.p, 2 * model.m + 2
+    m_rows = triple_matrix(model, triple)
+    target_rows = m_rows if target is not None else triple_matrix(model, model.lam_triple)
     w = _membership_congruence_matrix(target_rows, K, p)
     cols = [mat_mul(_action_matrix(model, g), w) for g in m_rows]
     cmat = tuple(tuple(x for tw in cols for x in tw[i]) for i in range(3))
-    return kernel_mod_pk(cmat, p, K)
-
-
-def complementary_lattice(model: LocalModel, lattice, target=None):
-    """{M : target} = {x in A : M x subseteq target}; target defaults to
-    Z_p B.  Numeric mode solves the divisibility system once, at precision
-    p^K with K = 2m+2; symbolic mode uses closed forms for the
-    representative shapes.
-
-    One precision suffices: with W = p^K T^(-1), where the rows of T span
-    the target, x A_g W = 0 mod p^K holds exactly when x A_g T^(-1) is
-    integral, a condition that does not involve K.  So every K at which W
-    is integral gives the same lattice, and _membership_congruence_matrix
-    raises PrecisionUnstable at a K where it is not."""
-    if model.symbolic:
-        return _complement_symbolic(model, lattice, target)
-    m_rows = _rows_of(model, lattice)
-    target_rows = _rows_of(model, target) if target is not None else triple_matrix(model, model.lam_triple)
-    return LatticeHNF(3, complement_numeric(model, m_rows, target_rows, 2 * model.m + 2))
-
-
-def _rows_of(model, lattice):
-    if isinstance(lattice, IntermediateLattice):
-        return triple_matrix(model, lattice.params)
-    if isinstance(lattice, LatticeHNF):
-        return lattice.matrix
-    if isinstance(lattice, tuple) and len(lattice) == 3 and all(isinstance(x, int) for x in lattice):
-        return triple_matrix(model, lattice)
-    return tuple(tuple(int(x) for x in row) for row in lattice)
+    return LatticeHNF(3, kernel_mod_pk(cmat, p, K))
 
 
 def block_triangularize(model: LocalModel, rows) -> LatticeHNF:
@@ -293,29 +289,12 @@ def block_triangularize(model: LocalModel, rows) -> LatticeHNF:
 # --- symbolic lattice shapes ------------------------------------------------
 
 
-def sym_matrix_for_triple(model: LocalModel, triple):
-    "Exponent matrix (entry = v_p exponent, None = zero) of M(r,i,j)."
-    r, i, j = triple
-    if r == 0:
-        e13 = None
-    elif r == 1:
-        e13 = 0 if j > 0 else None
-    else:
-        raise UnsupportedM("symbolic triples carry r in {0, 1}")
-    return [
-        [i, None, e13],
-        [None, 0, 0 if j > 0 else None],
-        [None, None, j],
-    ]
-
-
-def _complement_symbolic(model: LocalModel, lattice, target):
+def _complement_symbolic(model: LocalModel, triple, multiplier):
+    """Exponent matrix (entry = v_p exponent, None = zero) of {M : Z_pB},
+    or of {M : M} when multiplier is set."""
     m = model.m
-    if isinstance(lattice, IntermediateLattice):
-        r, i, j = lattice.params
-    else:
-        r, i, j = lattice
-    if target is None:
+    r, i, j = triple
+    if not multiplier:
         if r == 0:
             a = max(m, 2 * m - i)
             beta = max(m - i, 2 * m + 1 - j)
@@ -337,15 +316,15 @@ def _complement_symbolic(model: LocalModel, lattice, target):
                 ]
             )
         raise UnsupportedM("symbolic complements support r in {0, 1}")
-    # multiplier order {M : M}
-    tr, ti, tj = target if not isinstance(target, IntermediateLattice) else target.params
-    if (tr, ti, tj) != (r, i, j):
-        raise UnsupportedM("symbolic complements target Z_pB or M itself")
+    # {M : M} is the order M(0, a, j): a = max(i, j-i-1) for r = 0, and
+    # M(0,1,1) for M(1,0,1) at m = 1
     if r == 0:
-        return sym_matrix_for_triple(model, (0, max(i, j - i - 1), j))
-    if r == 1 and (i, j) == (0, 1) and m == 1:
-        return sym_matrix_for_triple(model, (0, 1, 1))
-    raise UnsupportedM("symbolic multiplier implemented for the m <= 1 representatives")
+        a = max(i, j - i - 1)
+    elif r == 1 and (i, j) == (0, 1) and m == 1:
+        a = 1
+    else:
+        raise UnsupportedM("symbolic multiplier implemented for the m <= 1 representatives")
+    return [[a, None, None], [None, 0, 0 if j > 0 else None], [None, None, j]]
 
 
 def _sym_reduce(mat):
@@ -374,14 +353,6 @@ def _sym_sub(a, b):
 
 
 # --- the digit tree: product-region decomposition ---------------------------
-
-
-def _exp_matrix(model, lattice):
-    if model.symbolic:
-        if isinstance(lattice, IntermediateLattice):
-            return [row[:] for row in lattice.hnf]
-        return [row[:] for row in lattice]
-    return _to_exps(model, _rows_of(model, lattice))
 
 
 def _scaled_reduced(model, state, q):
@@ -417,13 +388,20 @@ def _min_z_layer(exps, q):
 
 
 def decompose_domain(model: LocalModel, lattice):
-    """Disjoint product-region decomposition of a lattice L (a sublattice
-    of Lambda_0 of p-power index): L is partitioned into pieces that are,
-    per component, either a full tail pi^w R / p^w Z_p or a multiplicative
-    unit coset of given valuation and depth.  Region counts are
-    polynomials in p.
+    """Disjoint product-region decomposition of a lattice L: L is
+    partitioned into pieces that are, per component, either a full tail
+    pi^w R / p^w Z_p or a multiplicative unit coset of given valuation and
+    depth.  Region counts are polynomials in p.  L is a LatticeHNF
+    (numeric mode) or an exponent matrix (symbolic mode).
+
+    The digit tree is complete on the lattices genus_zeta passes it, the
+    complementary lattices {M : Z_pB} of the class representatives at
+    m <= 1 (residue_certificate checks them), and on Lambda_0 and Z_pB.
+    It is not complete on every sublattice of Lambda_0 of p-power index:
+    at p = 3, m = 0 the rows (9, 0, 0), (0, 1, 0), (0, 0, 1) give a tree
+    that does not end, and DepthExceeded is raised.
     """
-    state = _exp_matrix(model, lattice) if model.symbolic else [list(r) for r in _rows_of(model, lattice)]
+    state = [row[:] for row in lattice] if model.symbolic else [list(r) for r in lattice.matrix]
     bound = 2 * (2 * model.m + 1) + 2
     regions = []
     _split(model, state, None, None, None, None, PPoly(1), regions, bound, 0)
@@ -558,31 +536,24 @@ def region_integral(model: LocalModel, region: Region) -> LocalRationalFunction:
     return LocalRationalFunction(model.p, tuple(Fraction(x, den) for x in num), (1, -2, 1))
 
 
-def automorphism_measure_inverse(model: LocalModel, lattice):
-    """mu(Aut M)^{-1} = [Lambda_0^x : {M:M}^x] in the Haar measure with
-    mu(Lambda_0^x) = 1.  Numeric: unit counting in the finite quotient at
-    p^(2m+2), where the units of a lattice L are counted by
-    inclusion-exclusion from the ranks mod p of L's b- and c-columns (see
+def automorphism_measure_inverse(model: LocalModel, triple):
+    """mu(Aut M)^{-1} = [Lambda_0^x : {M:M}^x] for M = M(r,i,j), in the
+    Haar measure with mu(Lambda_0^x) = 1; both modes take the multiplier
+    order {M:M} from complementary_lattice.  Numeric: unit counting in the
+    finite quotient at p^(2m+2), where the units of a lattice L are counted
+    by inclusion-exclusion from the ranks mod p of L's b- and c-columns (see
     ``_unit_count``: that rank is the p-exponent of the index of L cut by
-    b = 0 or c = 0 mod p in L); symbolic: closed form from the multiplier
-    order's shape."""
+    b = 0 or c = 0 mod p in L); symbolic: {M:M} is some M(0, a, b), whose
+    units have index p^a, times p^(b-1) (p-1) when b >= 1."""
+    order = complementary_lattice(model, triple, target=triple)
     if model.symbolic:
-        params = lattice.params if isinstance(lattice, IntermediateLattice) else tuple(lattice)
-        r, i, j = params
-        if r == 0:
-            oi, oj = max(i, j - i - 1), j
-        elif r == 1 and (i, j) == (0, 1) and model.m == 1:
-            oi, oj = 1, 1
-        else:
-            raise UnsupportedM("symbolic measure implemented for the m <= 1 representatives")
+        a, b = order[0][0], order[2][2]
         p = PPoly.var()
-        out = p**oi
-        if oj >= 1:
-            out = out * p ** (oj - 1) * PM1
+        out = p**a
+        if b >= 1:
+            out = out * p ** (b - 1) * PM1
         return out
-    m_rows = _rows_of(model, lattice)
-    k0 = 2 * model.m + 2
-    return _unit_index(model, complement_numeric(model, m_rows, m_rows, k0), k0)
+    return _unit_index(model, order.matrix, 2 * model.m + 2)
 
 
 def _unit_index(model, order_rows, K):
@@ -615,16 +586,16 @@ def _unit_count(model, rows, K):
     return full - classes((1,)) - classes((2,)) + classes((1, 2))
 
 
-def genus_zeta(model: LocalModel, lattice, muinv=None) -> LocalRationalFunction:
+def genus_zeta(model: LocalModel, triple, muinv=None) -> LocalRationalFunction:
     """Z(M, Lambda; s) = mu(Aut M)^{-1} (Lambda:M)^{-s} * integral over
-    A^x of the characteristic function of {M:Lambda} times |x|^s.
-    ``muinv`` is mu(Aut M)^{-1} when the caller has it already."""
-    params = lattice.params if isinstance(lattice, IntermediateLattice) else tuple(lattice)
-    r, i, j = params
-    comp = complementary_lattice(model, lattice if isinstance(lattice, IntermediateLattice) else params)
+    A^x of the characteristic function of {M:Lambda} times |x|^s, for
+    M = M(r,i,j).  ``muinv`` is mu(Aut M)^{-1} when the caller has it
+    already."""
+    r, i, j = triple
+    comp = complementary_lattice(model, triple)
     num, den = _region_sum(model, decompose_domain(model, comp))
     if muinv is None:
-        muinv = automorphism_measure_inverse(model, params)
+        muinv = automorphism_measure_inverse(model, triple)
     shift = (3 * model.m + 1) - (i + j)
     if any(x != 0 for x in num[:shift]):
         raise ArithmeticError("index shift below t^0")
@@ -645,8 +616,6 @@ def _divide_exact(x, den):
 
 def total_local_zeta(model: LocalModel) -> LocalRationalFunction:
     "Sum of the genus zeta functions over the class representatives, reduced."
-    if model.m > 1:
-        raise UnsupportedM("total local zeta implemented for m <= 1")
     return sum_genus_zetas([genus_zeta(model, rep) for rep in enumerate_genus_representatives(model)])
 
 
@@ -673,18 +642,13 @@ def region_residue_exponent(region: Region, K):
 
 def residue_certificate(model: LocalModel, lattice, regions, K):
     """Exhaustive-and-disjoint check: sum over regions of residue counts
-    mod p^K equals [L : p^K Lambda_0].  Returns (lhs, rhs) as polynomials
-    in p (symbolic) or integers."""
-    exps = _exp_matrix(model, lattice)
-    det_exp = exps[0][0] + exps[1][1] + exps[2][2]
+    mod p^K equals [L : p^K Lambda_0], for L a LatticeHNF (numeric) or an
+    exponent matrix (symbolic).  Returns (lhs, rhs) as polynomials in p
+    (symbolic) or integers."""
     if model.symbolic:
-        p = PPoly.var()
-        lhs = PPoly(0)
-        for reg in regions:
-            lhs = lhs + reg.count * p ** region_residue_exponent(reg, K)
-        rhs = p ** (3 * K - det_exp)
-        return lhs, rhs
-    p = model.p
-    lhs = sum(reg.count(p) * p ** region_residue_exponent(reg, K) for reg in regions)
-    rhs = p ** (3 * K - det_exp)
-    return lhs, rhs
+        exps, p, lhs = lattice, PPoly.var(), PPoly(0)
+    else:
+        exps, p, lhs = _to_exps(model, lattice.matrix), model.p, 0
+    for reg in regions:
+        lhs = lhs + (reg.count if model.symbolic else reg.count(p)) * p ** region_residue_exponent(reg, K)
+    return lhs, p ** (3 * K - exps[0][0] - exps[1][1] - exps[2][2])

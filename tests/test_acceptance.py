@@ -85,8 +85,8 @@ def test_acceptance_3_valuation3_closed_forms():
     total = None
     for rep in enumerate_genus_representatives(model):
         z = genus_zeta(model, rep)
-        want = expected[rep.params]
-        assert len(z.num) == len(want) and all(a == b for a, b in zip(z.num, want)), rep.params
+        want = expected[rep]
+        assert len(z.num) == len(want) and all(a == b for a, b in zip(z.num, want)), rep
     assert total_local_zeta(model).equals(theorem_local_factor("v3", None).reduced())
     print("ACCEPTANCE 3: PASS - the eight genus zeta functions and their sum match the "
           "valuation-3 closed forms symbolically in p")
@@ -108,7 +108,7 @@ def test_acceptance_4_complementary_lattices():
             (0, 1, 3): ((p, 0, 0), (0, 1, 1), (0, 0, pc)),
         }
         for rep in enumerate_genus_representatives(model):
-            assert complementary_lattice(model, rep).matrix == expected[rep.params], (p, rep.params)
+            assert complementary_lattice(model, rep).matrix == expected[rep], (p, rep)
     print("ACCEPTANCE 4: PASS - all eight complementary lattices match their expected forms "
           "at p in {3,5}")
 
@@ -127,7 +127,7 @@ def test_acceptance_5_automorphism_indices():
             (0, 0, 0): 1,
         }
         for rep in enumerate_genus_representatives(model):
-            assert automorphism_measure_inverse(model, rep.params) == expected[rep.params], (p, rep.params)
+            assert automorphism_measure_inverse(model, rep) == expected[rep], (p, rep)
     print("ACCEPTANCE 5: PASS - automorphism measure inverses match the expected index list "
           "at p in {3,5}")
 
@@ -207,7 +207,7 @@ def test_acceptance_9_property_suites():
             regions = decompose_domain(model, comp)
             for K in (4, 6):
                 lhs, rhs = residue_certificate(model, comp, regions, K)
-                assert lhs == rhs, (p, rep.params, K)
+                assert lhs == rhs, (p, rep, K)
     print("ACCEPTANCE 9: PASS - enumeration formula (n<=30), multiplicativity on all built-ins "
           "(N=64), isomorphism equivalence (m=1, p in {3,5}), residue certificates at both "
           "precisions (numeric and symbolic)")

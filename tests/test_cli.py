@@ -244,7 +244,7 @@ def test_cli_genus_total_matches_total_local_zeta(argv, model, capsys):
     assert main(["genus", "--family", "drt"] + argv) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split("\t")[0] for line in lines if line.startswith("M(")]
-    assert rows == [f"M{rep.params}".replace(" ", "") for rep in enumerate_genus_representatives(model)]
+    assert rows == [f"M{rep}".replace(" ", "") for rep in enumerate_genus_representatives(model)]
     assert lines[-1] == f"total\t\t\t{total_local_zeta(model)}"
     assert len(lines) == len(rows) + 1
 
@@ -294,6 +294,32 @@ def test_cli_count_defaults(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 20
     assert main(["count", "--family", "fusion", "--name", "c2", "--prime", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("3^3\t")
+
+
+@pytest.mark.parametrize(
+    "family,u,genus_args",
+    [
+        ("drt", "-2", ["--prime", "5"]),  # n = -5
+        ("drt", "-1", ["--prime", "3"]),  # n = -1
+        ("conference", "2", ["--prime", "3"]),  # n = 9, a perfect square
+        ("drt", "-2", ["--symbolic-p", "--m", "1"]),
+    ],
+)
+def test_cli_genus_refuses_the_family_parameters_zeta_refuses(family, u, genus_args, capsys):
+    assert main(["zeta", "--family", family, "--u", u]) == 2
+    want = capsys.readouterr().err
+    assert main(["genus", "--family", family, "--u", u, *genus_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == want
+
+
+def test_cli_genus_takes_prime_zero_as_given(capsys):
+    # --prime 0 is a prime that is refused, not a missing --prime
+    assert main(["genus", "--family", "drt", "--u", "6", "--prime", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p = 0 must be an odd prime" in captured.err
 
 
 def test_cli_genus_unsupported_m(capsys):

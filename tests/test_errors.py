@@ -9,6 +9,7 @@ from tablezeta.decomposition import character_table, find_generator, maximal_ord
 from tablezeta.dirichlet import DirichletSeries, LocalRationalFunction, infer_local_polynomial
 from tablezeta.errors import (
     BasisKindMismatch,
+    DepthExceeded,
     InputError,
     MaximalityUncertified,
     NonCommutative,
@@ -18,7 +19,13 @@ from tablezeta.errors import (
     PrecisionUnstable,
 )
 from tablezeta.exact import hnf_square
-from tablezeta.genus import LocalModel, _membership_congruence_matrix, block_triangularize, triple_matrix
+from tablezeta.genus import (
+    LocalModel,
+    _membership_congruence_matrix,
+    block_triangularize,
+    decompose_domain,
+    triple_matrix,
+)
 from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal, quotient_ring_table
 
 
@@ -197,6 +204,16 @@ def test_membership_congruence_needs_enough_precision():
     model = LocalModel(p=3, m=0, v=1)
     with pytest.raises(PrecisionUnstable):
         _membership_congruence_matrix(triple_matrix(model, (0, 0, 1)), 0, 3)
+
+
+def test_decompose_domain_depth_guard_ends_a_digit_tree_that_does_not_end():
+    # p^2 pi e1 Z_p + e1 Z_p + e0 Z_p at p = 3, m = 0, a lattice genus_zeta
+    # never passes: its digit tree does not end (a bound ten times larger
+    # raises too), and the guard raises.  With p in place of p^2 it ends.
+    model = LocalModel(p=3, m=0, v=1)
+    with pytest.raises(DepthExceeded):
+        decompose_domain(model, LatticeHNF(3, ((9, 0, 0), (0, 1, 0), (0, 0, 1))))
+    assert len(decompose_domain(model, LatticeHNF(3, ((3, 0, 0), (0, 1, 0), (0, 0, 1))))) == 2
 
 
 def test_membership_congruence_rejects_a_singular_target():

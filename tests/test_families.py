@@ -1,5 +1,6 @@
 import pytest
 
+from tablezeta import families
 from tablezeta.algebra import BasisKind, validate
 from tablezeta.errors import InputError
 from tablezeta.families import FamilySpec, FUSION_NAMES, conference, drt, fusion
@@ -53,6 +54,25 @@ def test_fusion_rings_valid(name):
 def test_fusion_unknown_name():
     with pytest.raises(InputError):
         fusion("golden")
+
+
+@pytest.mark.parametrize("kind,u", [("drt", -1), ("conference", 0), ("conference", 2), ("conference", 6)])
+def test_family_spec_order_applies_the_parameter_rules(kind, u):
+    with pytest.raises(InputError) as order_error:
+        FamilySpec(kind, u=u).order()
+    with pytest.raises(InputError) as resolve_error:
+        FamilySpec(kind, u=u).resolve()
+    assert str(order_error.value) == str(resolve_error.value)
+
+
+def test_family_spec_order_builds_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("order() built a table")
+
+    monkeypatch.setattr(families, "TableAlgebra", refuse)
+    monkeypatch.setattr(families, "validate", refuse)
+    assert FamilySpec("drt", u=0).order() == 3
+    assert FamilySpec("conference", u=10**6).order() == 4 * 10**6 + 1
 
 
 def test_family_spec_resolution():

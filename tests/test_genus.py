@@ -11,6 +11,7 @@ from tablezeta.exact import valuation
 from tablezeta.genus import (
     LocalModel,
     RegionPart,
+    _admissible_triples,
     admissible,
     automorphism_measure_inverse,
     block_triangularize,
@@ -27,7 +28,7 @@ from tablezeta.genus import (
     triple_matrix,
     Region,
 )
-from tablezeta.ideals import count_ideals_at_prime
+from tablezeta.ideals import LatticeHNF, count_ideals_at_prime
 from tablezeta.families import drt
 from tablezeta.ppoly import PPoly
 
@@ -56,13 +57,13 @@ EXPECTED_M1 = {
 
 def test_m0_two_genera():
     model = model_for_order(7, 7)
-    reps = [r.params for r in enumerate_genus_representatives(model)]
+    reps = enumerate_genus_representatives(model)
     assert reps == [(0, 0, 0), (0, 0, 1)]
 
 
 def test_m1_eight_classes():
     model = model_for_order(27, 3)
-    reps = [r.params for r in enumerate_genus_representatives(model)]
+    reps = enumerate_genus_representatives(model)
     assert reps == M1_REPS
 
 
@@ -119,7 +120,7 @@ def test_enumeration_lists_exactly_the_admissible_triples():
                 ((r, i, j) for i in range(m + 1) for j in range(2 * m + 2) for r in range(p**j) if admissible(model, r, i, j)),
                 key=lambda t: (t[1] + t[2], t[2], t[0]),
             )
-            got = [lat.params for lat in enumerate_genus_representatives(model, classify=False)]
+            got = _admissible_triples(model)
             assert got == want
 
 
@@ -188,7 +189,7 @@ def test_complementary_lattices_all_representatives(p):
     model = LocalModel(p=p, m=1, v=(1 if n % 4 == 1 else -1))
     expected = complement_expected(p, model.v)
     for rep in enumerate_genus_representatives(model):
-        assert complementary_lattice(model, rep).matrix == expected[rep.params]
+        assert complementary_lattice(model, rep).matrix == expected[rep]
 
 
 def test_multiplier_orders():
@@ -213,16 +214,14 @@ def test_automorphism_index_list(p):
         (0, 0, 0): 1,
     }
     for rep in enumerate_genus_representatives(model):
-        assert automorphism_measure_inverse(model, rep.params) == expect[rep.params]
+        assert automorphism_measure_inverse(model, rep) == expect[rep]
 
 
 def test_symbolic_measures_match_numeric():
     sym = LocalModel(p=None, m=1, v=None)
     num = model_for_order(27, 3)
     for rep in enumerate_genus_representatives(sym):
-        assert automorphism_measure_inverse(sym, rep.params)(3) == automorphism_measure_inverse(
-            num, rep.params
-        )
+        assert automorphism_measure_inverse(sym, rep)(3) == automorphism_measure_inverse(num, rep)
 
 
 ODD_PRIMES_TO_47 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -235,15 +234,33 @@ def test_symbolic_closed_forms_match_numeric(p):
     # None for 0), for both signs of the unit v
     for m in (0, 1):
         sym = LocalModel(p=None, m=m, v=None)
-        sym_reps = [rep.params for rep in enumerate_genus_representatives(sym)]
+        sym_reps = enumerate_genus_representatives(sym)
         for v in (1, -1):
             num = LocalModel(p=p, m=m, v=v)
-            assert [rep.params for rep in enumerate_genus_representatives(num)] == sym_reps
+            assert enumerate_genus_representatives(num) == sym_reps
             for params in sym_reps:
                 assert automorphism_measure_inverse(num, params) == automorphism_measure_inverse(sym, params)(p)
                 comp = complementary_lattice(num, params).matrix
                 exps = [[None if x == 0 else valuation(x, p) for x in row] for row in comp]
                 assert exps == complementary_lattice(sym, params), (m, v, params)
+
+
+@pytest.mark.parametrize("triple", [(0, 2, 1), (9, 0, 2), (0, 0, 5), (0, 1, 4)])
+def test_class_functions_refuse_an_inadmissible_triple(triple):
+    # i > m, r >= p^j, and j > 2m+1 twice: no lattice M(r,i,j) lies between Z_pB and Lambda_0
+    model = model_for_order(27, 3)
+    assert not admissible(model, *triple)
+    for fn in (complementary_lattice, automorphism_measure_inverse, genus_zeta):
+        with pytest.raises(InputError, match="not admissible"):
+            fn(model, triple)
+
+
+@pytest.mark.parametrize("triple", [(0, 2, 1), (0, 0, 4), (1, 0, 2)])
+def test_symbolic_class_functions_refuse_an_inadmissible_triple(triple):
+    model = LocalModel(p=None, m=1, v=None)
+    for fn in (complementary_lattice, automorphism_measure_inverse, genus_zeta):
+        with pytest.raises(InputError, match="not admissible"):
+            fn(model, triple)
 
 
 def test_region_integral_tail_pair():
@@ -280,7 +297,7 @@ def test_region_integral_needs_a_concrete_prime():
 
 def test_decompose_lambda0_single_tail_pair():
     model = model_for_order(27, 3)
-    regions = decompose_domain(model, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    regions = decompose_domain(model, LatticeHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     assert len(regions) == 1
     assert regions[0].quadratic == RegionPart("tail", 0)
     assert regions[0].rational == RegionPart("tail", 0)
@@ -322,14 +339,14 @@ def _unit_measure(model, region):
 
 def test_unit_measures_sum_to_one_on_lambda0():
     model = model_for_order(27, 3)
-    regions = decompose_domain(model, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    regions = decompose_domain(model, LatticeHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     assert sum(r.count(3) * _unit_measure(model, r) for r in regions) == 1
 
 
 def test_unit_measure_of_lambda_is_automorphism_inverse():
     model = model_for_order(27, 3)
     lam = triple_matrix(model, model.lam_triple)
-    regions = decompose_domain(model, lam)
+    regions = decompose_domain(model, LatticeHNF(3, lam))
     total = sum(r.count(3) * _unit_measure(model, r) for r in regions)
     assert total == Fraction(1, automorphism_measure_inverse(model, (0, 1, 3)))
 
@@ -430,7 +447,7 @@ def test_unsupported_m2_classification():
     model = LocalModel(p=3, m=2, v=-1)
     with pytest.raises(UnsupportedM):
         enumerate_genus_representatives(model)
-    reps = enumerate_genus_representatives(model, classify=False)
+    reps = _admissible_triples(model)
     assert len(reps) > 8  # enumeration itself still works
 
 
