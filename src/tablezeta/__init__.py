@@ -26,8 +26,7 @@ _EXPORTS = {
     "cli": "",
     "decomposition": "CharacterTable character_formula_idempotents character_table find_generator"
     " maximal_order primitive_idempotents",
-    "dirichlet": "DirichletSeries LocalRationalFunction assemble_global dedekind_euler_factor expand"
-    " infer_local_polynomial theorem_local_factor",
+    "dirichlet": "LocalRationalFunction assemble_global expand infer_local_polynomial theorem_local_factor",
     "errors": "",
     "exact": "",
     "families": "FamilySpec conference drt fusion",

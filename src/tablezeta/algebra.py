@@ -182,20 +182,13 @@ def regular_representation(t: TableAlgebra, i: int):
     return tuple(zip(*action_matrix(t.lam, unit_vectors(t.rank)[i])))
 
 
-def radical_of_charpoly(m):
-    "Squarefree part of the characteristic polynomial (same roots, each once)."
-    from .polys import squarefree_part  # not at module level: loading a table needs no polynomial algebra
-
-    return squarefree_part(charpoly(m))
-
-
 def perron_root(m):
     """Largest real eigenvalue of a nonnegative integer matrix, as an exact
     algebraic number (``polys.AlgebraicNumber``; minimal polynomial = its
     irreducible factor)."""
-    from .polys import factor_rational, largest_real_root
+    from .polys import factor_rational, largest_real_root, squarefree_part
 
-    _, best = largest_real_root(factor_rational(radical_of_charpoly(m)))
+    _, best = largest_real_root(factor_rational(squarefree_part(charpoly(m))))
     if best is None:
         raise ArithmeticError("matrix has no real eigenvalue")
     return best

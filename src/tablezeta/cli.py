@@ -114,9 +114,7 @@ def cmd_count(args):
         if args.kmax is not None:
             raise InputError("--kmax needs --prime")
         bound = 20 if args.max_index is None else args.max_index
-        series = count_ideals(t.lam, bound)
-        for n in range(1, bound + 1):
-            print(f"{n}\t{series.a(n)}")
+        print(count_ideals(t.lam, bound))
     return 0
 
 

@@ -22,12 +22,11 @@ from .algebra import (
     TableAlgebra,
     check_ring,
     multiply,
-    radical_of_charpoly,
     regular_representation,
     unit_vectors,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import factorize, fmat_det, fmat_inv, squarefree_kernel, valuation, vec_mat
+from .exact import charpoly, discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation, vec_mat
 from math import lcm
 
 from .polys import (
@@ -38,7 +37,6 @@ from .polys import (
     pdiv_exact,
     pdivmod,
     pmul,
-    to_int_poly,
 )
 
 CERTIFIED_CUBIC = (1, -1, -2, 1)  # x^3 - 2x^2 - x + 1, ring of integers of its field
@@ -87,12 +85,11 @@ def _generator_candidates(t: TableAlgebra):
         yield 0, (-1, 1)
         return
     for i in range(1, d):
-        m = regular_representation(t, i)
-        sf = radical_of_charpoly(m)
-        # the squarefree part of the characteristic polynomial chi has degree
-        # d only when it is chi itself, and chi(M) = 0 by Cayley-Hamilton
-        if pdeg(sf) == d:
-            yield i, to_int_poly(sf)
+        chi = charpoly(regular_representation(t, i))
+        # a nonzero discriminant makes chi squarefree, and chi(M) = 0 by
+        # Cayley-Hamilton, so chi is then the minimal polynomial of b_i
+        if discriminant(chi):
+            yield i, chi
 
 
 def find_generator(t: TableAlgebra):
@@ -130,7 +127,7 @@ def _ring_polynomial(f):
         return f, (0, 1)
     if d == 2:
         b = f[1]
-        d0, s = squarefree_kernel(b * b - 4 * f[0])
+        d0, s = squarefree_kernel(discriminant(f))
         if d0 % 4 == 1:
             return ((1 - d0) // 4, -1, 1), (Fraction(s + b, 2 * s), Fraction(1, s))
         return (-d0, 0, 1), (Fraction(b, s), Fraction(2, s))

@@ -10,30 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, FunctionalEquationFailed, InputError, MissingBadPrime, NonIntegralQuotient
-from .exact import int_tuple, is_prime, primes_up_to
+from .exact import discriminant, is_prime, primes_up_to
+from .ideals import IdealCountSeries
 from .modp import root_count
 from .polys import padd, pdeg, peval, pmul, pnorm
-
-
-@dataclass(frozen=True)
-class DirichletSeries:
-    bound: int
-    coefficients: tuple  # a_1 .. a_N
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", int_tuple(self.coefficients))
-        if len(self.coefficients) != self.bound:
-            raise InputError("coefficient list must have length N")
-        if self.bound >= 1 and self.coefficients[0] != 1:
-            raise InputError("a_1 must be 1")
-
-    def a(self, n):
-        if not 1 <= n <= self.bound:
-            raise IndexError(f"a({n}) is outside 1..{self.bound}")
-        return self.coefficients[n - 1]
-
-    def __str__(self):
-        return "\n".join(f"{n}\t{a}" for n, a in enumerate(self.coefficients, start=1))
 
 
 @dataclass(frozen=True)
@@ -50,9 +30,6 @@ class LocalRationalFunction:
         object.__setattr__(self, "den", pnorm(tuple(self.den)))
         if self.den[0] != 1:
             raise InputError("denominator must have constant term 1")
-
-    def expand(self, kmax):
-        return expand(self, kmax)
 
     def __mul__(self, other):
         if isinstance(other, LocalRationalFunction):
@@ -134,11 +111,6 @@ def _sign_split(x):
     return (False, s)
 
 
-def zeta_p(p):
-    "(1 - t)^{-1}, the local factor of Z."
-    return LocalRationalFunction(p, (1,), (1, -1))
-
-
 def expand(f: LocalRationalFunction, kmax):
     "Power-series coefficients of num/den up to t^kmax (exact division)."
     num = list(f.num) + [0] * max(0, kmax + 1 - len(f.num))
@@ -153,31 +125,37 @@ def expand(f: LocalRationalFunction, kmax):
 
 
 def residue_degrees_mod_p(poly, p):
-    """Degrees of the distinct irreducible factors of a monic integer
-    polynomial f of degree <= 3 mod the prime p: one 1 per root, then the
-    degree of the irreducible factor of degree 2 or 3 left over, if any.
-    These are the residue degrees of the primes above p in Z[x]/(f) when
-    that ring is maximal at p.
+    """Degrees of the distinct irreducible factors of an integer polynomial
+    f of degree <= 3 that is monic mod the prime p: one 1 per root mod p,
+    then the degree of the irreducible factor of degree 2 or 3 left over,
+    if any.  These are the residue degrees of the primes above p in
+    Z[x]/(f) when f is monic and that ring is maximal at p.
 
-    The number r of distinct roots fixes the rest.  If p does not divide
-    disc(f), f is squarefree mod p, with r linear factors and one
-    irreducible factor of degree deg f - r.  At an odd p the residue symbol
-    of the discriminant, disc^((p-1)/2) mod p (Euler's criterion), gives r
-    for a quadratic: 2 when it is +1, else 0.  For a cubic, Stickelberger's
-    theorem says the symbol is (-1)^(3 - number of irreducible factors),
-    so a symbol of -1 means r = 1.  If p divides disc(f), f has a repeated
-    factor mod p, which for degree <= 3 must be linear, so every distinct
-    factor is linear.  In the remaining cases (a cubic of symbol +1, where
-    r is 3 or 0, p = 2, and p dividing the discriminant) r is
-    deg gcd(f, x^p - x), with x^p mod f by square-and-multiply.  A p that
-    is not prime or an f that is not monic mod p raises InputError."""
+    Everything is read off the reduction fbar of f mod p, whose
+    coefficients, taken in 0 .. p-1, make a monic integer polynomial; its
+    discriminant D (``exact.discriminant``) is disc(fbar) mod p, so an f
+    that is monic only mod p (leading coefficient p + 1, say) gets the
+    residue degrees of its reduction.  The number r of distinct roots fixes
+    the rest.  If p does not divide D, fbar is squarefree, with r linear
+    factors and one irreducible factor of degree deg f - r.  At an odd p
+    the residue symbol D^((p-1)/2) mod p (Euler's criterion) gives r for a
+    quadratic: 2 when it is +1, else 0.  For a cubic, Stickelberger's
+    theorem says the symbol is (-1)^(3 - number of irreducible factors), so
+    a symbol of -1 means r = 1.  If p divides D, fbar has a repeated factor,
+    which for degree <= 3 must be linear, so every distinct factor is
+    linear.  In the remaining cases (a cubic of symbol +1, where r is 3 or
+    0, p = 2, and p dividing D) r is deg gcd(fbar, x^p - x), with x^p mod
+    fbar by square-and-multiply.  A p that is not prime or an f that is not
+    monic mod p raises InputError."""
     if not is_prime(p):
         raise InputError(f"residue degrees need a prime, got {p}")
     return _residue_degrees_mod(poly, p)
 
 
-def _residue_degrees_mod(poly, p):
-    "residue_degrees_mod_p for a p already known to be prime."
+def _residue_degrees_mod(poly, p, disc=None):
+    """residue_degrees_mod_p for a p already known to be prime.  disc, if
+    given, is the discriminant of poly, a monic integer polynomial, so that
+    a caller that asks at many primes computes it once."""
     coeffs = [x % p for x in poly]
     deg = len(coeffs) - 1
     if deg > 3:
@@ -188,7 +166,7 @@ def _residue_degrees_mod(poly, p):
         raise InputError(f"{tuple(poly)} is not monic mod {p}")
     if deg == 1:
         return [1]
-    disc = _monic_discriminant(coeffs) % p
+    disc = (discriminant(coeffs) if disc is None else disc) % p
     symbol = pow(disc, (p - 1) // 2, p) if p > 2 else 0  # 0 when p = 2 or p | disc
     if symbol and deg == 2:
         roots = 2 if symbol == 1 else 0
@@ -199,22 +177,6 @@ def _residue_degrees_mod(poly, p):
     if not disc:
         return [1] * roots  # the repeated factor is linear, so every factor is
     return [1] * roots + ([deg - roots] if roots < deg else [])
-
-
-def _monic_discriminant(coeffs):
-    "Discriminant of the monic x^2 + b x + c or x^3 + a x^2 + b x + c, ascending coefficients."
-    if len(coeffs) == 3:
-        c, b, _ = coeffs
-        return b * b - 4 * c
-    c, b, a, _ = coeffs
-    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
-
-
-def dedekind_euler_factor(ring, p) -> LocalRationalFunction:
-    """Euler factor at p of the Dedekind zeta function of the ring of
-    integers Z[x]/(ring), given by its defining polynomial: product over
-    the distinct irreducible factors of ring mod p of (1 - t^deg)^{-1}."""
-    return maximal_local_factor((ring,), p)
 
 
 def _dedekind_den(degrees):
@@ -248,13 +210,13 @@ def theorem_local_factor(family: str, p) -> LocalRationalFunction:
 def maximal_local_factor(rings, p) -> LocalRationalFunction:
     """Local factor of the maximal order: (1 - t^f)^{-1} over the residue
     degrees f of the primes above the prime p in every component ring,
-    given by its defining polynomial."""
+    given by its defining polynomial, which must be monic (InputError)."""
     if not is_prime(p):
         raise InputError(f"residue degrees need a prime, got {p}")
-    return LocalRationalFunction(p, (1,), _dedekind_den(_residue_degrees(rings, p)))
+    return LocalRationalFunction(p, (1,), _dedekind_den(_residue_degrees(rings, p, list(map(discriminant, rings)))))
 
 
-def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
+def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
     """Coefficients a_1..a_N of the Euler product: good primes get the
     product of the Dedekind factors of the component rings, given by their
     defining polynomials, bad primes the supplied full local factor.
@@ -264,12 +226,15 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
     residue degrees of the primes above p, which residue_degrees_mod_p
     reads off the residue symbol of each component's discriminant (with
     Stickelberger's theorem for a cubic), so each pattern of degrees is
-    expanded once per depth.  The sweep multiplies the multiples of p by
-    a_p in one slice; for p^2 <= N each a_{p^k} is laid over the
-    multiples of p^k in turn, so that no valuation is computed."""
+    expanded once per depth.  Each discriminant is computed once, here,
+    and reduced mod every p; a ring that is not monic raises InputError.
+    The sweep multiplies the multiples of p by a_p in one slice; for
+    p^2 <= N each a_{p^k} is laid over the multiples of p^k in turn, so
+    that no valuation is computed."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
+    discs = [discriminant(ring) for ring in rings]
     coeffs = [1] * (bound + 1)  # index by n, entry 0 unused
     good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
     for p in primes_up_to(bound):
@@ -280,7 +245,7 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
         if local is not None:
             a = expand(local, kmax)
         else:
-            key = (_residue_degrees(rings, p), kmax)
+            key = (_residue_degrees(rings, p, discs), kmax)
             a = good.get(key)
             if a is None:
                 a = good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
@@ -294,12 +259,12 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> DirichletSeries:
             step = p ** (k - 1)
             mult[step - 1 :: step] = [a[k]] * (bound // (step * p))
         coeffs[p::p] = [c * m for c, m in zip(coeffs[p::p], mult)]
-    return DirichletSeries(bound, tuple(coeffs[1:]))
+    return IdealCountSeries(bound, tuple(coeffs[1:]))
 
 
-def _residue_degrees(rings, p):
-    "Sorted residue degrees of the primes above the prime p in every ring."
-    return tuple(sorted(d for ring in rings for d in _residue_degrees_mod(ring, p)))
+def _residue_degrees(rings, p, discs):
+    "Sorted residue degrees of the primes above the prime p in every ring, of discriminants discs."
+    return tuple(sorted(d for ring, disc in zip(rings, discs) for d in _residue_degrees_mod(ring, p, disc)))
 
 
 def _quotient(oracle_counts, maximal_factor):

@@ -239,3 +239,20 @@ def charpoly(m):
             raise ArithmeticError("characteristic polynomial not integral")
         cs[n - k] = -tr // k
     return tuple(cs)
+
+
+def discriminant(f):
+    """Discriminant of a monic integer polynomial f of any degree, given by
+    ascending coefficients: the determinant of the Hankel matrix of the
+    power sums s_k of its roots, s_0 .. s_(2n-2) by Newton's identities.
+    That matrix is V^T V for the Vandermonde matrix V of the roots, so its
+    determinant is prod_(i<j) (r_i - r_j)^2.  A polynomial that is not
+    monic raises InputError."""
+    f = int_tuple(f)
+    n = len(f) - 1
+    if n < 0 or f[-1] != 1:
+        raise InputError(f"discriminant needs a monic polynomial, got {f}")
+    s = [n]
+    for k in range(1, 2 * n - 1):
+        s.append(-(k * f[n - k] if k <= n else 0) - sum(f[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1)))
+    return int(fmat_det([s[i : i + n] for i in range(n)]))

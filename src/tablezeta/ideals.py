@@ -58,7 +58,7 @@ from itertools import product
 
 from .algebra import action_matrix, check_ring, unit_vectors
 from .errors import InputError
-from .exact import charpoly, divisors, fmat_det, int_tuple, is_prime, mat_mul, primes_up_to
+from .exact import charpoly, discriminant, divisors, int_tuple, is_prime, primes_up_to
 from .modp import kernel, maximal_ideals, pivots, root_count, rref
 
 
@@ -91,6 +91,10 @@ class LatticeHNF:
 
 @dataclass(frozen=True)
 class IdealCountSeries:
+    """a_1 .. a_N of an ideal-counting zeta function sum a_n n^(-s), with
+    a_1 = 1: counted here, or assembled from an Euler product by
+    ``dirichlet.assemble_global``.  It prints as one line "n<TAB>a_n" per n."""
+
     bound: int
     counts: tuple  # a_1 .. a_N
 
@@ -105,6 +109,9 @@ class IdealCountSeries:
         if not 1 <= n <= self.bound:
             raise IndexError(f"a({n}) is outside 1..{self.bound}")
         return self.counts[n - 1]
+
+    def __str__(self):
+        return "\n".join(f"{n}\t{a}" for n, a in enumerate(self.counts, start=1))
 
 
 def divisor_tuples(n, k):
@@ -303,22 +310,16 @@ def _descend(table, bound, primes, maximal=None):
 def _splitting_element(table):
     """(theta, chi, D): the first of b_1, ..., b_(r-1), b_1 + 2 b_2 + ... +
     (r-1) b_(r-1) whose characteristic polynomial chi (of multiplication
-    by theta) has a nonzero discriminant D, or None if there is none or
-    the rank is 1.  D is the determinant of the Hankel matrix of the power
-    sums Tr(M^(i+j)), M the action matrix of theta: it is V V^T for the
-    Vandermonde matrix V of the roots of chi."""
+    by theta) has a nonzero discriminant D = ``exact.discriminant(chi)``,
+    or None if there is none or the rank is 1."""
     r = len(table)
     if r == 1:
         return None
     for theta in unit_vectors(r)[1:] + [tuple(range(r))]:
-        m = action_matrix(table, theta)
-        sums, power = [r], m  # Tr(M^0), ..., Tr(M^(2r-2))
-        for _ in range(2 * r - 2):
-            sums.append(sum(power[i][i] for i in range(r)))
-            power = mat_mul(power, m)
-        disc = int(fmat_det([sums[i : i + r] for i in range(r)]))
+        chi = charpoly(action_matrix(table, theta))
+        disc = discriminant(chi)
         if disc:
-            return theta, charpoly(m), disc
+            return theta, chi, disc
     return None
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .algebra import TableAlgebra
 from .decomposition import MaximalOrderData, maximal_order
 from .dirichlet import (
-    DirichletSeries,
     LocalRationalFunction,
     assemble_global,
     complete_local_polynomial,
@@ -22,7 +21,7 @@ from .dirichlet import (
 )
 from .errors import InputError
 from .exact import valuation
-from .ideals import count_ideals, count_ideals_at_prime
+from .ideals import IdealCountSeries, count_ideals, count_ideals_at_prime
 from .modp import is_gorenstein, maximal_ideals
 from .polys import pmul
 
@@ -124,8 +123,8 @@ class VerifyResult:
 
     passed: bool
     bound: int
-    oracle: DirichletSeries
-    assembled: DirichletSeries
+    oracle: IdealCountSeries
+    assembled: IdealCountSeries
     factors: dict = field(default_factory=dict)
     mismatches: list = field(default_factory=list)
 
@@ -144,7 +143,7 @@ def _assemble(order, exc, bound):
     return assemble_global(order.rings, order.bad_primes, {p: f.full for p, f in exc.items()}, bound)
 
 
-def zeta_series(t: TableAlgebra, bound, progress=None) -> DirichletSeries:
+def zeta_series(t: TableAlgebra, bound, progress=None) -> IdealCountSeries:
     "Assembled Euler-product series with inferred exceptional factors."
     order = _analyzed(t, bound)
     return _assemble(order, infer_exceptional_factors(t, order, bound, progress), bound)
@@ -167,7 +166,7 @@ def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
     return VerifyResult(
         passed=not mismatches,
         bound=bound,
-        oracle=DirichletSeries(bound, oracle.counts),
+        oracle=oracle,
         assembled=assembled,
         factors=exc,
         mismatches=mismatches,

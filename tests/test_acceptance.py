@@ -220,6 +220,6 @@ def test_acceptance_10_group_ring_c4_verify():
     res = verify_order(TableAlgebra(4, lam, (0, 3, 2, 1)), 64)
     assert res.passed
     assert res.deltas == {2: (1, -2, 3, 0, 6, -8, 8)}
-    assert sum(res.oracle.coefficients) == 495
+    assert sum(res.oracle.counts) == 495
     print("ACCEPTANCE 10: PASS - verify on Z[C4] at N=64 with delta_2 = 1 - 2t + 3t^2 + 6t^4 - 8t^5 "
           "+ 8t^6 and 495 ideals of index <= 64")

@@ -4,17 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tablezeta import (
-    DirichletSeries,
-    LocalRationalFunction,
-    assemble_global,
-    dedekind_euler_factor,
-    expand,
-    infer_local_polynomial,
-    theorem_local_factor,
-)
+from tablezeta import LocalRationalFunction, assemble_global, expand, infer_local_polynomial, theorem_local_factor
 from tablezeta.decomposition import maximal_order
-from tablezeta.dirichlet import maximal_local_factor, residue_degrees_mod_p, zeta_p
+from tablezeta.dirichlet import maximal_local_factor, residue_degrees_mod_p
 from tablezeta.errors import DegreeBoundExceeded, InputError, MissingBadPrime
 from tablezeta.exact import factorize, primes_up_to
 from tablezeta.families import conference, drt, fusion
@@ -25,18 +17,18 @@ GOLDEN_RING = (-1, -1, 1)  # x^2 - x - 1, discriminant 5
 
 
 def test_dedekind_factor_ramified():
-    f = dedekind_euler_factor(GOLDEN_RING, 5)
+    f = maximal_local_factor((GOLDEN_RING,), 5)
     assert f.num == (1,) and f.den == (1, -1)
 
 
 def test_dedekind_factor_split():
-    f = dedekind_euler_factor(GOLDEN_RING, 11)
+    f = maximal_local_factor((GOLDEN_RING,), 11)
     assert f.den == (1, -2, 1)
     assert expand(f, 1) == [1, 2]
 
 
 def test_dedekind_factor_inert():
-    f = dedekind_euler_factor(GOLDEN_RING, 2)
+    f = maximal_local_factor((GOLDEN_RING,), 2)
     assert f.den == (1, 0, -1)
     assert expand(f, 2) == [1, 0, 1]
 
@@ -47,7 +39,7 @@ def test_dedekind_matches_oracle_counts():
     lam = quotient_ring_table(GOLDEN_RING)
     for p in (2, 3, 5, 11):
         counts = count_ideals_at_prime(lam, p, 2)
-        assert counts == expand(dedekind_euler_factor(GOLDEN_RING, p), 2)
+        assert counts == expand(maximal_local_factor((GOLDEN_RING,), p), 2)
 
 
 def test_totally_ramified_cubic_at_7():
@@ -119,6 +111,25 @@ def test_residue_degrees_reject_non_monic(poly, p):
         residue_degrees_mod_p(poly, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("low", [(-1, -1), (1, -1, -2), (-2, 0, 0), (3, 1), (0, 0, -1)])
+def test_residue_degrees_of_a_polynomial_monic_only_mod_p(low, p):
+    # leading coefficient p + 1: the residue degrees are those of the monic
+    # reduction, whose discriminant is taken from the reduced coefficients,
+    # never from the non-monic integer polynomial
+    monic = (*low, 1)
+    assert residue_degrees_mod_p((*low, p + 1), p) == residue_degrees_mod_p(monic, p)
+    assert residue_degrees_mod_p((*low, p + 1), p) == [d for d, _ in _degrees_by_root_search(monic, p)]
+
+
+def test_assemble_refuses_a_ring_that_is_not_monic():
+    # 3 is 1 mod 2, but the ring's discriminant is taken once, over Z
+    with pytest.raises(InputError, match="monic"):
+        assemble_global([(-1, -1, 3)], [], {}, 2)
+    with pytest.raises(InputError, match="monic"):
+        maximal_local_factor([(-1, -1, 3)], 2)
+
+
 @pytest.mark.parametrize(
     "poly, p, expected",
     [
@@ -183,7 +194,7 @@ def test_assemble_matches_product_over_factorization(t, deltas):
         p: LocalRationalFunction(p, delta, (1,)) * maximal_local_factor(data.rings, p) for p, delta in deltas.items()
     }
     series = assemble_global(data.rings, data.bad_primes, exceptional, 3000)
-    assert series.coefficients == _product_over_factorization(data.rings, exceptional, 3000)
+    assert series.counts == _product_over_factorization(data.rings, exceptional, 3000)
 
 
 def test_expand_geometric_square():
@@ -211,7 +222,7 @@ def test_assemble_fib_is_dedekind_zeta():
     data = maximal_order(t)
     series = assemble_global(data.rings, data.bad_primes, {}, 40)
     oracle = count_ideals(t.lam, 40)
-    assert series.coefficients == oracle.counts
+    assert series.counts == oracle.counts
 
 
 def test_assemble_reps3_formula():
@@ -224,12 +235,12 @@ def test_assemble_reps3_formula():
         exceptional[p] = LocalRationalFunction(p, (1, -1, p), (1,)) * base
     series = assemble_global(data.rings, data.bad_primes, exceptional, 36)
     oracle = count_ideals(t.lam, 36)
-    assert series.coefficients == oracle.counts
+    assert series.counts == oracle.counts
 
 
 def test_assemble_rank_one_all_ones():
     series = assemble_global([(0, 1)], [], {}, 30)
-    assert series.coefficients == (1,) * 30
+    assert series.counts == (1,) * 30
 
 
 def test_assemble_missing_bad_prime():
@@ -239,11 +250,12 @@ def test_assemble_missing_bad_prime():
         assemble_global(data.rings, data.bad_primes, {}, 10)
     # raised before any local factor is built
     with pytest.raises(MissingBadPrime):
-        assemble_global([(-2, 0, 0, 1)], [2, 3], {2: zeta_p(2)}, 100)
+        assemble_global([(-2, 0, 0, 1)], [2, 3], {2: LocalRationalFunction(2, (1,), (1, -1))}, 100)
 
 
-@pytest.mark.parametrize("series", [DirichletSeries(3, (1, 2, 3)), IdealCountSeries(3, (1, 2, 3))])
-def test_series_index_outside_bound(series):
+def test_series_index_outside_bound():
+    series = IdealCountSeries(3, (1, 2, 3))
+    assert str(series) == "1\t1\n2\t2\n3\t3"
     assert [series.a(n) for n in (1, 2, 3)] == [1, 2, 3]
     for n in (0, -1, 4):
         with pytest.raises(IndexError, match=rf"a\({n}\) is outside 1\.\.3"):
@@ -259,7 +271,7 @@ def test_infer_drt1_at_7():
 
 
 def test_infer_good_prime_trivial():
-    base = dedekind_euler_factor(GOLDEN_RING, 11)
+    base = maximal_local_factor((GOLDEN_RING,), 11)
     counts = expand(base, 5)
     assert infer_local_polynomial(counts, base, 0) == (1,)
 
@@ -302,11 +314,11 @@ def test_local_function_reduction():
     f = LocalRationalFunction(3, (1, -1), (1, -2, 1))  # (1-t)/(1-t)^2
     r = f.reduced()
     assert r.num == (1,) and r.den == (1, -1)
-    assert f.equals(zeta_p(3))
+    assert f.equals(LocalRationalFunction(3, (1,), (1, -1)))
 
 
 def test_expand_convolution_property():
-    a = dedekind_euler_factor(GOLDEN_RING, 11)
+    a = maximal_local_factor((GOLDEN_RING,), 11)
     b = theorem_local_factor("v1", 11)
     ab = a * b
     ea, eb, eab = expand(a, 6), expand(b, 6), expand(ab, 6)

@@ -6,7 +6,7 @@ import pytest
 from tablezeta.algebra import TableAlgebra, degree_map, rescale
 from tablezeta.cli import main
 from tablezeta.decomposition import character_table, find_generator, maximal_order
-from tablezeta.dirichlet import DirichletSeries, LocalRationalFunction, infer_local_polynomial
+from tablezeta.dirichlet import LocalRationalFunction, infer_local_polynomial
 from tablezeta.errors import (
     BasisKindMismatch,
     DepthExceeded,
@@ -163,7 +163,7 @@ def test_constructors_refuse_non_integer_entries():
     with pytest.raises(InputError):
         TableAlgebra(2, [[[1, 0], [0, 1]], [[0, 1], [1.5, 0]]], (0, 1))
     with pytest.raises(InputError):
-        DirichletSeries(2, (1, Fraction(3, 2)))
+        IdealCountSeries(2, (1, Fraction(3, 2)))
     with pytest.raises(InputError):
         IdealCountSeries(2, (1, 2.5))
     with pytest.raises(InputError):

@@ -14,9 +14,11 @@ from tablezeta.ideals import (
     divisor_tuples,
     quotient_ring_table,
 )
-from tablezeta.exact import fmat_det, hnf, primes_up_to
+from tablezeta.exact import hnf, primes_up_to
 from tablezeta.modp import maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
+
+from references import sylvester_discriminant
 
 
 def sublattice_count_formula(n):
@@ -196,17 +198,6 @@ def test_root_count_on_random_monic_orders(low):
         lam = quotient_ring_table(f)
         assert _splitting_element(lam) == (tuple(int(j == 1) for j in range(len(low))), f, disc)
         assert_root_count_matches(lam)
-
-
-def sylvester_discriminant(f):
-    "disc f = (-1)^(n(n-1)/2) Res(f, f') for a monic f of degree n, from the Sylvester matrix."
-    n = len(f) - 1
-    a = list(reversed(f))
-    b = list(reversed([k * c for k, c in enumerate(f)][1:]))
-    size = 2 * n - 1
-    rows = [[0] * i + a + [0] * (size - len(a) - i) for i in range(n - 1)]
-    rows += [[0] * i + b + [0] * (size - len(b) - i) for i in range(n)]
-    return (-1) ** (n * (n - 1) // 2) * int(fmat_det(rows))
 
 
 def test_root_count_needs_p_prime_to_d():

@@ -75,7 +75,7 @@ def test_verify_reads_the_bad_primes_off_its_one_count(label, bound):
     t = ORDERS[label]
     res = verify_order(t, bound)
     assert res.passed
-    assert res.oracle.coefficients == count_ideals(t.lam, bound).counts
+    assert res.oracle.counts == count_ideals(t.lam, bound).counts
     order = maximal_order(t)
     for p, f in res.factors.items():
         counts = count_ideals_at_prime(t.lam, p, f.depth)
@@ -149,7 +149,7 @@ def test_zeta_series_matches_verify_assembly():
     t = fusion("reps3")
     series = zeta_series(t, 48)
     res = verify_order(t, 48)
-    assert series.coefficients == res.assembled.coefficients == res.oracle.coefficients
+    assert series.counts == res.assembled.counts == res.oracle.counts
 
 
 def test_unramified_degrees_sum_to_field_degree():
