@@ -26,7 +26,7 @@ from .algebra import (
     unit_vectors,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import charpoly, discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation, vec_mat
+from .exact import charpoly, discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation
 from math import lcm
 
 from .polys import (
@@ -283,20 +283,6 @@ class MaximalOrderData:
     conductor: int
     bad_primes: list
 
-    def check_idempotent_suite(self, algebra):
-        "e^2 = e, e_f e_g = 0, sum e = 1, exactly."
-        d = algebra.rank
-        one = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
-        total = tuple(Fraction(0) for _ in range(d))
-        for a, ea in enumerate(self.idempotents):
-            total = tuple(x + y for x, y in zip(total, ea))
-            for b, eb in enumerate(self.idempotents):
-                prod = algebra.multiply(ea, eb)
-                want = ea if a == b else tuple(Fraction(0) for _ in range(d))
-                if tuple(prod) != tuple(want):
-                    return False
-        return total == one
-
     def degree_bound(self, p):
         """D_p = 2*n*v - v_p[Lambda_0 : Lambda], a proven bound on the degree
         of the exceptional polynomial delta_p = Z_{Lambda,p}(t) / Z_{Lambda_0,p}(t),
@@ -383,14 +369,3 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
         bad_primes=bad,
     )
 
-
-def order_closed_under_multiplication(t: TableAlgebra, basis):
-    "Tensor-transport check that the row span of basis is a ring."
-    inv = fmat_inv(basis)
-    for u in basis:
-        for v in basis:
-            prod = t.multiply(u, v)
-            coords = vec_mat(tuple(Fraction(x) for x in prod), inv)
-            if any(Fraction(x).denominator != 1 for x in coords):
-                return False
-    return True

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, FunctionalEquationFailed, InputError, MissingBadPrime, NonIntegralQuotient
-from .exact import discriminant, is_prime, primes_up_to
+from .exact import discriminant, is_prime
 from .ideals import IdealCountSeries
 from .modp import root_count
 from .polys import padd, pdeg, peval, pmul, pnorm
@@ -219,47 +219,31 @@ def maximal_local_factor(rings, p) -> LocalRationalFunction:
 def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
     """Coefficients a_1..a_N of the Euler product: good primes get the
     product of the Dedekind factors of the component rings, given by their
-    defining polynomials, bad primes the supplied full local factor.
-    Strictly multiplicative assembly.
+    defining polynomials, bad primes the supplied full local factor.  Each
+    local factor is expanded to the depth ``IdealCountSeries.from_towers``
+    asks for, and that sweep multiplies them together.
 
     A good prime's factor prod (1 - t^deg)^{-1} depends only on the
     residue degrees of the primes above p, which residue_degrees_mod_p
     reads off the residue symbol of each component's discriminant (with
     Stickelberger's theorem for a cubic), so each pattern of degrees is
     expanded once per depth.  Each discriminant is computed once, here,
-    and reduced mod every p; a ring that is not monic raises InputError.
-    The sweep multiplies the multiples of p by a_p in one slice; for
-    p^2 <= N each a_{p^k} is laid over the multiples of p^k in turn, so
-    that no valuation is computed."""
+    and reduced mod every p; a ring that is not monic raises InputError."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
     discs = [discriminant(ring) for ring in rings]
-    coeffs = [1] * (bound + 1)  # index by n, entry 0 unused
     good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
-    for p in primes_up_to(bound):
-        kmax = 1
-        while p ** (kmax + 1) <= bound:
-            kmax += 1
-        local = exceptional.get(p)
-        if local is not None:
-            a = expand(local, kmax)
-        else:
-            key = (_residue_degrees(rings, p, discs), kmax)
-            a = good.get(key)
-            if a is None:
-                a = good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
-        if kmax == 1:
-            if a[1] != 1:
-                coeffs[p::p] = [c * a[1] for c in coeffs[p::p]]
-            continue
-        # mult[i] = a_{p^v} for n = (i + 1) p with v = v_p(n)
-        mult = [a[1]] * (bound // p)
-        for k in range(2, kmax + 1):
-            step = p ** (k - 1)
-            mult[step - 1 :: step] = [a[k]] * (bound // (step * p))
-        coeffs[p::p] = [c * m for c, m in zip(coeffs[p::p], mult)]
-    return IdealCountSeries(bound, tuple(coeffs[1:]))
+
+    def tower(p, kmax):
+        if p in exceptional:
+            return expand(exceptional[p], kmax)
+        key = (_residue_degrees(rings, p, discs), kmax)
+        if key not in good:
+            good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
+        return good[key]
+
+    return IdealCountSeries.from_towers(bound, tower)
 
 
 def _residue_degrees(rings, p, discs):

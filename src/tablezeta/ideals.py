@@ -1,9 +1,8 @@
 """Brute-force ideal counting in an integral multiplication table.
 
-This is the package's independent ground truth for every zeta
-coefficient: a_n is the number of index-n sublattices of Z^dim in
-Hermite normal form that are closed under multiplication by every basis
-element.  Nothing here knows about Euler products or genus theory.
+a_n is the number of index-n sublattices of Z^dim in Hermite normal form
+that are closed under multiplication by every basis element.  Nothing
+here knows about Euler products or genus theory.
 
 Conventions: lattices are row-generated, HNF is upper triangular with
 positive diagonal and column-reduced entries (0 <= h[i][j] < h[j][j] for
@@ -12,38 +11,42 @@ tuples d_1 ... d_dim = n and independent off-diagonal residues.  The
 stream order is fixed: divisor tuples lexicographically, off-diagonal
 residues row-major; golden outputs rely on it.
 
-One kernel does the counting: both entry points run the descent
-(``_descend``) on every rank.  It goes breadth-first from Lambda = Z^dim
-through maximal sub-ideals: the children of an ideal I are the J with
-mI <= J < I and I/J = Lambda/m for a maximal ideal m of Lambda/pLambda,
-so its cost grows with the number of ideals it finds, not with the
-number of lattices.  ``count_ideals`` descends at every prime up to the
-bound, ``count_ideals_at_prime`` at one prime.  A step at p from an
-ideal of index prime to p has one child, and a child that can take no
-further step is counted, not built.  At a prime p with p^2 > bound
-every step is such a leaf, so the descent needs only the number of
-maximal ideals of residue degree 1 above p: when p does not divide the
-discriminant D of one characteristic polynomial chi, the number of
-roots of chi mod p (``_degree_one_count``).  At every other prime the
-maximal ideals come from ``modp.maximal_ideals``.  The plain stream
-(``_count_for_index``), which tests every HNF in turn, serves no entry
-point: it is the reference the descent is checked against in the test
-suite.
+The count is local.  For an ideal I of finite index, Lambda/I is the
+direct sum of its localizations at the primes dividing the index
+(Solomon 1977; Bushnell-Reiner 1980), so I -> (I_p)_p matches the ideals
+of index n with the tuples of ideals of index p^(v_p(n)), and a_mn =
+a_m a_n for coprime m and n.  One kernel, the descent (``_descend``),
+counts the tower a_1, a_p, ..., a_{p^k} at one prime on every rank:
+``count_ideals_at_prime`` returns it, and ``count_ideals`` counts it at
+each prime up to its bound and builds every coefficient from the towers
+(``IdealCountSeries.from_towers``, the sweep that
+``dirichlet.assemble_global`` uses too).  A composite coefficient of
+``count_ideals`` is therefore a product of counted prime-power
+coefficients, by the theorem above, not a count of its own; the test
+suite checks it at composite n against the plain stream, which tests
+every HNF in turn and assumes no theorem.
+
+The descent goes breadth-first from Lambda = Z^dim through maximal
+sub-ideals: the children of an ideal I are the J with mI <= J < I and
+I/J = Lambda/m for a maximal ideal m of Lambda/pLambda, so its cost grows
+with the number of ideals it finds, not with the number of lattices.  A
+tower of depth 1, which is what every p with p^2 > bound needs, is the
+number of maximal ideals of residue degree 1 above p: when p does not
+divide the discriminant D of one characteristic polynomial chi, the
+number of roots of chi mod p (``_degree_one_count``).  At every other
+prime the maximal ideals come from ``modp.maximal_ideals``.
 
 Costs on a 2-core machine with Python 3.11, median wall time of seven
 runs of the command with interpreter start and the import of the CLI
 included and no bytecode cache, and in brackets the same runs,
-interleaved, while ``verify`` counted every bad prime in a tower of its
-own to its bound D_p: ``count`` on Z[C4] to N=64 takes about 0.15 s (44 s
-when rank 4 scanned every lattice with the stream); ``verify --family
-conference --u 3 --max-index 64``, which reads a_1 and a_13 off its one
-count, about 0.13 s (0.16 s, counting to 13^5); ``zeta --family drt --u 6
---max-index 50``, which counts to 3^4 at p=3 (l = 4, where D_3 = 14),
-about 0.18 s (0.38 s); ``verify`` on Z[C4] to 64 about 0.17 s (0.26 s);
+interleaved, while ``count_ideals`` ran all its primes in one descent
+and built every ideal of composite index that could take a further
+step: ``count --family fusion --name reps3 --max-index 5000`` takes
+about 0.19 s (0.89 s), ``verify`` on reps3 to 4096 about 0.16 s
+(0.68 s), ``count`` on Z[C2 x C2] to 1000 about 0.24 s (1.39 s),
 ``count --family fusion --name e6 --max-index 1000``, where each of 157
-primes takes only a root count of chi, about 0.19 s; and ``count
---family fusion --name reps3 --max-index 1000``, with many leaves over
-its bad primes 2 and 3, about 0.30 s.
+primes takes only a root count of chi, about 0.11 s (0.13 s), and
+``count`` on Z[C4] to 64 about 0.09 s (0.09 s).
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
@@ -51,9 +54,7 @@ identity b_0, and both entry points refuse any other table first, through
 any other with ``InputError``.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import product
 
 from .algebra import action_matrix, check_ring, unit_vectors
@@ -93,7 +94,9 @@ class LatticeHNF:
 class IdealCountSeries:
     """a_1 .. a_N of an ideal-counting zeta function sum a_n n^(-s), with
     a_1 = 1: counted here, or assembled from an Euler product by
-    ``dirichlet.assemble_global``.  It prints as one line "n<TAB>a_n" per n."""
+    ``dirichlet.assemble_global``, in both cases from its prime-power
+    coefficients by ``from_towers``.  It prints as one line "n<TAB>a_n"
+    per n."""
 
     bound: int
     counts: tuple  # a_1 .. a_N
@@ -104,6 +107,32 @@ class IdealCountSeries:
             raise InputError("counts length must equal the bound")
         if self.bound >= 1 and self.counts[0] != 1:
             raise InputError("a_1 must be 1")
+
+    @classmethod
+    def from_towers(cls, bound, tower):
+        """The multiplicative series to bound: a_n is the product of the
+        a_{p^k} with p^k || n, where tower(p, kmax) is [a_1, a_p, ...,
+        a_{p^kmax}] for each prime p <= bound, kmax the largest k with
+        p^k <= bound.  The sweep multiplies the multiples of p by a_p in one
+        slice, and for p^2 <= bound lays each a_{p^k} over the multiples of
+        p^k in turn, so that no valuation is computed."""
+        coeffs = [1] * (bound + 1)  # index by n, entry 0 unused
+        for p in primes_up_to(bound):
+            kmax = 1
+            while p ** (kmax + 1) <= bound:
+                kmax += 1
+            a = tower(p, kmax)
+            if kmax == 1:
+                if a[1] != 1:
+                    coeffs[p::p] = [c * a[1] for c in coeffs[p::p]]
+                continue
+            # mult[i] = a_{p^v} for n = (i + 1) p with v = v_p(n)
+            mult = [a[1]] * (bound // p)
+            for k in range(2, kmax + 1):
+                step = p ** (k - 1)
+                mult[step - 1 :: step] = [a[k]] * (bound // (step * p))
+            coeffs[p::p] = [c * m for c, m in zip(coeffs[p::p], mult)]
+        return cls(bound, coeffs[1:])
 
     def a(self, n):
         if not 1 <= n <= self.bound:
@@ -192,104 +221,67 @@ def is_ideal(table, lattice: LatticeHNF) -> bool:
 
 
 def count_ideals(table, bound, maximal=None) -> IdealCountSeries:
-    """a_n = number of index-n ideal sublattices for n = 1..bound, by direct
-    count: the descent at every prime up to the bound.  ``maximal``, if
-    given, is a dict {p: modp.maximal_ideals(table, p)} that the count reads
-    and adds to, so that counts on one table share each list."""
+    """a_n = number of index-n ideal sublattices for n = 1..bound.  The
+    descent counts the tower a_1, a_p, ..., a_{p^k} with p^k <= bound at
+    each prime p <= bound, and a_n for every other n is the product of the
+    a_{p^k} with p^k || n (``IdealCountSeries.from_towers``): a composite
+    coefficient is a product of counted ones, by the theorem in the module
+    docstring, not a count of its own.  ``maximal``, if given, is a dict
+    {p: modp.maximal_ideals(table, p)} that the count reads and adds to, so
+    that counts on one table share each list."""
     if bound < 1:
         raise InputError("bound must be >= 1")
     check_ring(table)
-    found = _descend(table, bound, primes_up_to(bound), maximal)
-    return IdealCountSeries(bound, tuple(found.get(n, 0) for n in range(1, bound + 1)))
+    split = _splitting_element(table)
+    return IdealCountSeries.from_towers(bound, lambda p, kmax: _descend(table, p, kmax, maximal, split))
 
 
 def count_ideals_at_prime(table, p, kmax, maximal=None):
     """[a_1, a_p, ..., a_{p^kmax}]: the prime-power restriction, computed
-    directly by the descent at p alone; ``maximal`` as for count_ideals."""
+    directly by the descent at p; ``maximal`` as for count_ideals."""
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if kmax < 0:
         raise InputError(f"kmax must be at least 0, got {kmax}")
     check_ring(table)
-    found = _descend(table, p**kmax, (p,), maximal)
-    return [found.get(p**k, 0) for k in range(kmax + 1)]
+    return _descend(table, p, kmax, maximal, _splitting_element(table) if kmax == 1 else None)
 
 
-def _count_for_index(job):
-    "The plain stream: test every index-n HNF for closure (the test reference)."
-    table, dim, n = job
-    acts = _action_matrices(table)
-    return sum(1 for rows in _hnf_rows(dim, n) if _closed(acts, rows))
+def _descend(table, p, kmax, maximal, split):
+    """[a_1, a_p, ..., a_{p^kmax}]: the number of ideals of index p^k for
+    each k <= kmax.  ``maximal``, None or a dict as for count_ideals, maps
+    p to ``maximal_ideals(table, p)``; a list it lacks is computed and added.
+    A tower of depth 1 is [1, the number of maximal ideals of residue
+    degree 1 above p] (``_degree_one_count``, which reads the roots of chi
+    mod p off ``split``, from ``_splitting_element``, when p does not
+    divide D).
 
-
-def _descend(table, bound, primes, maximal=None):
-    """{n: number of index-n ideals} for every n <= bound with a nonzero
-    count whose prime factors lie in ``primes`` (ascending).  ``maximal``,
-    if given, maps p to ``maximal_ideals(table, p)``; a list it lacks is
-    computed and added.
-
-    Breadth-first from Lambda in order of index.  An ideal I of index n
-    gets, for a maximal ideal m of residue degree f above a prime p in
-    primes with n p^f <= bound, the children J with mI <= J < I and
-    I/J = F_q, q = p^f: the F_q-hyperplanes of I/mI.  The maximal ideals
-    are taken in a fixed order (by p, then as ``maximal_ideals`` lists
-    them), and I gets children only at the m of its own last step and
-    after it.  Every ideal J of index at most bound is still reached:
-    Lambda/J is the direct sum of its localizations at the m in its
-    support (Solomon 1977; Bushnell-Reiner 1980), so a composition series
-    can take all its factors at the first m, then all at the next, and so
-    on, and each step is a maximal sub-ideal.  That path is found, and the
-    others are not followed, so fewer children are built twice.  Children
-    are kept by canonical HNF, so an ideal reached from several parents is
-    counted once.
-
-    Leaves are counted, not built.  If p does not divide n, then
-    I_p = Lambda_p, so I/mI = I_m/mI_m = Lambda/m is one-dimensional over
-    F_q and I has the one child mI at m.  That child has no other parent.
-    The primes of the steps on a path never decrease, so the step that
-    makes an ideal is at the largest prime of its support, here p.  A
-    parent I' of mI at p has (mI)_p = m_p < I'_p with a simple quotient,
-    so I'_p = Lambda_p = I_p; away from p, I' and I both localize as mI
-    does, so I' = I.  So when mI can take no further step, n q p > bound,
-    it is counted by adding 1 to the count of index n q, with no HNF
-    built or kept: no other path reaches it.  At a p with p^2 > bound
-    every child is such a leaf (n p <= bound makes n < p and n p^2 >
-    bound), and only the m of residue degree 1 have children, so every
-    ideal of index n <= bound / p that the descent keeps adds their
-    number (``_degree_one_count``) to the count of index n p."""
-    r = len(table)
+    Level by level from Lambda.  An ideal I of index p^k gets, for a
+    maximal ideal m of residue degree f above p with k + f <= kmax, the
+    children J with mI <= J < I and I/J = F_q, q = p^f: the
+    F_q-hyperplanes of I/mI.  The maximal ideals are taken in a fixed
+    order (as ``maximal_ideals`` lists them), and I gets children only at
+    the m of its own last step and after it.  Every ideal J of index at
+    most p^kmax is still reached: Lambda/J is the direct sum of its
+    localizations at the m in its support (Solomon 1977; Bushnell-Reiner
+    1980), so a composition series can take all its factors at the first
+    m, then all at the next, and so on, and each step is a maximal
+    sub-ideal.  That path is found, and the others are not followed, so
+    fewer children are built twice.  Children are kept by canonical HNF,
+    so an ideal reached from several parents is counted once."""
     maximal = {} if maximal is None else maximal
+    if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1
+        return [1, _degree_one_count(table, split, p, maximal)][: kmax + 1]
+    r = len(table)
     acts = _action_matrices(table)
-    small = [p for p in primes if p * p <= bound]
-    large = primes[len(small) :]
-    # (p, m, the action matrices of the generators of m)
-    steps = [(p, m, [action_matrix(table, g) for g in m.generators]) for p in small for m in _maximal(table, p, maximal)]
-    split = _splitting_element(table) if large else None
-    leaf_primes = [(p, count) for p in large if (count := _degree_one_count(table, split, p, maximal))]
-    top = tuple(unit_vectors(r))
-    levels = {1: {top: 0}}  # index -> {HNF rows: position in steps of the last step}
-    pending = [1]
-    found = defaultdict(int)
-    while pending:
-        n = heappop(pending)
-        level = levels.pop(n)
-        found[n] += len(level)
-        if not primes or n * primes[0] > bound:
-            continue
-        for p, count in leaf_primes:
-            if n * p > bound:
-                break
-            found[n * p] += count * len(level)
-        for rows, first in level.items():
+    # (m, the action matrices of the generators of m)
+    steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal)]
+    levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax)]  # k -> {HNF rows: position in steps of the last step}
+    for k in range(kmax):
+        for rows, first in levels[k].items():
             for pos in range(first, len(steps)):
-                p, m, gens = steps[pos]
-                if n * p > bound:
-                    break  # and every later step, whose p is no smaller
-                q = p**m.f
-                if n * q > bound:
-                    continue
-                if n % p and n * q * p > bound:
-                    found[n * q] += 1  # the one child mI, a leaf
+                m, gens = steps[pos]
+                if k + m.f > kmax:
                     continue
                 # mI / pI in the coordinates of I: the generators of m times the rows of I
                 w = rref([c for g in gens for c in _products(rows, g)], p)
@@ -298,13 +290,10 @@ def _descend(table, bound, primes, maximal=None):
                 else:
                     mats = [_products(rows, act) for act in acts] if m.f > 1 else None
                     subs = _hyperplanes(w, m.f, mats, p, r)
-                child = levels.get(n * q)
-                if child is None:
-                    child = levels[n * q] = {}
-                    heappush(pending, n * q)
+                child = levels[k + m.f]
                 for sub in subs:
                     child[_sublattice(rows, sub, p)] = pos
-    return found
+    return [len(level) for level in levels]
 
 
 def _splitting_element(table):
@@ -459,24 +448,3 @@ def _sublattice(rows, sub, p):
             if t:
                 out[i] = [x - t * y for x, y in zip(out[i], out[j])]
     return tuple(map(tuple, out))
-
-
-def quotient_ring_table(defining_poly):
-    """Multiplication tensor of Z[x]/(f) on the power basis, identity at
-    index 0; feeds the oracle for Dedekind cross-checks."""
-    from .polys import pdeg, pdivmod, pnorm
-
-    f = pnorm(tuple(defining_poly))
-    d = pdeg(f)
-    lam = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = [0] * (i + j + 1)
-            prod[i + j] = 1
-            _, r = pdivmod(tuple(prod), f)
-            for k, v in enumerate(r):
-                fr = v
-                if getattr(fr, "denominator", 1) != 1:
-                    raise InputError("non-monic defining polynomial")
-                lam[i][j][k] = int(fr)
-    return tuple(tuple(tuple(row) for row in plane) for plane in lam)

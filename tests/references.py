@@ -1,7 +1,11 @@
-"""Reference formulas that more than one test module checks the package
-against, each computed another way than the package computes it."""
+"""Reference implementations that the tests check the package against,
+each computed another way than the package computes it."""
 
-from tablezeta.exact import fmat_det
+from fractions import Fraction
+
+from tablezeta.exact import fmat_det, fmat_inv, vec_mat
+from tablezeta.ideals import _action_matrices, _closed, _hnf_rows
+from tablezeta.polys import pdeg, pdivmod, pnorm
 
 
 def sylvester_discriminant(f):
@@ -13,3 +17,56 @@ def sylvester_discriminant(f):
     rows = [[0] * i + a + [0] * (size - len(a) - i) for i in range(n - 1)]
     rows += [[0] * i + b + [0] * (size - len(b) - i) for i in range(n)]
     return (-1) ** (n * (n - 1) // 2) * int(fmat_det(rows))
+
+
+def stream_count(lam, n):
+    """a_n by the plain stream: every index-n HNF of Z^rank in turn, tested
+    for closure under the table.  It assumes no local-global theorem, so it
+    checks the composite coefficients that ``count_ideals`` multiplies."""
+    acts = _action_matrices(lam)
+    return sum(1 for rows in _hnf_rows(len(lam), n) if _closed(acts, rows))
+
+
+def stream_series(lam, bound):
+    "(a_1, ..., a_bound) by the plain stream."
+    return tuple(stream_count(lam, n) for n in range(1, bound + 1))
+
+
+def quotient_ring_table(defining_poly):
+    """Multiplication tensor of Z[x]/(f) on the power basis, identity at
+    index 0, for a monic integer f."""
+    f = pnorm(tuple(defining_poly))
+    d = pdeg(f)
+    lam = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            _, rem = pdivmod((0,) * (i + j) + (1,), f)
+            for k, v in enumerate(rem):
+                if getattr(v, "denominator", 1) != 1:
+                    raise ValueError("non-monic defining polynomial")
+                lam[i][j][k] = int(v)
+    return tuple(tuple(tuple(row) for row in plane) for plane in lam)
+
+
+def idempotent_suite_holds(order, algebra):
+    "The primitive idempotents of a MaximalOrderData: e^2 = e, e_f e_g = 0, sum e = 1, exactly."
+    d = algebra.rank
+    zero = (Fraction(0),) * d
+    total = zero
+    for a, ea in enumerate(order.idempotents):
+        total = tuple(x + y for x, y in zip(total, ea))
+        for b, eb in enumerate(order.idempotents):
+            if tuple(algebra.multiply(ea, eb)) != (tuple(ea) if a == b else zero):
+                return False
+    return total == (Fraction(1),) + zero[1:]
+
+
+def order_closed_under_multiplication(algebra, basis):
+    "Tensor-transport check that the row span of basis is a ring."
+    inv = fmat_inv(basis)
+    for u in basis:
+        for v in basis:
+            coords = vec_mat(tuple(map(Fraction, algebra.multiply(u, v))), inv)
+            if any(Fraction(x).denominator != 1 for x in coords):
+                return False
+    return True

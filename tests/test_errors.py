@@ -26,7 +26,9 @@ from tablezeta.genus import (
     decompose_domain,
     triple_matrix,
 )
-from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal, quotient_ring_table
+from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal
+
+from references import quotient_ring_table
 
 
 def klein_four_table():

@@ -7,18 +7,12 @@ from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import expand, maximal_local_factor, theorem_local_factor
 from tablezeta import ideals
-from tablezeta.ideals import (
-    _count_for_index,
-    _splitting_element,
-    _sublattice,
-    divisor_tuples,
-    quotient_ring_table,
-)
-from tablezeta.exact import hnf, primes_up_to
+from tablezeta.ideals import IdealCountSeries, _splitting_element, _sublattice, divisor_tuples
+from tablezeta.exact import factorize, hnf, primes_up_to
 from tablezeta.modp import maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 
-from references import sylvester_discriminant
+from references import quotient_ring_table, stream_count, stream_series, sylvester_discriminant
 
 
 def sublattice_count_formula(n):
@@ -125,12 +119,19 @@ PRIME_POWER_CASES = [
     (fusion("ising").lam, 2, 8),
     (fusion("c3").lam, 3, 5),
     (conference(1).lam, 5, 3),
+    # depth 1 at a p dividing D, where _degree_one_count reads maximal_ideals
+    (fusion("reps3").lam, 2, 1),
+    (fusion("reps3").lam, 3, 1),
+    (fusion("psu5l2").lam, 7, 1),
+    (fusion("e6").lam, 3, 1),
+    (drt(1).lam, 2, 1),
+    (conference(3).lam, 13, 1),
 ]
 
 
 def test_prime_power_descent_matches_stream():
     for lam, p, kmax in PRIME_POWER_CASES:
-        slow = [_count_for_index((lam, len(lam), p**k)) for k in range(kmax + 1)]
+        slow = [stream_count(lam, p**k) for k in range(kmax + 1)]
         assert count_ideals_at_prime(lam, p, kmax) == slow
 
 
@@ -159,8 +160,7 @@ def test_descent_matches_stream_on_group_rings():
         (group_table(6, lambda i, j: (i + j) % 6), 10),  # Z[C6]
     ]
     for lam, bound in cases:
-        slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, bound + 1))
-        assert count_ideals(lam, bound).counts == slow
+        assert count_ideals(lam, bound).counts == stream_series(lam, bound)
 
 
 def assert_root_count_matches(lam):
@@ -213,19 +213,19 @@ def test_root_count_needs_p_prime_to_d():
     assert count_ideals(lam, 24).a(5) == 4
 
 
-def test_leaves_of_residue_degree_two_match_stream():
-    # leaves counted without building them at a maximal ideal of residue
+def test_residue_degree_two_towers_match_stream():
+    # composite coefficients from towers with a maximal ideal of residue
     # degree 2: in Z[i] index 36 = 4 * 9 at the inert 3, in Z[x]/(x^3 - 2)
     # index 50 = 2 * 25 at the ideal above 5 of residue field F_25
     for f, bound, leaf in [((1, 0, 1), 60, 36), ((-2, 0, 0, 1), 50, 50)]:
         lam = quotient_ring_table(f)
-        slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, bound + 1))
+        slow = stream_series(lam, bound)
         assert slow[leaf - 1] > 0
         assert count_ideals(lam, bound).counts == slow
 
 
 def test_no_sublattice_built_at_primes_whose_square_exceeds_the_bound(monkeypatch):
-    # e6 to 1000: every child at a p > 31 (p^2 > 1000) is a counted leaf
+    # e6 to 1000: a p > 31 (p^2 > 1000) has a tower of depth 1, a root count
     built = []
     sublattice = ideals._sublattice
 
@@ -273,19 +273,17 @@ def test_descent_children_are_canonical_hnfs(p, diag, above, gens):
 @example([-1, 0, 0, 0])  # Z[x]/(x^4 - 1), the group ring of C4
 def test_descent_matches_stream_on_random_quartic_orders(low):
     lam = quotient_ring_table((*low, 1))
-    slow = tuple(_count_for_index((lam, 4, n)) for n in range(1, 17))
-    assert count_ideals(lam, 16).counts == slow
+    assert count_ideals(lam, 16).counts == stream_series(lam, 16)
 
 
 def test_count_ideals_matches_stream_on_every_builtin():
-    # count_ideals descends at every prime for every index, not only prime
-    # powers; the plain stream is the reference
+    # count_ideals multiplies prime-power counts into every index; the plain
+    # stream, which counts each index on its own, is the reference
     tables = [t.lam for t in (drt(1), drt(6), conference(1), conference(3))]
     tables += [fusion(name).lam for name in FUSION_NAMES]
     tables.append(quotient_ring_table((-1, -1, 1)))
     for lam in tables:
-        slow = tuple(_count_for_index((lam, len(lam), n)) for n in range(1, 25))
-        assert count_ideals(lam, 24).counts == slow
+        assert count_ideals(lam, 24).counts == stream_series(lam, 24)
 
 
 @settings(max_examples=25, deadline=None)
@@ -294,8 +292,28 @@ def test_count_ideals_matches_stream_on_every_builtin():
 def test_collapse_matches_stream_on_random_cubic_orders(low):
     # Z[x]/(f) for a random monic cubic f: the descent against the plain stream
     lam = quotient_ring_table((*low, 1))
-    slow = tuple(_count_for_index((lam, 3, n)) for n in range(1, 17))
-    assert count_ideals(lam, 16).counts == slow
+    assert count_ideals(lam, 16).counts == stream_series(lam, 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=31), st.data())
+def test_from_towers_is_the_product_over_prime_powers(bound, data):
+    # random towers, of depth 1 to 4 at p = 2, with a_p = 0 and a_p = 1 among
+    # the draws, against the definition a_n = prod_p a_{p^v_p(n)}
+    towers = {}
+
+    def tower(p, kmax):
+        assert p**kmax <= bound < p ** (kmax + 1)
+        towers[p] = [1] + data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=kmax, max_size=kmax))
+        return towers[p]
+
+    series = IdealCountSeries.from_towers(bound, tower)
+    assert sorted(towers) == primes_up_to(bound)
+    for n in range(1, bound + 1):
+        want = 1
+        for p, v in factorize(n).items():
+            want *= towers[p][v]
+        assert series.a(n) == want, n
 
 
 def test_multiplicativity_small():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from tablezeta.decomposition import maximal_order
 from tablezeta.exact import hnf, hnf_square
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
-from tablezeta.ideals import quotient_ring_table
 from tablezeta.modp import (
     _horner,
     is_gorenstein,
@@ -18,6 +17,8 @@ from tablezeta.modp import (
     rref,
     socle_dimension,
 )
+
+from references import quotient_ring_table
 
 
 def residue_degrees(lam, p):

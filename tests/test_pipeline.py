@@ -13,10 +13,12 @@ from tablezeta.dirichlet import (
 )
 from tablezeta.errors import FunctionalEquationFailed
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
-from tablezeta.ideals import count_ideals, count_ideals_at_prime, quotient_ring_table
+from tablezeta.ideals import count_ideals, count_ideals_at_prime
 from tablezeta.modp import is_gorenstein, maximal_ideals, socle_dimension
 from tablezeta.pipeline import infer_exceptional_factors, oracle_depth, verify_order, zeta_series
 from tablezeta.polys import pdeg
+
+from references import quotient_ring_table
 
 Z_C4 = TableAlgebra(4, [[[int((i + j) % 4 == k) for k in range(4)] for j in range(4)] for i in range(4)], (0, 3, 2, 1))
 ORDERS = {
