@@ -32,7 +32,7 @@ _EXPORTS = {
     "families": "FamilySpec conference drt fusion",
     "genus": "LocalModel Region RegionPart block_triangularize complementary_lattice"
     " automorphism_measure_inverse decompose_domain enumerate_genus_representatives genus_zeta"
-    " lattices_isomorphic model_for_order region_integral total_local_zeta",
+    " lattices_isomorphic model_for_order total_local_zeta",
     "ideals": "IdealCountSeries LatticeHNF count_ideals count_ideals_at_prime enumerate_sublattices is_ideal",
     "modp": "",
     "pipeline": "verify_order zeta_series",

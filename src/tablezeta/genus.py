@@ -528,14 +528,6 @@ def _region_sum(model, regions):
     return num, p**e * (p - 1) ** c
 
 
-def region_integral(model: LocalModel, region: Region) -> LocalRationalFunction:
-    "count * product of the component integrals, as num/(1-t)^2 with Fraction coefficients."
-    if model.symbolic:
-        raise UnsupportedM("region integrals need a concrete prime; symbolic sums go through genus_zeta")
-    num, den = _region_sum(model, [region])
-    return LocalRationalFunction(model.p, tuple(Fraction(x, den) for x in num), (1, -2, 1))
-
-
 def automorphism_measure_inverse(model: LocalModel, triple):
     """mu(Aut M)^{-1} = [Lambda_0^x : {M:M}^x] for M = M(r,i,j), in the
     Haar measure with mu(Lambda_0^x) = 1; both modes take the multiplier

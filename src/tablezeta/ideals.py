@@ -26,27 +26,40 @@ coefficients, by the theorem above, not a count of its own; the test
 suite checks it at composite n against the plain stream, which tests
 every HNF in turn and assumes no theorem.
 
+The ideals inside p Lambda are p times the ideals, so for the rank r
+a_{p^k} = (the number of ideals of index p^k not inside p Lambda) +
+a_{p^(k-r)} when k >= r, and the descent builds only the former.  x -> px
+is injective on Z^dim and maps an ideal J onto the ideal pJ inside
+p Lambda, of index p^r [Lambda : J]; an ideal J inside p Lambda is pJ'
+for the ideal J' = {x : px in J}; and p Lambda has index p^r.
+
 The descent goes breadth-first from Lambda = Z^dim through maximal
 sub-ideals: the children of an ideal I are the J with mI <= J < I and
 I/J = Lambda/m for a maximal ideal m of Lambda/pLambda, so its cost grows
-with the number of ideals it finds, not with the number of lattices.  A
-tower of depth 1, which is what every p with p^2 > bound needs, is the
-number of maximal ideals of residue degree 1 above p: when p does not
-divide the discriminant D of one characteristic polynomial chi, the
-number of roots of chi mod p (``_degree_one_count``).  At every other
-prime the maximal ideals come from ``modp.maximal_ideals``.
+with the number of ideals it finds, not with the number of lattices.
+At an m of residue degree 1 a child's HNF comes from its parent's rows
+(``_degree_one_children``).  A tower of depth 1, which is what every p
+with p^2 > bound needs, is the number of maximal ideals of residue
+degree 1 above p: when p does not divide the discriminant D of one
+characteristic polynomial chi, the number of roots of chi mod p
+(``_degree_one_count``).  At every other prime the maximal ideals come
+from ``modp.maximal_ideals``.
 
-Costs on a 2-core machine with Python 3.11, median wall time of seven
+Costs on a 2-core machine with Python 3.11, median wall time of eleven
 runs of the command with interpreter start and the import of the CLI
 included and no bytecode cache, and in brackets the same runs,
-interleaved, while ``count_ideals`` ran all its primes in one descent
-and built every ideal of composite index that could take a further
-step: ``count --family fusion --name reps3 --max-index 5000`` takes
-about 0.19 s (0.89 s), ``verify`` on reps3 to 4096 about 0.16 s
-(0.68 s), ``count`` on Z[C2 x C2] to 1000 about 0.24 s (1.39 s),
-``count --family fusion --name e6 --max-index 1000``, where each of 157
-primes takes only a root count of chi, about 0.11 s (0.13 s), and
-``count`` on Z[C4] to 64 about 0.09 s (0.09 s).
+interleaved, while the descent built the ideals inside p Lambda and
+every child through ``_sublattice`` (the machine's speed drifts by more
+than the smaller differences): ``count --family drt --u 6 --prime 3
+--kmax 12`` takes about 0.15 s (0.18 s), ``count --family fusion --name
+reps3 --max-index 5000`` about 0.18 s (0.17 s), ``verify`` on reps3 to
+4096 about 0.20 s (0.19 s), ``count`` on Z[C2 x C2] to 1000 about
+0.28 s (0.28 s), ``count --family fusion --name e6 --max-index 1000``,
+where each of 157 primes takes only a root count of chi, about 0.12 s
+(0.13 s), and ``count`` on Z[C4] to 64 about 0.14 s (0.14 s).  In
+process, best of seven, the tower of drt(6) at 3 to 3^9 takes 16 ms
+(22 ms), ising's at 2 to 2^12 1.7 ms (3.3 ms) and c3's at 3 to 3^8
+1.7 ms (2.4 ms).
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
@@ -268,7 +281,10 @@ def _descend(table, p, kmax, maximal, split):
     m, then all at the next, and so on, and each step is a maximal
     sub-ideal.  That path is found, and the others are not followed, so
     fewer children are built twice.  Children are kept by canonical HNF,
-    so an ideal reached from several parents is counted once."""
+    so an ideal reached from several parents is counted once.  Level
+    k >= r (r the rank) drops the ideals inside p Lambda and counts them
+    as a_{p^(k-r)} (the module docstring); no path to a kept ideal passes
+    through them, since every ideal on it contains the kept one."""
     maximal = {} if maximal is None else maximal
     if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1
         return [1, _degree_one_count(table, split, p, maximal)][: kmax + 1]
@@ -277,23 +293,27 @@ def _descend(table, p, kmax, maximal, split):
     # (m, the action matrices of the generators of m)
     steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal)]
     levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax)]  # k -> {HNF rows: position in steps of the last step}
-    for k in range(kmax):
-        for rows, first in levels[k].items():
+    counts = []
+    for k, level in enumerate(levels):
+        if k >= r:  # drop the ideals inside p Lambda: p times those of index p^(k - r)
+            level = {rows: first for rows, first in level.items() if any(x % p for row in rows for x in row)}
+        counts.append(len(level) + (counts[k - r] if k >= r else 0))
+        for rows, first in level.items():
             for pos in range(first, len(steps)):
                 m, gens = steps[pos]
                 if k + m.f > kmax:
                     continue
                 # mI / pI in the coordinates of I: the generators of m times the rows of I
                 w = rref([c for g in gens for c in _products(rows, g)], p)
-                if r - len(w) == m.f:
-                    subs = (w,)  # I/mI = F_q: its one hyperplane is 0
-                else:
-                    mats = [_products(rows, act) for act in acts] if m.f > 1 else None
-                    subs = _hyperplanes(w, m.f, mats, p, r)
+                if m.f == 1:
+                    children = _degree_one_children(rows, w, p)
+                else:  # if I/mI = F_q, its one hyperplane is 0
+                    subs = (w,) if r - len(w) == m.f else _hyperplanes(w, m.f, [_products(rows, a) for a in acts], p, r)
+                    children = (_sublattice(rows, sub, p) for sub in subs)
                 child = levels[k + m.f]
-                for sub in subs:
-                    child[_sublattice(rows, sub, p)] = pos
-    return [len(level) for level in levels]
+                for hnf in children:
+                    child[hnf] = pos
+    return counts
 
 
 def _splitting_element(table):
@@ -365,32 +385,17 @@ def _products(rows, act):
 def _hyperplanes(w, f, mats, p, r):
     """Echelon bases (each row's first nonzero entry a 1, at a column no
     other row starts at) of the subspaces U of F_p^r that contain w with
-    U/w an F_q-hyperplane of V = F_p^r / w, q = p^f, where V is an
-    F_q-vector space.  V is coordinatized by the columns where no row of
-    w starts.  For f = 1 these are the F_p-hyperplanes, one per reduced
-    echelon form: every free column but one, c, starts a row, and the
-    rows starting before c have an entry at c.  For f > 1, with b_j
-    acting on F_p^r by mats[j-1], each F_p-functional phi on V gives the
-    largest submodule {v : phi(a v) = 0 for all a} in its kernel, which
-    is the kernel of the F_q-functional whose trace is phi; each U arises
-    (q-1)/(p-1) times and is returned once."""
+    U/w an F_q-hyperplane of V = F_p^r / w, q = p^f > p, where V is an
+    F_q-vector space (the descent builds the children at f = 1 in
+    ``_degree_one_children``).  V is coordinatized by the columns where
+    no row of w starts.  With b_j acting on F_p^r by mats[j-1], each
+    F_p-functional phi on V gives the largest submodule {v : phi(a v) = 0
+    for all a} in its kernel, which is the kernel of the F_q-functional
+    whose trace is phi; each U arises (q-1)/(p-1) times and is returned
+    once."""
     piv = dict(zip(pivots(w), w))
     free = [c for c in range(r) if c not in piv]
     dim = len(free)
-    if f == 1:
-        out = []
-        for c in range(dim):
-            for entries in product(range(p), repeat=c):
-                rows = list(w)
-                for j, col in enumerate(free):
-                    if j != c:
-                        v = [0] * r
-                        v[col] = 1
-                        if j < c:
-                            v[free[c]] = entries[j]
-                        rows.append(v)
-                out.append(rows)
-        return out
 
     def reduce(v):
         "The free coordinates of v modulo w."
@@ -448,3 +453,40 @@ def _sublattice(rows, sub, p):
             if t:
                 out[i] = [x - t * y for x, y in zip(out[i], out[j])]
     return tuple(map(tuple, out))
+
+
+def _degree_one_children(rows, w, p):
+    """The canonical HNFs of the children J of an ideal I at a maximal
+    ideal m of residue degree 1, for the HNF rows R_0 .. R_(r-1) of I and
+    the echelon basis w of mI/pI in their coordinates: the kernels of the
+    nonzero functionals phi on I/pI = F_p^r that vanish on w, up to
+    scalars.  Scale phi to 1 at the last column c where no row of w starts
+    and phi is nonzero; its values at the earlier such columns are free,
+    and at the pivot l of a row w_l they follow from phi(w_l) = 0, which
+    makes them 0 for l > c.  J holds R_j - phi(e_j) R_c for j != c, which
+    is R_j for j > c, and p R_c: triangular rows whose diagonal is I's but
+    p d_c at c, so they span J, of index p in I.  Their entries are
+    reduced at every column up to c, so only the rows up to c need
+    reducing, after c, by the rows of I there."""
+    piv = pivots(w)
+    free = [c for c in range(len(rows)) if c not in piv]
+    for i, c in enumerate(free):
+        after = rows[c + 1 :]
+        top = _reduced([p * x for x in rows[c]], after)
+        for entries in product(range(p), repeat=i):
+            a = dict(zip(free, entries))  # a[j] = -phi(e_j) mod p for j < c
+            for u, l in zip(w, piv):
+                if l < c:
+                    a[l] = (u[c] - sum(u[j] * e for j, e in zip(free, entries))) % p
+            out = [_reduced([x + a[j] * y for x, y in zip(rows[j], rows[c])], after) if a[j] else rows[j] for j in range(c)]
+            yield (*out, top, *after)
+
+
+def _reduced(v, after):
+    """v with each entry above the diagonal of the HNF rows ``after``, the
+    last rows of an HNF, reduced into [0, d) by those rows, in turn."""
+    for j, row in enumerate(after, len(v) - len(after)):
+        t = v[j] // row[j]
+        if t:
+            v = [x - t * y for x, y in zip(v, row)]
+    return tuple(v)

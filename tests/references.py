@@ -1,9 +1,13 @@
 """Reference implementations that the tests check the package against,
-each computed another way than the package computes it."""
+each computed another way than the package computes it, and
+``region_integral``, which reads one genus region's integral off the
+package's region sum for the tests of that sum."""
 
 from fractions import Fraction
 
+from tablezeta.dirichlet import LocalRationalFunction
 from tablezeta.exact import fmat_det, fmat_inv, vec_mat
+from tablezeta.genus import _region_sum
 from tablezeta.ideals import _action_matrices, _closed, _hnf_rows
 from tablezeta.polys import pdeg, pdivmod, pnorm
 
@@ -70,3 +74,11 @@ def order_closed_under_multiplication(algebra, basis):
             if any(Fraction(x).denominator != 1 for x in coords):
                 return False
     return True
+
+
+def region_integral(model, region):
+    """count * the product of the component integrals of one genus region,
+    at a concrete prime, as num/(1-t)^2 with Fraction coefficients: the
+    one-region case of the sum that ``genus.genus_zeta`` takes."""
+    num, den = _region_sum(model, [region])
+    return LocalRationalFunction(model.p, tuple(Fraction(x, den) for x in num), (1, -2, 1))

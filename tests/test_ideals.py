@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,11 +8,11 @@ from hypothesis import strategies as st
 from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate_sublattices, is_ideal
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
-from tablezeta.dirichlet import expand, maximal_local_factor, theorem_local_factor
+from tablezeta.dirichlet import LocalRationalFunction, expand, maximal_local_factor, theorem_local_factor
 from tablezeta import ideals
-from tablezeta.ideals import IdealCountSeries, _splitting_element, _sublattice, divisor_tuples
+from tablezeta.ideals import IdealCountSeries, _degree_one_children, _splitting_element, _sublattice, divisor_tuples
 from tablezeta.exact import factorize, hnf, primes_up_to
-from tablezeta.modp import maximal_ideals, root_count, rref
+from tablezeta.modp import kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 
 from references import quotient_ring_table, stream_count, stream_series, sylvester_discriminant
@@ -152,6 +155,34 @@ def group_table(order, mul):
     )
 
 
+def test_towers_where_the_ideals_inside_p_lambda_enter_twice():
+    # the descent counts the ideals outside p Lambda and adds a_{p^(k-r)} for
+    # the rest; at k >= 2r that term itself holds such a term.  Each tower
+    # against a local factor that comes from no count
+    ising = fusion("ising")
+    c4 = group_table(4, lambda i, j: (i + j) % 4)
+    delta_c4 = (1, -2, 3, 0, 6, -8, 8)  # Solomon's delta_2 of Z[C4], as in acceptance 10
+    cases = [
+        (drt(6).lam, 3, 12, theorem_local_factor("v3", 3)),
+        (ising.lam, 2, 16, maximal_local_factor(maximal_order(ising).rings, 2) * (1, -1, 2)),
+        (c4, 2, 10, LocalRationalFunction(2, delta_c4, (1, -3, 3, -1))),
+    ]
+    for lam, p, kmax, local in cases:
+        assert count_ideals_at_prime(lam, p, kmax) == expand(local, kmax), (p, kmax)
+    # Z[C2 x C2] at 3 is Z_3^4 locally: four maximal ideals, and C(k + 3, 3)
+    # ideals of index 3^k
+    c2c2 = group_table(4, lambda i, j: i ^ j)
+    assert [m.f for m in maximal_ideals(c2c2, 3)] == [1, 1, 1, 1]
+    assert count_ideals_at_prime(c2c2, 3, 8) == [comb(k + 3, 3) for k in range(9)]
+
+
+def test_descent_past_p_to_the_rank_matches_stream():
+    # past index p^r, with two maximal ideals above 2 (reps3) and in rank 4
+    for lam, p, kmax in [(fusion("reps3").lam, 2, 6), (group_table(4, lambda i, j: i ^ j), 2, 5)]:
+        assert len(lam) < kmax
+        assert count_ideals_at_prime(lam, p, kmax) == [stream_count(lam, p**k) for k in range(kmax + 1)]
+
+
 def test_descent_matches_stream_on_group_rings():
     # group rings of rank 4 and 6 against the plain stream
     cases = [
@@ -226,14 +257,17 @@ def test_residue_degree_two_towers_match_stream():
 
 def test_no_sublattice_built_at_primes_whose_square_exceeds_the_bound(monkeypatch):
     # e6 to 1000: a p > 31 (p^2 > 1000) has a tower of depth 1, a root count
+    # (a child at a maximal ideal of residue degree 1 comes from
+    # _degree_one_children, one of higher degree from _sublattice)
     built = []
-    sublattice = ideals._sublattice
+    for name in ("_sublattice", "_degree_one_children"):
+        build = getattr(ideals, name)
 
-    def counting(rows, sub, p):
-        built.append(p)
-        return sublattice(rows, sub, p)
+        def counting(rows, sub, p, build=build):
+            built.append(p)
+            return build(rows, sub, p)
 
-    monkeypatch.setattr(ideals, "_sublattice", counting)
+        monkeypatch.setattr(ideals, name, counting)
     series = count_ideals(fusion("e6").lam, 1000)
     assert built and max(built) <= 31
     assert series.a(997) == root_count(_splitting_element(fusion("e6").lam)[1], 997)
@@ -247,24 +281,54 @@ def test_descent_residue_field_f4():
     assert count_ideals_at_prime(lam, 2, 5) == [1, 0, 1, 0, 5, 0]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+def random_hnf(diag, above):
+    "An upper triangular 3 x 3 HNF with the given diagonal, reduced above it."
+    rows = [[diag[0], above[0] % diag[1], above[1] % diag[2]], [0, diag[1], above[2] % diag[2]], [0, 0, diag[2]]]
+    for j in range(3):
+        for i in range(j):
+            rows[i] = [x - rows[i][j] // rows[j][j] * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+HNF_AND_SUBSPACE = (
     st.sampled_from([2, 3, 5]),
     st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=3),
     st.lists(st.integers(min_value=0, max_value=30), min_size=3, max_size=3),
     st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3), max_size=3),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(*HNF_AND_SUBSPACE)
 def test_descent_children_are_canonical_hnfs(p, diag, above, gens):
     # the descent keys each child by the HNF it builds from an echelon basis;
     # it must be the HNF exact.hnf gives for the same lattice
-    rows = [[diag[0], above[0] % diag[1], above[1] % diag[2]], [0, diag[1], above[2] % diag[2]], [0, 0, diag[2]]]
-    for j in range(3):  # reduce above the diagonal, as in an HNF
-        for i in range(j):
-            rows[i] = [x - rows[i][j] // rows[j][j] * y for x, y in zip(rows[i], rows[j])]
+    rows = random_hnf(diag, above)
     sub = rref(gens, p)
     stacked = [[sum(u[k] * rows[k][l] for k in range(3)) for l in range(3)] for u in sub]
     stacked += [[p * x for x in row] for row in rows]
     assert _sublattice(tuple(map(tuple, rows)), sub, p) == hnf(stacked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*HNF_AND_SUBSPACE)
+@example(3, [1, 1, 1], [0, 0, 0], [])  # every hyperplane of F_3^3: 13 children
+@example(2, [2, 4, 2], [1, 3, 1], [[1, 0, 1]])
+@example(3, [1, 3, 2], [2, 1, 1], [[1, 1, 1]])  # a row of w starts before two free columns
+def test_degree_one_children_are_the_canonical_hnfs_of_the_hyperplanes(p, diag, above, gens):
+    # for the lattice I of the rows and w in F_p^3 = I/pI, the children are
+    # the {c . rows : phi(c) = 0 mod p} for the nonzero functionals phi that
+    # vanish on w, one per line of them, each the HNF exact.hnf gives
+    rows = random_hnf(diag, above)
+    w = rref(gens, p)
+    want = set()
+    for phi in product(range(p), repeat=3):
+        if any(phi) and not any(sum(x * y for x, y in zip(u, phi)) % p for u in w):
+            stacked = [[sum(u[k] * rows[k][l] for k in range(3)) for l in range(3)] for u in kernel([[x] for x in phi], p)]
+            want.add(hnf(stacked + [[p * x for x in row] for row in rows]))
+    children = list(_degree_one_children(tuple(map(tuple, rows)), w, p))
+    assert len(children) == len(want) == (p ** (3 - len(w)) - 1) // (p - 1)
+    assert set(children) == want
 
 
 @settings(max_examples=20, deadline=None)
