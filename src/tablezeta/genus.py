@@ -373,18 +373,15 @@ def _to_exps(model, mat):
     return [[None if x == 0 else valuation(x, p) for x in row] for row in mat]
 
 
-def _min_r_layer(exps, q):
-    "Minimal quadratic-component layer contributed by row q's leading digit."
-    layers = []
-    if q == 0 and exps[0][0] is not None:
-        layers.append(2 * exps[0][0] + 1)
-    if exps[q][1] is not None:
-        layers.append(2 * exps[q][1])
-    return min(layers) if layers else None
-
-
-def _min_z_layer(exps, q):
-    return exps[q][2]
+def _layers(exps):
+    """Least layer of each row's leading digit, row q -> (quadratic, rational),
+    None where the row has no digit in that component.  On the basis
+    (pi e_1, e_1, e_0) a pi e_1 digit at exponent e sits at quadratic layer
+    2e+1 and an e_1 digit at 2e; the e_0 digit at exponent e is rational
+    layer e."""
+    (e00, e01, e02), (_, e11, e12), (_, _, e22) = exps
+    r0 = 2 * e00 + 1 if e01 is None else min(2 * e00 + 1, 2 * e01)
+    return ((r0, e02), (2 * e11, e12), (None, e22))
 
 
 def decompose_domain(model: LocalModel, lattice):
@@ -404,100 +401,67 @@ def decompose_domain(model: LocalModel, lattice):
     state = [row[:] for row in lattice] if model.symbolic else [list(r) for r in lattice.matrix]
     bound = 2 * (2 * model.m + 1) + 2
     regions = []
-    _split(model, state, None, None, None, None, PPoly(1), regions, bound, 0)
+    _split(model, state, (None, None), (None, None), PPoly(1), regions, bound, 0)
     return regions
 
 
-def _split(model, state, lead_r, lead_z, pend_r, pend_z, count, out, bound, depth):
+def _split(model, state, lead, pend, count, out, bound, depth):
+    """One node of the digit tree on the lattice ``state``; component c is
+    0 (quadratic) or 1 (rational).  ``lead[c]`` is the layer of the unit
+    digit that leads component c, so the piece is a unit coset there, or
+    None while component c is still a full tail.  ``pend[c]`` is the least
+    layer of a unit digit that a digit fixed in the other component put
+    into component c above its frontier; it leads c once every layer below
+    it is fixed to zero.
+
+    Fixing the frontier digit of row q splits the node in two: the zero
+    branch keeps the x whose digit is 0 and the unit branch the p - 1
+    translates whose digit is a unit.  Both are cosets of the lattice with
+    row q scaled by p, so they recurse on one scaled lattice and differ
+    only in lead, pend and count."""
     if depth > 3 * bound + 9:
         raise DepthExceeded("region decomposition did not reach a product box")
     exps = _to_exps(model, state)
-    e11, e22, e33 = exps[0][0], exps[1][1], exps[2][2]
-    a_r = min(x for x in (2 * e11 + 1, None if exps[0][1] is None else 2 * exps[0][1], 2 * e22) if x is not None)
-    b_z = min(x for x in (exps[0][2], exps[1][2], e33) if x is not None)
+    layers = _layers(exps)
+    front = [min(row[c] for row in layers if row[c] is not None) for c in (0, 1)]
     # resolve pending unit offsets that now lead their component
-    if lead_r is None and pend_r is not None and pend_r < a_r:
-        lead_r, pend_r = pend_r, None
-    if lead_z is None and pend_z is not None and pend_z < b_z:
-        lead_z, pend_z = pend_z, None
-    det_exp = e11 + e22 + e33
-    if a_r + b_z == det_exp:
-        qpart = RegionPart("coset", lead_r, a_r - lead_r) if lead_r is not None else RegionPart("tail", a_r)
-        zpart = RegionPart("coset", lead_z, b_z - lead_z) if lead_z is not None else RegionPart("tail", b_z)
-        out.append(Region(qpart, zpart, count))
+    lead, pend = list(lead), list(pend)
+    for c in (0, 1):
+        if lead[c] is None and pend[c] is not None and pend[c] < front[c]:
+            lead[c], pend[c] = pend[c], None
+    if front[0] + front[1] == exps[0][0] + exps[1][1] + exps[2][2]:
+        parts = [RegionPart("tail", f) if l is None else RegionPart("coset", l, f - l) for l, f in zip(lead, front)]
+        out.append(Region(*parts, count))
         return
-    # choose the digit to fix
-    if lead_r is None or lead_z is None:
-        cand = []
-        if lead_r is None:
-            cand.append((a_r, "R"))
-        if lead_z is None:
-            cand.append((b_z, "Z"))
-        layer, comp = min(cand)
-        rows = [q for q in range(3) if (_min_r_layer(exps, q) if comp == "R" else _min_z_layer(exps, q)) == layer]
-        if len(rows) != 1:
-            raise PrecisionUnstable(f"digit collision at {comp} layer {layer}")
-        if comp == "R" and pend_r is not None and pend_r == layer:
-            raise PrecisionUnstable("pending offset collides with a frontier digit")
-        if comp == "Z" and pend_z is not None and pend_z == layer:
-            raise PrecisionUnstable("pending offset collides with a frontier digit")
-        q = rows[0]
-        # zero branch
-        _split(model, _scaled_reduced(model, state, q), lead_r, lead_z, pend_r, pend_z, count, out, bound, depth + 1)
-        # unit branch
-        nlr, nlz, npr, npz = lead_r, lead_z, pend_r, pend_z
-        other_r = _min_r_layer(exps, q)
-        other_z = _min_z_layer(exps, q)
-        if comp == "R":
-            nlr = layer
-            if lead_z is None and other_z is not None:
-                if other_z == b_z:
-                    if [q2 for q2 in range(3) if _min_z_layer(exps, q2) == b_z] != [q]:
-                        raise PrecisionUnstable("joint digit collision at the rational frontier")
-                    nlz = other_z
-                else:
-                    npz = other_z if npz is None else min(npz, other_z)
+    if None not in lead:
+        # both components led but the box is not yet a product: absorb the
+        # next interior digit over all p values
+        _, q = min((min(x for x in row if x is not None), q) for q, row in enumerate(layers))
+        _split(model, _scaled_reduced(model, state, q), lead, pend, count * PPoly.var(), out, bound, depth + 1)
+        return
+    # fix the lowest frontier digit of a component that no unit digit leads yet
+    layer, c = min((front[c], c) for c in (0, 1) if lead[c] is None)
+    rows = [q for q in range(3) if layers[q][c] == layer]
+    if len(rows) != 1:
+        raise PrecisionUnstable(f"digit collision at {'RZ'[c]} layer {layer}")
+    if pend[c] == layer:
+        raise PrecisionUnstable("pending offset collides with a frontier digit")
+    q = rows[0]
+    scaled = _scaled_reduced(model, state, q)
+    _split(model, scaled, lead, pend, count, out, bound, depth + 1)
+    # the unit digit leads c; row q's digit in the other component leads that
+    # one too when it sits at its frontier, and waits as a pending offset above it
+    o, other = 1 - c, layers[q][1 - c]
+    unit_lead, unit_pend = lead[:], pend[:]
+    unit_lead[c] = layer
+    if lead[o] is None and other is not None:
+        if other == front[o]:
+            if [q2 for q2 in range(3) if layers[q2][o] == other] != [q]:
+                raise PrecisionUnstable(f"joint digit collision at the {('quadratic', 'rational')[o]} frontier")
+            unit_lead[o] = other
         else:
-            nlz = layer
-            if lead_r is None and other_r is not None:
-                if other_r == a_r:
-                    if [q2 for q2 in range(3) if _min_r_layer(exps, q2) == a_r] != [q]:
-                        raise PrecisionUnstable("joint digit collision at the quadratic frontier")
-                    nlr = other_r
-                else:
-                    npr = other_r if npr is None else min(npr, other_r)
-        _split(
-            model,
-            _scaled_reduced(model, state, q),
-            nlr,
-            nlz,
-            npr,
-            npz,
-            count * PM1,
-            out,
-            bound,
-            depth + 1,
-        )
-        return
-    # both components led but the box is not yet a product: absorb the
-    # next interior digit over all p values
-    keys = []
-    for q in range(3):
-        ks = [x for x in (_min_r_layer(exps, q), _min_z_layer(exps, q)) if x is not None]
-        keys.append((min(ks), q))
-    _, q = min(keys)
-    _split(
-        model,
-        _scaled_reduced(model, state, q),
-        lead_r,
-        lead_z,
-        pend_r,
-        pend_z,
-        count * PPoly.var(),
-        out,
-        bound,
-        depth + 1,
-    )
+            unit_pend[o] = other if pend[o] is None else min(pend[o], other)
+    _split(model, scaled, unit_lead, unit_pend, count * PM1, out, bound, depth + 1)
 
 
 # --- region integrals and genus zeta functions ------------------------------
@@ -624,12 +588,7 @@ def _add_same_den(a: LocalRationalFunction, b: LocalRationalFunction) -> LocalRa
 
 def region_residue_exponent(region: Region, K):
     "log_p of the residue count of the region's piece modulo p^K Lambda_0."
-    e = 0
-    part = region.quadratic
-    e += 2 * K - (part.valuation + part.depth)
-    part = region.rational
-    e += K - (part.valuation + part.depth)
-    return e
+    return sum(w * K - (part.valuation + part.depth) for w, part in ((2, region.quadratic), (1, region.rational)))
 
 
 def residue_certificate(model: LocalModel, lattice, regions, K):

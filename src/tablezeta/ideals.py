@@ -1,4 +1,4 @@
-"""Brute-force ideal counting in an integral multiplication table.
+"""Ideal counting in an integral multiplication table, by the descent.
 
 a_n is the number of index-n sublattices of Z^dim in Hermite normal form
 that are closed under multiplication by every basis element.  Nothing
@@ -9,7 +9,11 @@ positive diagonal and column-reduced entries (0 <= h[i][j] < h[j][j] for
 i < j), so the index-n sublattices of Z^dim are enumerated by divisor
 tuples d_1 ... d_dim = n and independent off-diagonal residues.  The
 stream order is fixed: divisor tuples lexicographically, off-diagonal
-residues row-major; golden outputs rely on it.
+residues row-major.  No count depends on it: the counts come from the
+descent below, the test suite pins the first rows of
+``enumerate_sublattices``, and the plain stream over every HNF in
+``tests/references.py`` is the brute-force reference they are checked
+against.
 
 The count is local.  For an ideal I of finite index, Lambda/I is the
 direct sum of its localizations at the primes dividing the index

@@ -218,6 +218,27 @@ def test_decompose_domain_depth_guard_ends_a_digit_tree_that_does_not_end():
     assert len(decompose_domain(model, LatticeHNF(3, ((3, 0, 0), (0, 1, 0), (0, 0, 1))))) == 2
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a unit e1 digit of row 1 leads the quadratic component and also
+        # sits at the rational frontier, which row 0 reaches too
+        (((1, 0, 1), (0, 1, 1), (0, 0, 3)), "joint digit collision at the rational frontier"),
+        # with the leading digits of rows 1 and 0 fixed to zero, both rows
+        # reach rational layer 1
+        (((1, 0, 1), (0, 1, 1), (0, 0, 9)), "digit collision at Z layer 1"),
+        # a unit e1 digit of row 1 leaves a rational offset pending at
+        # layer 1; with row 0's e0 digit fixed to zero, row 0 reaches it too
+        (((1, 0, 1), (0, 1, 3), (0, 0, 9)), "pending offset collides with a frontier digit"),
+    ],
+)
+def test_decompose_domain_refuses_a_digit_collision(rows, message):
+    # lattices genus_zeta never passes, whose digit tree would have to fix
+    # two digits of one layer at once
+    with pytest.raises(PrecisionUnstable, match=f"^{message}$"):
+        decompose_domain(LocalModel(p=3, m=0, v=-1), LatticeHNF(3, rows))
+
+
 def test_membership_congruence_rejects_a_singular_target():
     with pytest.raises(ZeroDivisionError):
         _membership_congruence_matrix(((1, 2, 3), (2, 4, 6), (0, 0, 1)), 2, 3)
