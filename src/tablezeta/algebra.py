@@ -8,7 +8,8 @@ lambda[i][i*][0] == lambda[i*][i][0].  Commutativity is required
 throughout this package.
 
 Every other module reads lambda through the primitives here: the product
-``multiply``, the action matrix ``action_matrix``, the ring axioms
+``multiply``, the action matrix ``action_matrix``, the candidate
+primitive elements ``primitive_elements``, the ring axioms
 ``ring_violations`` and the gate ``check_ring``, which refuses a tensor
 that is not the table of a commutative, associative ring with identity
 b_0 before anything is computed on it.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError, NonCommutative, NonIntegralRescale
-from .exact import charpoly, int_tuple
+from .exact import charpoly, discriminant, int_tuple
 
 
 class BasisKind(enum.Enum):
@@ -82,6 +83,21 @@ def unit_vectors(r):
 def action_matrix(lam, g):
     "The action matrix of g: row l is g b_l, so x . A is g x for a row vector x."
     return tuple(multiply(lam, g, e) for e in unit_vectors(len(lam)))
+
+
+def primitive_elements(lam):
+    """(theta, chi, D) for each of b_1, ..., b_(r-1), then b_1 + 2 b_2 + ...
+    + (r-1) b_(r-1) (b_0 at rank 1), whose characteristic polynomial chi
+    has a nonzero discriminant D = ``exact.discriminant(chi)``: chi is then
+    squarefree and, by Cayley-Hamilton, the minimal polynomial of theta, so
+    Q Lambda = Q[theta].  The generator search and the descent share it."""
+    r = len(lam)
+    unit = unit_vectors(r)
+    for theta in unit[1:] + [tuple(range(r))] if r > 2 else unit[r - 1 :]:
+        chi = charpoly(action_matrix(lam, theta))
+        disc = discriminant(chi)
+        if disc:
+            yield theta, chi, disc
 
 
 def ring_violations(lam):

@@ -66,11 +66,13 @@ def cmd_decompose(args):
 
     t = _source(args)
     order = maximal_order(t)
+    theta = order.generator  # reported as b_i if it is a basis element, else by its coefficients
+    index = theta.index(1) if set(theta) <= {0, 1} and sum(theta) == 1 else None
     if args.format == "json-like":
         print(
             json.dumps(
                 {
-                    "generator_index": order.generator_index,
+                    **({"generator": list(theta)} if index is None else {"generator_index": index}),
                     "minpoly": list(order.minpoly),
                     "factors": [list(f) for f in order.factors],
                     "idempotents": [[str(x) for x in e] for e in order.idempotents],
@@ -83,7 +85,7 @@ def cmd_decompose(args):
             )
         )
         return 0
-    print(f"generator\tb{order.generator_index}")
+    print(f"generator\t{_vec(theta) if index is None else f'b{index}'}")
     print(f"minpoly\t{list(order.minpoly)}")
     for f, ring, e in zip(order.factors, order.rings, order.idempotents):
         print(f"factor\t{list(f)}\tring\t{list(ring)}\tidempotent\t{_vec(e)}")

@@ -1,10 +1,11 @@
 """Rational decomposition of QB for a commutative integral table algebra.
 
-The pipeline is monogenic: find a basis element g whose minimal polynomial
-mu is squarefree of degree = rank, factor mu over Q, and read off
+The pipeline is monogenic: take a primitive element theta from
+``algebra.primitive_elements``, whose minimal polynomial mu is squarefree
+of degree = rank, factor mu over Q, and read off
 
   * primitive idempotents of QB (two independent routes: CRT projectors in
-    Q[g], and the character/multiplicity formula),
+    Q[theta], and the character/multiplicity formula),
   * the rings of integers of the simple components, each as the defining
     polynomial of a monogenic Z-basis (degree <= 2 by the discriminant
     rule; in degree 3 only the certified cubic is accepted),
@@ -22,11 +23,11 @@ from .algebra import (
     TableAlgebra,
     check_ring,
     multiply,
-    regular_representation,
+    primitive_elements,
     unit_vectors,
 )
 from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import charpoly, discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation
+from .exact import discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation
 from math import lcm
 
 from .polys import (
@@ -60,57 +61,44 @@ class CharacterTable:
     delta_index: int  # which factor carries the degree character
 
 
-def powers_of_generator(t: TableAlgebra, gen: int):
-    "Columns g^0, g^1, ..., g^(rank-1) as vectors in basis B."
-    unit = unit_vectors(t.rank)
-    vecs = [unit[0]]
+def powers_of_generator(t: TableAlgebra, theta):
+    "theta^0, theta^1, ..., theta^(rank-1) as vectors in basis B."
+    vecs = [unit_vectors(t.rank)[0]]
     for _ in range(t.rank - 1):
-        vecs.append(multiply(t.lam, unit[gen], vecs[-1]))
+        vecs.append(multiply(t.lam, theta, vecs[-1]))
     return vecs
 
 
-def basis_in_generator(t: TableAlgebra, gen: int):
-    "q_i with b_i = q_i(g): solves the power-basis linear system."
+def basis_in_generator(t: TableAlgebra, theta):
+    "q_i with b_i = q_i(theta): solves the power-basis linear system."
     d = t.rank
-    pw = powers_of_generator(t, gen)
+    pw = powers_of_generator(t, theta)
     gmat = tuple(tuple(Fraction(pw[k][i]) for i in range(d)) for k in range(d))
     # rows of gmat are the power vectors; q_i solves x * gmat = e_i, the
     # i-th row of the inverse
     return list(fmat_inv(gmat))
 
 
-def _generator_candidates(t: TableAlgebra):
-    d = t.rank
-    if d == 1:
-        yield 0, (-1, 1)
-        return
-    for i in range(1, d):
-        chi = charpoly(regular_representation(t, i))
-        # a nonzero discriminant makes chi squarefree, and chi(M) = 0 by
-        # Cayley-Hamilton, so chi is then the minimal polynomial of b_i
-        if discriminant(chi):
-            yield i, chi
-
-
 def find_generator(t: TableAlgebra):
-    """Least basis index whose minimal polynomial is squarefree of full
-    degree and whose irreducible factors all admit a certified maximal
-    order.  Falls back to the least monogenic index when no candidate is
-    fully certifiable (maximal_order will then refuse)."""
+    """(theta, mu): the coefficient vector of the first primitive element
+    theta of ``algebra.primitive_elements`` whose minimal polynomial mu has
+    irreducible factors that all admit a certified maximal order, and mu.
+    Falls back to the first primitive element when no candidate is fully
+    certifiable (maximal_order will then refuse)."""
     check_ring(t.lam)
     first = None
-    for i, mu in _generator_candidates(t):
+    for theta, mu, _ in primitive_elements(t.lam):
         if first is None:
-            first = (i, tuple(mu))
+            first = (theta, mu)
         try:
             for f in factor_rational(mu):
                 _ring_polynomial(f)
         except MaximalityUncertified:
             continue
-        return i, tuple(mu)
+        return theta, mu
     if first is not None:
         return first
-    raise NotMonogenic("no basis element generates the algebra over Q")
+    raise NotMonogenic("no candidate primitive element generates the algebra over Q")
 
 
 def _ring_polynomial(f):
@@ -138,13 +126,13 @@ def _ring_polynomial(f):
 
 def primitive_idempotents(t: TableAlgebra):
     """CRT projector route: for each irreducible factor f of mu, the
-    idempotent is ((mu/f) * ((mu/f)^-1 mod f))(g), as a vector in B."""
-    gen, mu = find_generator(t)
-    return _crt_idempotents(t, gen, mu, factor_rational(mu))
+    idempotent is ((mu/f) * ((mu/f)^-1 mod f))(theta), as a vector in B."""
+    theta, mu = find_generator(t)
+    return _crt_idempotents(t, theta, mu, factor_rational(mu))
 
 
-def _crt_idempotents(t: TableAlgebra, gen, mu, factors):
-    pw = powers_of_generator(t, gen)
+def _crt_idempotents(t: TableAlgebra, theta, mu, factors):
+    pw = powers_of_generator(t, theta)
     d = t.rank
     out = []
     for f in factors:
@@ -228,10 +216,10 @@ def character_table(t: TableAlgebra) -> CharacterTable:
 
 
 def _factors_and_coordinates(t: TableAlgebra):
-    """(factors of mu, [q_i with b_i = q_i(g)]) for the generator g: the
-    input of every character evaluation."""
-    gen, mu = find_generator(t)
-    return factor_rational(mu), basis_in_generator(t, gen)
+    """(factors of mu, [q_i with b_i = q_i(theta)]) for the generator theta:
+    the input of every character evaluation."""
+    theta, mu = find_generator(t)
+    return factor_rational(mu), basis_in_generator(t, theta)
 
 
 def degree_character_values(t: TableAlgebra):
@@ -267,13 +255,13 @@ def character_formula_idempotents(t: TableAlgebra):
 
 @dataclass
 class MaximalOrderData:
-    """The analysed order: the generator g = b_generator_index, its minimal
-    polynomial, the irreducible factors of that polynomial, the primitive
-    idempotents (rational vectors in basis B) and the defining polynomials
-    of the components' rings of integers, all aligned with the factors;
-    and the maximal order Lambda_0 built from them."""
+    """The analysed order: the generator theta (a vector in basis B), its
+    minimal polynomial, the irreducible factors of that polynomial, the
+    primitive idempotents (rational vectors in basis B) and the defining
+    polynomials of the components' rings of integers, all aligned with the
+    factors; and the maximal order Lambda_0 built from them."""
 
-    generator_index: int
+    generator: tuple
     minpoly: tuple
     factors: list
     idempotents: list
@@ -328,15 +316,15 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     pass through generator, factors, component rings and idempotents, and
     the result carries all of them.
     """
-    gen, mu = find_generator(t)
+    theta, mu = find_generator(t)
     factors = factor_rational(mu)
     rings, omegas = zip(*map(_ring_polynomial, factors))
-    idems = _crt_idempotents(t, gen, mu, factors)
-    unit = unit_vectors(t.rank)
+    idems = _crt_idempotents(t, theta, mu, factors)
+    one = unit_vectors(t.rank)[0]
 
     rows = []  # e, omega e, omega^2 e, ... for each component
     for ring, (c0, c1), e in zip(rings, omegas, idems):
-        omega = tuple(c0 * x + c1 * y for x, y in zip(unit[0], unit[gen]))
+        omega = tuple(c0 * x + c1 * y for x, y in zip(one, theta))
         rows.append(e)
         for _ in range(pdeg(ring) - 1):
             rows.append(multiply(t.lam, omega, rows[-1]))
@@ -358,7 +346,7 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
 
     bad = sorted(factorize(conductor).keys())
     return MaximalOrderData(
-        generator_index=gen,
+        generator=theta,
         minpoly=mu,
         factors=factors,
         idempotents=idems,

@@ -394,9 +394,11 @@ def decompose_domain(model: LocalModel, lattice):
     The digit tree is complete on the lattices genus_zeta passes it, the
     complementary lattices {M : Z_pB} of the class representatives at
     m <= 1 (residue_certificate checks them), and on Lambda_0 and Z_pB.
-    It is not complete on every sublattice of Lambda_0 of p-power index:
-    at p = 3, m = 0 the rows (9, 0, 0), (0, 1, 0), (0, 0, 1) give a tree
-    that does not end, and DepthExceeded is raised.
+    It is not complete on every sublattice of Lambda_0 of p-power index.
+    Most others raise PrecisionUnstable, a digit collision (at p = 3 the
+    rows (1, 0, 1), (0, 3, 1), (0, 0, 3): "digit collision at Z layer 0");
+    some give a tree that does not end, and DepthExceeded is raised (at
+    p = 3, m = 0 the rows (9, 0, 0), (0, 1, 0), (0, 0, 1)).
     """
     state = [row[:] for row in lattice] if model.symbolic else [list(r) for r in lattice.matrix]
     bound = 2 * (2 * model.m + 1) + 2

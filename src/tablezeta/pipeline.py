@@ -23,7 +23,6 @@ from .errors import InputError
 from .exact import valuation
 from .ideals import IdealCountSeries, count_ideals, count_ideals_at_prime
 from .modp import is_gorenstein, maximal_ideals
-from .polys import pmul
 
 
 @dataclass
@@ -109,8 +108,7 @@ def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, p
             delta = complete_local_polynomial(counts, base, ell)
         else:
             delta = infer_local_polynomial(counts, base, degree_bound)
-        full = LocalRationalFunction(p, pmul(delta, base.num), base.den)
-        out[p] = ExceptionalFactor(delta, full, ell, degree_bound, gorenstein, depth)
+        out[p] = ExceptionalFactor(delta, base * delta, ell, degree_bound, gorenstein, depth)
     return out
 
 

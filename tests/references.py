@@ -1,5 +1,6 @@
 """Reference implementations that the tests check the package against,
-each computed another way than the package computes it, and
+each computed another way than the package computes it; the tables the
+tests build (Z[x]/(f), group rings and tensor products); and
 ``region_integral``, which reads one genus region's integral off the
 package's region sum for the tests of that sum."""
 
@@ -50,6 +51,26 @@ def quotient_ring_table(defining_poly):
                     raise ValueError("non-monic defining polynomial")
                 lam[i][j][k] = int(v)
     return tuple(tuple(tuple(row) for row in plane) for plane in lam)
+
+
+def group_table(order, mul):
+    "The multiplication tensor of Z[G] on the group basis, identity first."
+    return tuple(
+        tuple(tuple(1 if mul(i, j) == k else 0 for k in range(order)) for j in range(order)) for i in range(order)
+    )
+
+
+def tensor_table(a, b):
+    """The multiplication tensor of A (x) B, for the tensors a of A and b of
+    B, on the basis a_i (x) b_j at index i * rank(B) + j, identity first."""
+    rb = len(b)
+    r = len(a) * rb
+    return tuple(
+        tuple(
+            tuple(a[i // rb][j // rb][k // rb] * b[i % rb][j % rb][k % rb] for k in range(r)) for j in range(r)
+        )
+        for i in range(r)
+    )
 
 
 def idempotent_suite_holds(order, algebra):

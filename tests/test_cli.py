@@ -15,6 +15,8 @@ from tablezeta.errors import InputError
 from tablezeta.families import fusion
 from tablezeta.genus import LocalModel, enumerate_genus_representatives, model_for_order, total_local_zeta
 
+from references import group_table
+
 GOOD_FILE = """
 {"rank": 2,
  "names": ["1", "g"],
@@ -161,6 +163,35 @@ def test_cli_decompose_fib_no_bad_primes(capsys):
     out = capsys.readouterr().out
     assert "bad_primes\t-" in out
     assert "index\t1" in out
+
+
+def test_cli_decompose_generator_that_is_no_basis_element(tmp_path, capsys):
+    # Z[C2 x C2]: no basis element generates it, so the generator is
+    # b1 + 2 b2 + 3 b3, reported by its coefficients in both formats
+    path = tmp_path / "c2c2.json"
+    doc = {"rank": 4, "names": ["1", "a", "b", "ab"], "involution": [0, 1, 2, 3]}
+    path.write_text(json.dumps({**doc, "lambda": group_table(4, lambda i, j: i ^ j)}))
+    assert main(["decompose", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "generator\t(0, 1, 2, 3)",
+        "minpoly\t[0, -48, -28, 0, 1]",
+        "factor\t[-6, 1]\tring\t[-6, 1]\tidempotent\t(1/4, 1/4, 1/4, 1/4)",
+        "factor\t[0, 1]\tring\t[0, 1]\tidempotent\t(1/4, -1/4, -1/4, 1/4)",
+        "factor\t[2, 1]\tring\t[2, 1]\tidempotent\t(1/4, -1/4, 1/4, -1/4)",
+        "factor\t[4, 1]\tring\t[4, 1]\tidempotent\t(1/4, 1/4, -1/4, -1/4)",
+        "lambda0\t(1/4, 1/4, 1/4, 1/4)",
+        "lambda0\t(1/4, -1/4, -1/4, 1/4)",
+        "lambda0\t(1/4, -1/4, 1/4, -1/4)",
+        "lambda0\t(1/4, 1/4, -1/4, -1/4)",
+        "index\t16",
+        "conductor\t4",
+        "bad_primes\t2",
+    ]
+    assert main(["--format", "json-like", "decompose", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out)[:2] == ["generator", "minpoly"]
+    assert out["generator"] == [0, 1, 2, 3]
+    assert (out["index"], out["conductor"], out["bad_primes"]) == (16, 4, [2])
 
 
 def test_cli_count_prime_mode(capsys):

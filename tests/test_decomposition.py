@@ -23,19 +23,19 @@ BUILTINS = [drt(1), drt(6), conference(1), conference(3)] + [
 
 def test_find_generator_drt():
     gen, mu = find_generator(drt(1))
-    assert gen == 1
+    assert gen == (0, 1, 0)
     assert mu == (-6, -1, -2, 1)  # (x-3)(x^2+x+2)
 
 
 def test_find_generator_conference():
     gen, mu = find_generator(conference(1))
-    assert gen == 1
+    assert gen == (0, 1, 0)
     assert mu == (2, -3, -1, 1)  # (x-2)(x^2+x-1)
 
 
 def test_find_generator_psu5l2_picks_certified_cubic():
     gen, mu = find_generator(fusion("psu5l2"))
-    assert gen == 2
+    assert gen == (0, 0, 1)
     assert mu == (1, -1, -2, 1)  # x^3 - 2x^2 - x + 1
 
 
@@ -101,7 +101,7 @@ def test_analyze_matches_standalone_stages(t):
     # what the stage computes on its own
     data = maximal_order(t)
     gen, mu = find_generator(t)
-    assert (data.generator_index, data.minpoly) == (gen, mu)
+    assert (data.generator, data.minpoly) == (gen, mu)
     assert data.factors == factor_rational(mu)
     assert data.idempotents == primitive_idempotents(t)
     assert [pdeg(r) for r in data.rings] == [pdeg(f) for f in data.factors]

@@ -28,24 +28,14 @@ from tablezeta.genus import (
 )
 from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal
 
-from references import quotient_ring_table
-
-
-def klein_four_table():
-    # Z[C2 x C2]: every non-identity element has a quadratic minimal
-    # polynomial, so no single basis element generates the rank-4 algebra
-    order = {0: {0: 0, 1: 1, 2: 2, 3: 3}, 1: {1: 0, 2: 3, 3: 2}, 2: {2: 0, 3: 1}, 3: {3: 0}}
-    lam = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            k = order[min(i, j)].get(max(i, j))
-            lam[i][j][k] = 1
-    return TableAlgebra(4, lam, (0, 1, 2, 3))
+from references import group_table, quotient_ring_table
 
 
 def test_not_monogenic():
+    # Z[e]/(e^2), b1^2 = 0: every element a + b e has the characteristic
+    # polynomial (x - a)^2, so no element at all generates the algebra over Q
     with pytest.raises(NotMonogenic):
-        find_generator(klein_four_table())
+        find_generator(TableAlgebra(2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], (0, 1)))
 
 
 NON_COMMUTATIVE = [
@@ -64,7 +54,7 @@ def test_non_commutative_rejected():
 def non_associative_table():
     # Z[C2 x C2] with b1 b1 = b2 in place of b0: still commutative with
     # identity b0, but (b1 b1) b2 = b0 while b1 (b1 b2) = b1 b3 = b2
-    lam = [[list(row) for row in plane] for plane in klein_four_table().lam]
+    lam = [[list(row) for row in plane] for plane in group_table(4, lambda i, j: i ^ j)]
     lam[1][1] = [0, 0, 1, 0]
     return lam
 
@@ -230,6 +220,8 @@ def test_decompose_domain_depth_guard_ends_a_digit_tree_that_does_not_end():
         # a unit e1 digit of row 1 leaves a rational offset pending at
         # layer 1; with row 0's e0 digit fixed to zero, row 0 reaches it too
         (((1, 0, 1), (0, 1, 3), (0, 0, 9)), "pending offset collides with a frontier digit"),
+        # rows 0 and 1 both have their rational digit at layer 0, the frontier
+        (((1, 0, 1), (0, 3, 1), (0, 0, 3)), "digit collision at Z layer 0"),
     ],
 )
 def test_decompose_domain_refuses_a_digit_collision(rows, message):

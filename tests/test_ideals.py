@@ -15,7 +15,7 @@ from tablezeta.exact import factorize, hnf, primes_up_to
 from tablezeta.modp import kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 
-from references import quotient_ring_table, stream_count, stream_series, sylvester_discriminant
+from references import group_table, quotient_ring_table, stream_count, stream_series, sylvester_discriminant
 
 
 def sublattice_count_formula(n):
@@ -146,13 +146,6 @@ def test_descent_matches_closed_forms_on_deep_towers():
         local = maximal_local_factor(maximal_order(t).rings, p) * (1, -1, p)
         assert count_ideals_at_prime(t.lam, p, kmax) == expand(local, kmax), (p, kmax)
     assert count_ideals_at_prime(drt(6).lam, 3, 9) == expand(theorem_local_factor("v3", 3), 9)
-
-
-def group_table(order, mul):
-    "The multiplication tensor of Z[G] on the group basis, identity first."
-    return tuple(
-        tuple(tuple(1 if mul(i, j) == k else 0 for k in range(order)) for j in range(order)) for i in range(order)
-    )
 
 
 def test_towers_where_the_ideals_inside_p_lambda_enter_twice():

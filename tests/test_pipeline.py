@@ -18,7 +18,7 @@ from tablezeta.modp import is_gorenstein, maximal_ideals, socle_dimension
 from tablezeta.pipeline import infer_exceptional_factors, oracle_depth, verify_order, zeta_series
 from tablezeta.polys import pdeg
 
-from references import quotient_ring_table
+from references import group_table, quotient_ring_table, tensor_table
 
 Z_C4 = TableAlgebra(4, [[[int((i + j) % 4 == k) for k in range(4)] for j in range(4)] for i in range(4)], (0, 3, 2, 1))
 ORDERS = {
@@ -139,6 +139,25 @@ def test_completed_delta_equals_the_count_to_the_degree_bound_on_quadratic_order
         assert f.gorenstein and f.depth == f.ell
         counts = count_ideals_at_prime(t.lam, p, f.degree_bound)
         assert infer_local_polynomial(counts, maximal_local_factor(order.rings, p), f.degree_bound) == f.delta
+
+
+@pytest.mark.parametrize(
+    "lam, deltas",
+    [
+        (group_table(4, lambda i, j: i ^ j), {2: (1, -3, 9, -3, 2, -6, 36, -24, 16)}),
+        (tensor_table(fusion("fib").lam, fusion("fib").lam), {5: (1, -1, 5)}),
+        (tensor_table(fusion("ising").lam, fusion("c2").lam), {2: (1, -3, 9, -7, 10, -2, 20, -28, 72, -48, 32)}),
+    ],
+    ids=["Z[C2xC2]", "fib-x-fib", "ising-x-c2"],
+)
+def test_verify_where_no_basis_element_generates(lam, deltas):
+    # every basis element has a repeated eigenvalue, so the generator is
+    # b1 + 2 b2 + ... + (r-1) b_(r-1), the descent's splitting element
+    r = len(lam)
+    t = TableAlgebra(r, lam, tuple(range(r)))  # every basis element is self-dual
+    assert maximal_order(t).generator == tuple(range(r))
+    res = verify_order(t, 64)
+    assert res.passed and res.deltas == deltas
 
 
 def test_verify_reports_deltas_for_conservative_primes():
