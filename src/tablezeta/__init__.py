@@ -30,7 +30,7 @@ _EXPORTS = {
     "errors": "",
     "exact": "",
     "families": "FamilySpec conference drt fusion",
-    "genus": "LocalModel Region RegionPart block_triangularize complementary_lattice"
+    "genus": "LocalModel Region RegionPart complementary_lattice"
     " automorphism_measure_inverse decompose_domain enumerate_genus_representatives genus_zeta"
     " lattices_isomorphic model_for_order total_local_zeta",
     "ideals": "IdealCountSeries LatticeHNF count_ideals count_ideals_at_prime enumerate_sublattices is_ideal",

@@ -18,15 +18,15 @@ enumerate_genus_representatives returns triples, and complementary_lattice,
 automorphism_measure_inverse and genus_zeta take one, refusing a triple
 that is not admissible.  The lattices the calculus builds from a triple
 are a LatticeHNF in numeric mode and an exponent matrix (entry = v_p
-exponent, None = zero) in symbolic mode; decompose_domain and
-residue_certificate take those.
+exponent, None = zero) in symbolic mode; decompose_domain takes those.
 
 Zeta integrals are evaluated by decomposing a lattice into product
 regions (unit cosets and full tails per component) via a digit tree on
 its HNF coordinates; each region has a closed-form integral.  Counts of
 regions are polynomials in p, so the same tree serves the symbolic mode;
 all lattice-level computations in the numeric mode are independent exact
-integer arithmetic, and residue-count certificates tie the two together.
+integer arithmetic, and the test suite ties the two together by counting
+each lattice's residues modulo p^K Lambda_0 over its regions.
 
 A genus zeta function sums its regions' integrals over one denominator
 p^e (p-1)^c, read off the regions, in integers (numeric mode) or PPoly
@@ -43,7 +43,6 @@ from .dirichlet import LocalRationalFunction
 from .errors import (
     DepthExceeded,
     InputError,
-    NotFullRank,
     PrecisionUnstable,
     UnsupportedM,
 )
@@ -263,29 +262,6 @@ def complementary_lattice(model: LocalModel, triple, target=None):
     return LatticeHNF(3, kernel_mod_pk(cmat, p, K))
 
 
-def block_triangularize(model: LocalModel, rows) -> LatticeHNF:
-    """Canonical HNF of an arbitrary full lattice given by (possibly
-    rational) rows over the ordered basis; denominators must be prime to
-    p, and the p-part of the index is what survives localization."""
-    if model.symbolic:
-        raise UnsupportedM("block triangularization needs a concrete prime")
-    p = model.p
-    int_rows = []
-    for row in rows:
-        den = 1
-        for x in row:
-            d = Fraction(x).denominator
-            den = den * d // gcd(den, d)
-        if den % p == 0:
-            raise NotFullRank("row denominators must be prime to p")
-        int_rows.append(tuple(int(Fraction(x) * den) for x in row))
-    det = lattice_det(hnf_square(tuple(int_rows)))
-    k = valuation(det, p) if det % p == 0 else 0
-    stacked = tuple(int_rows) + tuple(tuple(p**k if i == j else 0 for j in range(3)) for i in range(3))
-    loc = hnf_square(stacked)
-    return LatticeHNF(3, loc)
-
-
 # --- symbolic lattice shapes ------------------------------------------------
 
 
@@ -393,7 +369,8 @@ def decompose_domain(model: LocalModel, lattice):
 
     The digit tree is complete on the lattices genus_zeta passes it, the
     complementary lattices {M : Z_pB} of the class representatives at
-    m <= 1 (residue_certificate checks them), and on Lambda_0 and Z_pB.
+    m <= 1 (the test suite checks each against its residue counts modulo
+    p^K Lambda_0), and on Lambda_0 and Z_pB.
     It is not complete on every sublattice of Lambda_0 of p-power index.
     Most others raise PrecisionUnstable, a digit collision (at p = 3 the
     rows (1, 0, 1), (0, 3, 1), (0, 0, 3): "digit collision at Z layer 0");
@@ -586,22 +563,3 @@ def _add_same_den(a: LocalRationalFunction, b: LocalRationalFunction) -> LocalRa
     if a.den != b.den:
         raise ArithmeticError(f"genus zeta functions over different denominators {a.den} and {b.den}")
     return LocalRationalFunction(a.p, padd(a.num, b.num), a.den)
-
-
-def region_residue_exponent(region: Region, K):
-    "log_p of the residue count of the region's piece modulo p^K Lambda_0."
-    return sum(w * K - (part.valuation + part.depth) for w, part in ((2, region.quadratic), (1, region.rational)))
-
-
-def residue_certificate(model: LocalModel, lattice, regions, K):
-    """Exhaustive-and-disjoint check: sum over regions of residue counts
-    mod p^K equals [L : p^K Lambda_0], for L a LatticeHNF (numeric) or an
-    exponent matrix (symbolic).  Returns (lhs, rhs) as polynomials in p
-    (symbolic) or integers."""
-    if model.symbolic:
-        exps, p, lhs = lattice, PPoly.var(), PPoly(0)
-    else:
-        exps, p, lhs = _to_exps(model, lattice.matrix), model.p, 0
-    for reg in regions:
-        lhs = lhs + (reg.count if model.symbolic else reg.count(p)) * p ** region_residue_exponent(reg, K)
-    return lhs, p ** (3 * K - exps[0][0] - exps[1][1] - exps[2][2])

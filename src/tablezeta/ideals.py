@@ -49,21 +49,38 @@ characteristic polynomial of the first of ``algebra.primitive_elements``,
 the number of roots of chi mod p (``_degree_one_count``).  At every other
 prime the maximal ideals come from ``modp.maximal_ideals``.
 
+The last level of a tower is counted, not built.  An ideal J of index
+p^k is reached from the ideals K with mK <= J < K, for m the last maximal
+ideal of J's support, and these K/J are the nonzero subspaces of the
+F_q-space (J : m)/J, on whose lattice the Moebius function is known (Rota
+1964).  So a_{p^kmax} is a sum, over the ideals K the descent has walked
+and the m it took at each, of Gaussian binomials in dim K/mK, which the
+descent computes anyway to build K's children (``_descend`` gives the
+proof).  The same sum is taken for every level that is built, and a
+level whose count differs from it raises ArithmeticError, so every
+descent checks the theorem on the levels below its last.
+
 Costs on a 2-core machine with Python 3.11, median wall time of eleven
 runs of the command with interpreter start and the import of the CLI
 included and no bytecode cache, and in brackets the same runs,
-interleaved, while the descent built the ideals inside p Lambda and
-every child through ``_sublattice`` (the machine's speed drifts by more
-than the smaller differences): ``count --family drt --u 6 --prime 3
---kmax 12`` takes about 0.15 s (0.18 s), ``count --family fusion --name
-reps3 --max-index 5000`` about 0.18 s (0.17 s), ``verify`` on reps3 to
-4096 about 0.20 s (0.19 s), ``count`` on Z[C2 x C2] to 1000 about
-0.28 s (0.28 s), ``count --family fusion --name e6 --max-index 1000``,
-where each of 157 primes takes only a root count of chi, about 0.12 s
-(0.13 s), and ``count`` on Z[C4] to 64 about 0.14 s (0.14 s).  In
-process, best of seven, the tower of drt(6) at 3 to 3^9 takes 16 ms
-(22 ms), ising's at 2 to 2^12 1.7 ms (3.3 ms) and c3's at 3 to 3^8
-1.7 ms (2.4 ms).
+interleaved, while the descent built the last level of each tower (the
+machine's speed drifts by more than the smaller differences): ``count
+--family drt --u 6 --prime 3 --kmax 12`` takes about 0.18 s (0.18 s),
+``count --family fusion --name reps3 --max-index 5000`` about 0.20 s
+(0.22 s), ``verify`` on reps3 to 4096 about 0.20 s (0.19 s), ``count`` on
+Z[C2 x C2] to 1000 about 0.25 s (0.28 s), ``count --family fusion --name
+e6 --max-index 1000``, where each of 157 primes takes only a root count of
+chi, about 0.12 s (0.13 s), ``count`` on Z[C4] to 64 about 0.13 s
+(0.13 s), ``verify --family drt --u 4201 --max-index 50`` about 0.24 s
+(0.31 s) and ``count`` on Z[C3 x C3] at 3 to 3^7 about 1.0 s (1.4 s).  In
+process, best of seven, the tower of drt(6) at 3 to 3^9 takes 13 ms
+(14 ms), ising's at 2 to 2^12 1.6 ms (1.7 ms) and c3's at 3 to 3^8 1.6 ms
+(1.7 ms); best of three, Z[C3 x C3]'s at 3 to 3^7 0.69 s (1.1 s) and
+Z[C2 x C4]'s at 2 to 2^10 4.7 s (6.3 s).  These towers build 1,074
+children (1,749), 7,440 (22,099) and 74,726 (181,516), and take the
+products of the generators of m with the rows of an ideal (``_products``)
+as often as before, 471, 5,570 and 42,136 times, which is where most of
+the time now goes.
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
@@ -288,7 +305,29 @@ def _descend(table, p, kmax, maximal, split):
     so an ideal reached from several parents is counted once.  Level
     k >= r (r the rank) drops the ideals inside p Lambda and counts them
     as a_{p^(k-r)} (the module docstring); no path to a kept ideal passes
-    through them, since every ideal on it contains the kept one."""
+    through them, since every ideal on it contains the kept one.
+
+    The last level is counted, not built.  Let J be an ideal of index p^k,
+    k >= 1, and m the last maximal ideal of its support, of residue field
+    F_q, q = p^f.  The K with mK <= J < K are the K with J < K <= (J : m),
+    and K/J runs over the nonzero F_q-subspaces N of (J : m)/J, which is
+    not 0 since m is in the support.  The support of each such K lies in
+    J's, so the descent walks K, if K is not inside p Lambda, with m at or
+    after K's last step; and conversely, for K, an m at or after K's last
+    step and mK <= J < K, m is the last maximal ideal of J's support.  On
+    the subspaces of an F_q-space, -mu(0, N) = (-1)^(c+1) q^(c(c-1)/2) for
+    N of dimension c (Rota 1964), and the sum over the N != 0 is 1
+    (``_moebius_terms``).  So a_{p^k} is the Moebius sum, over the ideals K
+    of index p^j < p^k and the m at or after K's last step with j + c f = k
+    for a c >= 1, of (-1)^(c+1) q^(c(c-1)/2) times [d/f, c]_q, the number
+    of the J of index p^k with mK <= J < K; here d = dim_Fp K/mK = r -
+    len(w), for w the echelon basis of mK/pK that the children at m are
+    built from.  An ideal pK' inside p Lambda has every maximal ideal in
+    its support, so it enters only at the last m, with dim pK'/m pK' =
+    dim K'/mK'; so each level keeps how many of its ideals, those inside
+    p Lambda included, have each dimension at the last m.  Each level
+    below kmax is built, and its count is checked against its Moebius sum:
+    a difference raises ArithmeticError.  a_{p^kmax} is the sum alone."""
     maximal = {} if maximal is None else maximal
     if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1
         return [1, _degree_one_count(table, split, p, maximal)][: kmax + 1]
@@ -296,12 +335,36 @@ def _descend(table, p, kmax, maximal, split):
     acts = _action_matrices(table)
     # (m, the action matrices of the generators of m)
     steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal)]
-    levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax)]  # k -> {HNF rows: position in steps of the last step}
+    last, f_last = len(steps) - 1, steps[-1][0].f
+    # k < kmax -> {HNF rows: position in steps of the last step}; level kmax is never built
+    levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax - 1)]
+    sums = [0] * (kmax + 1)  # k -> the Moebius sum for a_{p^k}
+    # k -> {d: the number of ideals I of index p^k, inside p Lambda or not, with dim I/mI = d at the last m}
+    last_dims = [{} for _ in range(kmax)]
+    terms = {}  # (n, q) -> _moebius_terms(n, q)
+
+    def add(k, d, f, times=1):
+        """Add to the sum at each index p^(k + c f) <= p^kmax the terms of
+        ``times`` ideals I of index p^k with dim I/mI = d at an m of degree f."""
+        n, q = d // f, p**f
+        if (n, q) not in terms:
+            terms[n, q] = _moebius_terms(n, q)
+        for c, term in enumerate(terms[n, q][: (kmax - k) // f], 1):
+            sums[k + c * f] += times * term
+
     counts = []
     for k, level in enumerate(levels):
         if k >= r:  # drop the ideals inside p Lambda: p times those of index p^(k - r)
             level = {rows: first for rows, first in level.items() if any(x % p for row in rows for x in row)}
+            inside = last_dims[k - r]
+            for d, times in inside.items():  # their one step is the last m
+                add(k, d, f_last, times)
+            last_dims[k] = dict(inside)
         counts.append(len(level) + (counts[k - r] if k >= r else 0))
+        if k and sums[k] != counts[k]:
+            raise ArithmeticError(
+                f"at p = {p}, index p^{k}: the descent built {counts[k]} ideals, the Moebius sum is {sums[k]}"
+            )
         for rows, first in level.items():
             for pos in range(first, len(steps)):
                 m, gens = steps[pos]
@@ -309,15 +372,36 @@ def _descend(table, p, kmax, maximal, split):
                     continue
                 # mI / pI in the coordinates of I: the generators of m times the rows of I
                 w = rref([c for g in gens for c in _products(rows, g)], p)
+                d = r - len(w)
+                add(k, d, m.f)
+                if pos == last:
+                    last_dims[k][d] = last_dims[k].get(d, 0) + 1
+                if k + m.f == kmax:  # counted by the Moebius sum, not built
+                    continue
                 if m.f == 1:
                     children = _degree_one_children(rows, w, p)
                 else:  # if I/mI = F_q, its one hyperplane is 0
-                    subs = (w,) if r - len(w) == m.f else _hyperplanes(w, m.f, [_products(rows, a) for a in acts], p, r)
+                    subs = (w,) if d == m.f else _hyperplanes(w, m.f, [_products(rows, a) for a in acts], p, r)
                     children = (_sublattice(rows, sub, p) for sub in subs)
                 child = levels[k + m.f]
                 for hnf in children:
                     child[hnf] = pos
+    counts.append(sums[kmax])
     return counts
+
+
+def _moebius_terms(n, q):
+    """[(-1)^(c+1) q^(c(c-1)/2) [n, c]_q for c = 1 .. n]: -mu(0, N) for a
+    subspace N of dimension c of F_q^n in its lattice of subspaces (Rota
+    1964), times the number [n, c]_q of such N.  They sum to 1, the
+    q-binomial theorem prod_(i<n) (1 + q^i x) = sum_c q^(c(c-1)/2) [n, c]_q
+    x^c at x = -1.  Each Gaussian binomial is exact: [n, c]_q = [n, c-1]_q
+    (q^(n-c+1) - 1) / (q^c - 1)."""
+    out, binom = [], 1
+    for c in range(1, n + 1):
+        binom = binom * (q ** (n - c + 1) - 1) // (q**c - 1)
+        out.append((-1) ** (c + 1) * q ** (c * (c - 1) // 2) * binom)
+    return out
 
 
 def _splitting_element(table):

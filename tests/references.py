@@ -2,15 +2,20 @@
 each computed another way than the package computes it; the tables the
 tests build (Z[x]/(f), group rings and tensor products); and
 ``region_integral``, which reads one genus region's integral off the
-package's region sum for the tests of that sum."""
+package's region sum for the tests of that sum; and the genus helpers
+that only the tests call: ``block_triangularize``, and the residue-count
+certificate of a region decomposition (``residue_certificate``)."""
 
 from fractions import Fraction
+from math import gcd
 
 from tablezeta.dirichlet import LocalRationalFunction
-from tablezeta.exact import fmat_det, fmat_inv, vec_mat
-from tablezeta.genus import _region_sum
-from tablezeta.ideals import _action_matrices, _closed, _hnf_rows
+from tablezeta.errors import NotFullRank, UnsupportedM
+from tablezeta.exact import fmat_det, fmat_inv, hnf_square, lattice_det, valuation, vec_mat
+from tablezeta.genus import LocalModel, Region, _region_sum, _to_exps
+from tablezeta.ideals import LatticeHNF, _action_matrices, _closed, _hnf_rows
 from tablezeta.polys import pdeg, pdivmod, pnorm
+from tablezeta.ppoly import PPoly
 
 
 def sylvester_discriminant(f):
@@ -103,3 +108,45 @@ def region_integral(model, region):
     one-region case of the sum that ``genus.genus_zeta`` takes."""
     num, den = _region_sum(model, [region])
     return LocalRationalFunction(model.p, tuple(Fraction(x, den) for x in num), (1, -2, 1))
+
+
+def block_triangularize(model: LocalModel, rows) -> LatticeHNF:
+    """Canonical HNF of an arbitrary full lattice given by (possibly
+    rational) rows over the ordered basis; denominators must be prime to
+    p, and the p-part of the index is what survives localization."""
+    if model.symbolic:
+        raise UnsupportedM("block triangularization needs a concrete prime")
+    p = model.p
+    int_rows = []
+    for row in rows:
+        den = 1
+        for x in row:
+            d = Fraction(x).denominator
+            den = den * d // gcd(den, d)
+        if den % p == 0:
+            raise NotFullRank("row denominators must be prime to p")
+        int_rows.append(tuple(int(Fraction(x) * den) for x in row))
+    det = lattice_det(hnf_square(tuple(int_rows)))
+    k = valuation(det, p) if det % p == 0 else 0
+    stacked = tuple(int_rows) + tuple(tuple(p**k if i == j else 0 for j in range(3)) for i in range(3))
+    loc = hnf_square(stacked)
+    return LatticeHNF(3, loc)
+
+
+def region_residue_exponent(region: Region, K):
+    "log_p of the residue count of the region's piece modulo p^K Lambda_0."
+    return sum(w * K - (part.valuation + part.depth) for w, part in ((2, region.quadratic), (1, region.rational)))
+
+
+def residue_certificate(model: LocalModel, lattice, regions, K):
+    """Exhaustive-and-disjoint check: sum over regions of residue counts
+    mod p^K equals [L : p^K Lambda_0], for L a LatticeHNF (numeric) or an
+    exponent matrix (symbolic).  Returns (lhs, rhs) as polynomials in p
+    (symbolic) or integers."""
+    if model.symbolic:
+        exps, p, lhs = lattice, PPoly.var(), PPoly(0)
+    else:
+        exps, p, lhs = _to_exps(model, lattice.matrix), model.p, 0
+    for reg in regions:
+        lhs = lhs + (reg.count if model.symbolic else reg.count(p)) * p ** region_residue_exponent(reg, K)
+    return lhs, p ** (3 * K - exps[0][0] - exps[1][1] - exps[2][2])

@@ -20,7 +20,6 @@ from tablezeta.genus import (
     enumerate_genus_representatives,
     genus_zeta,
     lattices_isomorphic,
-    residue_certificate,
     total_local_zeta,
 )
 from tablezeta.ideals import count_ideals, count_ideals_at_prime, divisor_tuples, enumerate_sublattices
@@ -28,7 +27,7 @@ from tablezeta.decomposition import maximal_order
 from tablezeta.pipeline import verify_order
 from tablezeta.ppoly import PPoly
 
-from references import stream_series
+from references import residue_certificate, stream_series
 
 ALL_BUILTINS = {
     "drt(1)": drt(1),

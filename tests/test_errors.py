@@ -22,13 +22,12 @@ from tablezeta.exact import hnf_square
 from tablezeta.genus import (
     LocalModel,
     _membership_congruence_matrix,
-    block_triangularize,
     decompose_domain,
     triple_matrix,
 )
 from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal
 
-from references import group_table, quotient_ring_table
+from references import block_triangularize, group_table, quotient_ring_table
 
 
 def test_not_monogenic():

@@ -14,14 +14,12 @@ from tablezeta.genus import (
     _admissible_triples,
     admissible,
     automorphism_measure_inverse,
-    block_triangularize,
     complementary_lattice,
     decompose_domain,
     enumerate_genus_representatives,
     genus_zeta,
     lattices_isomorphic,
     model_for_order,
-    residue_certificate,
     sum_genus_zetas,
     total_local_zeta,
     triple_matrix,
@@ -31,7 +29,7 @@ from tablezeta.ideals import LatticeHNF, count_ideals_at_prime
 from tablezeta.families import drt
 from tablezeta.ppoly import PPoly
 
-from references import region_integral
+from references import block_triangularize, region_integral, residue_certificate
 
 M1_REPS = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2), (0, 1, 2), (0, 1, 3)]
 

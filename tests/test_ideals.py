@@ -1,5 +1,5 @@
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +10,14 @@ from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import LocalRationalFunction, expand, maximal_local_factor, theorem_local_factor
 from tablezeta import ideals
-from tablezeta.ideals import IdealCountSeries, _degree_one_children, _splitting_element, _sublattice, divisor_tuples
+from tablezeta.ideals import (
+    IdealCountSeries,
+    _degree_one_children,
+    _moebius_terms,
+    _splitting_element,
+    _sublattice,
+    divisor_tuples,
+)
 from tablezeta.exact import factorize, hnf, primes_up_to
 from tablezeta.modp import kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
@@ -264,6 +271,77 @@ def test_no_sublattice_built_at_primes_whose_square_exceeds_the_bound(monkeypatc
     series = count_ideals(fusion("e6").lam, 1000)
     assert built and max(built) <= 31
     assert series.a(997) == root_count(_splitting_element(fusion("e6").lam)[1], 997)
+
+
+def record_children(monkeypatch):
+    """Wrap the descent's two child builders, _degree_one_children and
+    _sublattice; the list returned gets every child HNF they build."""
+    built = []
+    degree_one, sublattice = ideals._degree_one_children, ideals._sublattice
+
+    def recording_degree_one(rows, w, p):
+        for hnf in degree_one(rows, w, p):
+            built.append(hnf)
+            yield hnf
+
+    def recording_sublattice(rows, sub, p):
+        built.append(sublattice(rows, sub, p))
+        return built[-1]
+
+    monkeypatch.setattr(ideals, "_degree_one_children", recording_degree_one)
+    monkeypatch.setattr(ideals, "_sublattice", recording_sublattice)
+    return built
+
+
+def test_the_last_level_is_counted_not_built(monkeypatch):
+    # a_{p^kmax} is the Moebius sum over the levels below it, so no child of
+    # index p^kmax is built; the level below it still is
+    built = record_children(monkeypatch)
+    c2c2 = group_table(4, lambda i, j: i ^ j)
+    for lam, p, kmax in [(drt(6).lam, 3, 9), (fusion("ising").lam, 2, 8), (c2c2, 2, 5)]:
+        built.clear()
+        tower = count_ideals_at_prime(lam, p, kmax)
+        assert tower[kmax] > 0
+        assert max(prod(row[i] for i, row in enumerate(hnf)) for hnf in built) == p ** (kmax - 1), (p, kmax)
+
+
+def test_work_on_the_drt6_tower_to_3_9(monkeypatch):
+    # counters that do not depend on the machine: 1749 children were built
+    # while the descent built the last level too, and the products of m with
+    # the rows of I are taken as often as before
+    built = record_children(monkeypatch)
+    calls = []
+    products = ideals._products
+
+    def counting_products(rows, act):
+        calls.append(1)
+        return products(rows, act)
+
+    monkeypatch.setattr(ideals, "_products", counting_products)
+    assert count_ideals_at_prime(drt(6).lam, 3, 9) == expand(theorem_local_factor("v3", 3), 9)
+    assert len(built) <= 1074
+    assert len(calls) == 471
+
+
+def test_a_lost_child_trips_the_moebius_check(monkeypatch):
+    # every level the descent builds is checked against its Moebius sum
+    degree_one = ideals._degree_one_children
+    monkeypatch.setattr(ideals, "_degree_one_children", lambda rows, w, p: list(degree_one(rows, w, p))[:-1])
+    with pytest.raises(ArithmeticError, match="p = 3"):
+        count_ideals_at_prime(drt(6).lam, 3, 6)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_moebius_terms_sum_to_one(q):
+    # -mu(0, N) = (-1)^(c+1) q^(c(c-1)/2) on the subspaces N of dimension c
+    # of F_q^s, times their number [s, c]_q, counted by ordered bases
+    for s in range(1, 7):
+        terms = _moebius_terms(s, q)
+        assert len(terms) == s
+        for c, term in enumerate(terms, 1):
+            binom = prod(q**s - q**i for i in range(c)) // prod(q**c - q**i for i in range(c))
+            assert term == (-1) ** (c + 1) * q ** (c * (c - 1) // 2) * binom
+        assert sum(terms) == 1
 
 
 def test_descent_residue_field_f4():
