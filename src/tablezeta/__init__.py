@@ -3,11 +3,11 @@ algebras and fusion rings.
 
 The package computes Solomon zeta functions of the orders ZB defined by
 commutative integral table algebras three independent ways and checks
-them against each other: brute-force sublattice enumeration, Euler
-products of Dedekind factors with exceptional polynomials fitted from
-ideal counts (completed by the functional equation of Gorenstein orders,
-or counted to a proven degree bound), and (for the rank-3 families) a
-symbolic local genus-zeta calculus.
+them against each other: ideal counts by a descent through maximal
+sub-ideals, Euler products of Dedekind factors with exceptional
+polynomials fitted from ideal counts (completed by the functional
+equation of Gorenstein orders, or counted to a proven degree bound), and
+(for the rank-3 families) a symbolic local genus-zeta calculus.
 
 Submodules load on first use: ``import tablezeta`` imports none of them,
 and a name below (``tablezeta.count_ideals``) or a submodule
@@ -21,19 +21,18 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines; each module's own name gives the module
 _EXPORTS = {
-    "algebra": "BasisKind TableAlgebra degree_map regular_representation rescale validate",
+    "algebra": "BasisKind TableAlgebra validate",
     "algfile": "dump_algebra load_algebra parse_algebra",
     "cli": "",
-    "decomposition": "CharacterTable character_formula_idempotents character_table find_generator"
-    " maximal_order primitive_idempotents",
+    "decomposition": "find_generator maximal_order",
     "dirichlet": "LocalRationalFunction assemble_global expand infer_local_polynomial theorem_local_factor",
     "errors": "",
     "exact": "",
     "families": "FamilySpec conference drt fusion",
-    "genus": "LocalModel Region RegionPart complementary_lattice"
+    "genus": "LatticeHNF LocalModel Region RegionPart complementary_lattice"
     " automorphism_measure_inverse decompose_domain enumerate_genus_representatives genus_zeta"
     " lattices_isomorphic model_for_order total_local_zeta",
-    "ideals": "IdealCountSeries LatticeHNF count_ideals count_ideals_at_prime enumerate_sublattices is_ideal",
+    "ideals": "IdealCountSeries count_ideals count_ideals_at_prime",
     "modp": "",
     "pipeline": "verify_order zeta_series",
     "polys": "",

@@ -17,10 +17,9 @@ b_0 before anything is computed on it.
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
-from .errors import InputError, NonCommutative, NonIntegralRescale
+from .errors import InputError, NonCommutative
 from .exact import charpoly, discriminant, int_tuple
 
 
@@ -189,94 +188,3 @@ def validate(t: TableAlgebra) -> ValidationReport:
     for axiom, detail in ring_violations(lam):
         rep.add(axiom, detail)
     return rep
-
-
-def regular_representation(t: TableAlgebra, i: int):
-    "Matrix M with M[k][j] = lambda[i][j][k]: column j expands b_i * b_j."
-    if not 0 <= i < t.rank:
-        raise IndexError(f"basis index {i} out of range for rank {t.rank}")
-    return tuple(zip(*action_matrix(t.lam, unit_vectors(t.rank)[i])))
-
-
-def perron_root(m):
-    """Largest real eigenvalue of a nonnegative integer matrix, as an exact
-    algebraic number (``polys.AlgebraicNumber``; minimal polynomial = its
-    irreducible factor)."""
-    from .polys import factor_rational, largest_real_root, squarefree_part
-
-    _, best = largest_real_root(factor_rational(squarefree_part(charpoly(m))))
-    if best is None:
-        raise ArithmeticError("matrix has no real eigenvalue")
-    return best
-
-
-def degree_map(t: TableAlgebra):
-    """delta(b_i) for each basis element: the Perron-Frobenius eigenvalue of
-    its regular representation.  delta extends to an algebra character."""
-    check_ring(t.lam)
-    return [perron_root(regular_representation(t, i)) for i in range(t.rank)]
-
-
-def rescale(t: TableAlgebra, target) -> TableAlgebra:
-    """Rescale the basis so that lambda[i][i*][0] becomes delta(b_i)
-    ('standard') or 1 ('transitional').
-
-    Toward transitional the scale factors are 1/sqrt(lambda[i][i*][0]), so
-    each rescaled constant is checked to be the exact integer square root
-    of lambda^2 * lambda[kk*0] / (lambda[ii*0] lambda[jj*0]).  Toward
-    standard the factors are delta(b_i)/lambda[i][i*][0], evaluated
-    exactly in the degree character's field; irrational results raise
-    NonIntegralRescale (e.g. the E6 fusion ring, where delta(d) = 1+sqrt(3)
-    makes the standard basis non-integral).  A table that check_ring
-    refuses is refused first, with its error, toward either target.
-    """
-    check_ring(t.lam)
-    if isinstance(target, str):
-        target = BasisKind(target)
-    if target not in (BasisKind.STANDARD, BasisKind.TRANSITIONAL):
-        raise ValueError("rescale target must be standard or transitional")
-    d = t.rank
-    inv = t.involution
-    pairing = [t.lam[i][inv[i]][0] for i in range(d)]
-    if any(x <= 0 for x in pairing):
-        raise NonIntegralRescale(0, 0, 0, "pseudo-inverse pairing must be positive")
-    new = [[[None] * d for _ in range(d)] for _ in range(d)]
-    if target is BasisKind.TRANSITIONAL:
-        from math import isqrt
-
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    sq = Fraction(t.lam[i][j][k] ** 2 * pairing[k], pairing[i] * pairing[j])
-                    if sq.denominator != 1:
-                        raise NonIntegralRescale(i, j, k, sq)
-                    r = isqrt(int(sq))
-                    if r * r != int(sq):
-                        raise NonIntegralRescale(i, j, k, sq)
-                    new[i][j][k] = r
-    else:
-        from .decomposition import degree_character_values
-
-        _, delta = degree_character_values(t)
-        scale = [delta[i] * Fraction(1, pairing[i]) for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    val = (scale[i] * scale[j] / scale[k]) * t.lam[i][j][k]
-                    if not val.is_rational():
-                        raise NonIntegralRescale(i, j, k, val)
-                    q = val.rational_value()
-                    if q.denominator != 1 or q < 0:
-                        raise NonIntegralRescale(i, j, k, q)
-                    new[i][j][k] = int(q)
-    out = TableAlgebra(
-        rank=d,
-        lam=tuple(tuple(tuple(row) for row in plane) for plane in new),
-        involution=t.involution,
-        basis_kind=target,
-        names=t.names,
-    )
-    report = validate(out)
-    if not report.ok:
-        raise NonIntegralRescale(0, 0, 0, f"rescaled tensor invalid: {report}")
-    return out

@@ -2,7 +2,9 @@
 
 Commands: validate, decompose, count, zeta, verify, genus.  Results go to
 stdout, progress chatter to stderr.  Exit codes: 0 success / verification
-PASS, 1 verification FAIL, 2 input error, 3 declared-unsupported case.
+PASS, 1 verification FAIL, 2 input error, 3 declared-unsupported case,
+4 internal error (an internal consistency check failed: a bug, not a
+property of the input).
 """
 
 import argparse
@@ -233,6 +235,9 @@ def main(argv=None):
     except TableZetaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

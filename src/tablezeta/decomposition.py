@@ -4,8 +4,7 @@ The pipeline is monogenic: take a primitive element theta from
 ``algebra.primitive_elements``, whose minimal polynomial mu is squarefree
 of degree = rank, factor mu over Q, and read off
 
-  * primitive idempotents of QB (two independent routes: CRT projectors in
-    Q[theta], and the character/multiplicity formula),
+  * the primitive idempotents of QB, as CRT projectors in Q[theta],
   * the rings of integers of the simple components, each as the defining
     polynomial of a monogenic Z-basis (degree <= 2 by the discriminant
     rule; in degree 3 only the certified cubic is accepted),
@@ -17,48 +16,14 @@ maximal_order runs this once and returns all of it in one MaximalOrderData.
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .algebra import (
-    BasisKind,
-    TableAlgebra,
-    check_ring,
-    multiply,
-    primitive_elements,
-    unit_vectors,
-)
-from .errors import BasisKindMismatch, MaximalityUncertified, NotMonogenic
-from .exact import discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation
 from math import lcm
 
-from .polys import (
-    FieldElt,
-    factor_rational,
-    largest_real_root,
-    pdeg,
-    pdiv_exact,
-    pdivmod,
-    pmul,
-)
+from .algebra import TableAlgebra, check_ring, multiply, primitive_elements, unit_vectors
+from .errors import MaximalityUncertified, NotMonogenic
+from .exact import discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation
+from .polys import factor_rational, pdeg, pdiv_exact, pdivmod, pinv_mod, pmul
 
 CERTIFIED_CUBIC = (1, -1, -2, 1)  # x^3 - 2x^2 - x + 1, ring of integers of its field
-
-
-@dataclass
-class CharacterTable:
-    """Irreducible characters grouped by Galois class.
-
-    characters[c][i] is chi_c(b_i) as an element of Q[x]/(f_c); weights[c]
-    is m_chi/n in the same field (always defined); multiplicities[c] is the
-    rational m_chi when it is rational, else None; order_n is the order of
-    the standard rescaling (a Fraction when rational).
-    """
-
-    factors: list
-    characters: list
-    weights: list
-    multiplicities: list
-    order_n: object
-    delta_index: int  # which factor carries the degree character
 
 
 def powers_of_generator(t: TableAlgebra, theta):
@@ -67,16 +32,6 @@ def powers_of_generator(t: TableAlgebra, theta):
     for _ in range(t.rank - 1):
         vecs.append(multiply(t.lam, theta, vecs[-1]))
     return vecs
-
-
-def basis_in_generator(t: TableAlgebra, theta):
-    "q_i with b_i = q_i(theta): solves the power-basis linear system."
-    d = t.rank
-    pw = powers_of_generator(t, theta)
-    gmat = tuple(tuple(Fraction(pw[k][i]) for i in range(d)) for k in range(d))
-    # rows of gmat are the power vectors; q_i solves x * gmat = e_i, the
-    # i-th row of the inverse
-    return list(fmat_inv(gmat))
 
 
 def find_generator(t: TableAlgebra):
@@ -124,131 +79,21 @@ def _ring_polynomial(f):
     raise MaximalityUncertified(f"no maximal-order rule for degree {d}")
 
 
-def primitive_idempotents(t: TableAlgebra):
-    """CRT projector route: for each irreducible factor f of mu, the
-    idempotent is ((mu/f) * ((mu/f)^-1 mod f))(theta), as a vector in B."""
-    theta, mu = find_generator(t)
-    return _crt_idempotents(t, theta, mu, factor_rational(mu))
-
-
 def _crt_idempotents(t: TableAlgebra, theta, mu, factors):
+    """The primitive idempotents of QB, one per irreducible factor f of mu,
+    as rational vectors in B: the CRT projector ((mu/f) * ((mu/f)^-1 mod
+    f))(theta), reduced mod mu."""
     pw = powers_of_generator(t, theta)
     d = t.rank
     out = []
     for f in factors:
         h = pdiv_exact(mu, f)
-        hinv = FieldElt(f, h).inv()
-        epoly = pmul(h, tuple(hinv.c))
-        _, epoly = pdivmod(epoly, mu)
+        _, epoly = pdivmod(pmul(h, pinv_mod(h, f)), mu)
         vec = [Fraction(0)] * d
         for k, coeff in enumerate(epoly):
             if coeff:
                 for c in range(d):
                     vec[c] += Fraction(coeff) * pw[k][c]
-        out.append(tuple(vec))
-    return out
-
-
-def character_table(t: TableAlgebra) -> CharacterTable:
-    """Characters, weights w = m/n, and multiplicities, grouped by the
-    irreducible factors of the generator's minimal polynomial.
-
-    The weights come from the orthogonality relation: for the standard
-    basis sum_i chi(b_i) chi(b_i*) / delta_i = n / m_chi, and for a
-    transitional basis the same without the delta division.  This never
-    needs n itself, so it stays exact inside each factor field.
-    """
-    factors, coords = _factors_and_coordinates(t)
-    if t.basis_kind is BasisKind.RAW:
-        raise BasisKindMismatch("character formulas need a standard or transitional basis")
-    d = t.rank
-    inv = t.involution
-
-    chars = []
-    for f in factors:
-        chars.append([FieldElt(f, coords[i]) for i in range(d)])
-
-    standard = t.basis_kind is BasisKind.STANDARD
-    if standard:
-        deltas = [t.lam[i][inv[i]][0] for i in range(d)]
-        if any(x <= 0 for x in deltas):
-            raise BasisKindMismatch("standard basis must have lambda[i][i*][0] > 0")
-
-    weights = []
-    for f, ch in zip(factors, chars):
-        s = FieldElt.constant(f, 0)
-        for i in range(d):
-            term = ch[i] * ch[inv[i]]
-            if standard:
-                term = term * Fraction(1, deltas[i])
-            s = s + term
-        weights.append(s.inv())
-
-    delta_index, _ = largest_real_root(factors)
-
-    # order of the standard rescaling: sum of delta_i (standard) or
-    # sum of delta_i^2 (transitional), as an element of the delta field
-    fd = factors[delta_index]
-    chd = chars[delta_index]
-    n_elt = FieldElt.constant(fd, 0)
-    for i in range(d):
-        n_elt = n_elt + (chd[i] if standard else chd[i] * chd[i])
-    order_n = n_elt.rational_value() if n_elt.is_rational() else n_elt
-
-    mults = []
-    for c, w in enumerate(weights):
-        if isinstance(order_n, Fraction):
-            m = w * order_n
-            mults.append(m.rational_value() if m.is_rational() else None)
-        elif c == delta_index:
-            m = w * n_elt
-            mults.append(m.rational_value() if m.is_rational() else None)
-        else:
-            mults.append(None)
-    return CharacterTable(
-        factors=factors,
-        characters=chars,
-        weights=weights,
-        multiplicities=mults,
-        order_n=order_n,
-        delta_index=delta_index,
-    )
-
-
-def _factors_and_coordinates(t: TableAlgebra):
-    """(factors of mu, [q_i with b_i = q_i(theta)]) for the generator theta:
-    the input of every character evaluation."""
-    theta, mu = find_generator(t)
-    return factor_rational(mu), basis_in_generator(t, theta)
-
-
-def degree_character_values(t: TableAlgebra):
-    """(f_delta, [delta(b_i) as FieldElt]) - the degree character evaluated
-    exactly inside its factor field (the factor holding the largest real
-    root).  Works for any valid commutative basis."""
-    factors, coords = _factors_and_coordinates(t)
-    f = factors[largest_real_root(factors)[0]]
-    return f, [FieldElt(f, coords[i]) for i in range(t.rank)]
-
-
-def character_formula_idempotents(t: TableAlgebra):
-    """Character/multiplicity route to the rational primitive idempotents:
-    coefficient of b_i in e~_chi is Tr(w_chi * chi(b_i*)) (transitional) or
-    Tr(w_chi * chi(b_i*)) / delta_i (standard), with w_chi = m_chi / n from
-    orthogonality.  Galois-orbit sums happen through the field trace."""
-    ct = character_table(t)
-    d = t.rank
-    inv = t.involution
-    standard = t.basis_kind is BasisKind.STANDARD
-    deltas = [t.lam[i][inv[i]][0] for i in range(d)] if standard else None
-    out = []
-    for f, ch, w in zip(ct.factors, ct.characters, ct.weights):
-        vec = []
-        for i in range(d):
-            val = (w * ch[inv[i]]).trace()
-            if standard:
-                val = val / deltas[i]
-            vec.append(val)
         out.append(tuple(vec))
     return out
 

@@ -21,13 +21,6 @@ class NonCommutative(UnsupportedCaseError):
     pass
 
 
-class NonIntegralRescale(TableZetaError):
-    def __init__(self, i, j, k, value):
-        self.position = (i, j, k)
-        self.value = value
-        super().__init__(f"rescaled structure constant at {(i, j, k)} is {value}, not a nonnegative integer")
-
-
 class NotMonogenic(UnsupportedCaseError):
     pass
 
@@ -37,10 +30,6 @@ class DegreeTooLarge(UnsupportedCaseError):
 
 
 class MaximalityUncertified(UnsupportedCaseError):
-    pass
-
-
-class BasisKindMismatch(TableZetaError):
     pass
 
 

@@ -108,10 +108,6 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def vec_mat(v, m):
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
 def hnf(rows):
     """Row Hermite normal form of an integer matrix (full column rank not
     required).  Returns the HNF with zero rows dropped."""

@@ -46,11 +46,41 @@ from .errors import (
     PrecisionUnstable,
     UnsupportedM,
 )
-from .exact import hnf_square, is_prime, lattice_det, mat_mul, valuation
-from .ideals import LatticeHNF
+from .exact import hnf_square, int_tuple, is_prime, lattice_det, mat_mul, valuation
 from .modp import kernel_mod_pk, rref
 from .polys import padd
 from .ppoly import PM1, PPoly
+
+
+@dataclass(frozen=True)
+class LatticeHNF:
+    """A full lattice by the rows of its Hermite normal form: upper
+    triangular, positive diagonal, each entry reduced modulo its column's
+    diagonal."""
+
+    dim: int
+    matrix: tuple  # rows
+
+    def __post_init__(self):
+        m = tuple(map(int_tuple, self.matrix))
+        object.__setattr__(self, "matrix", m)
+        if len(m) != self.dim or any(len(r) != self.dim for r in m):
+            raise InputError("matrix shape does not match dim")
+        for i in range(self.dim):
+            if m[i][i] <= 0:
+                raise InputError("HNF diagonal must be positive")
+            for j in range(self.dim):
+                if j < i and m[i][j] != 0:
+                    raise InputError("HNF must be upper triangular")
+                if j > i and not 0 <= m[i][j] < m[j][j]:
+                    raise InputError("HNF entries must be reduced modulo the column diagonal")
+
+    @property
+    def index(self):
+        out = 1
+        for i in range(self.dim):
+            out *= self.matrix[i][i]
+        return out
 
 
 @dataclass(frozen=True)
@@ -371,11 +401,19 @@ def decompose_domain(model: LocalModel, lattice):
     complementary lattices {M : Z_pB} of the class representatives at
     m <= 1 (the test suite checks each against its residue counts modulo
     p^K Lambda_0), and on Lambda_0 and Z_pB.
-    It is not complete on every sublattice of Lambda_0 of p-power index.
-    Most others raise PrecisionUnstable, a digit collision (at p = 3 the
-    rows (1, 0, 1), (0, 3, 1), (0, 0, 3): "digit collision at Z layer 0");
-    some give a tree that does not end, and DepthExceeded is raised (at
-    p = 3, m = 0 the rows (9, 0, 0), (0, 1, 0), (0, 0, 1)).
+    It is not complete on every sublattice of Lambda_0 of p-power index,
+    and it refuses the others in two ways:
+
+    * PrecisionUnstable, for a digit collision: two digits that the tree
+      needs to be distinct coincide (at p = 3 the rows (1, 0, 1),
+      (0, 3, 1), (0, 0, 3): "digit collision at Z layer 0"), or a pending
+      offset collides with a frontier digit.  No precision is involved;
+      the error is the one the calculus raises for a lattice it cannot
+      resolve.  Most lattices outside the ones genus_zeta passes end this
+      way: 10,912 of the 15,444 HNFs with diagonal 3^a (a <= 2) or 5^a
+      (a <= 1) at m in {0, 1}, v = +-1 (2,644 more end in DepthExceeded);
+    * DepthExceeded, for a tree that does not end (at p = 3, m = 0 the
+      rows (9, 0, 0), (0, 1, 0), (0, 0, 1)).
     """
     state = [row[:] for row in lattice] if model.symbolic else [list(r) for r in lattice.matrix]
     bound = 2 * (2 * model.m + 1) + 2

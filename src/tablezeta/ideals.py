@@ -6,14 +6,8 @@ here knows about Euler products or genus theory.
 
 Conventions: lattices are row-generated, HNF is upper triangular with
 positive diagonal and column-reduced entries (0 <= h[i][j] < h[j][j] for
-i < j), so the index-n sublattices of Z^dim are enumerated by divisor
-tuples d_1 ... d_dim = n and independent off-diagonal residues.  The
-stream order is fixed: divisor tuples lexicographically, off-diagonal
-residues row-major.  No count depends on it: the counts come from the
-descent below, the test suite pins the first rows of
-``enumerate_sublattices``, and the plain stream over every HNF in
-``tests/references.py`` is the brute-force reference they are checked
-against.
+i < j).  The plain stream over every HNF in ``tests/references.py`` is
+the brute-force reference the counts are checked against.
 
 The count is local.  For an ideal I of finite index, Lambda/I is the
 direct sum of its localizations at the primes dividing the index
@@ -93,35 +87,8 @@ from itertools import product
 
 from .algebra import action_matrix, check_ring, primitive_elements, unit_vectors
 from .errors import InputError
-from .exact import divisors, int_tuple, is_prime, primes_up_to
+from .exact import int_tuple, is_prime, primes_up_to
 from .modp import kernel, maximal_ideals, pivots, root_count, rref
-
-
-@dataclass(frozen=True)
-class LatticeHNF:
-    dim: int
-    matrix: tuple  # rows
-
-    def __post_init__(self):
-        m = tuple(map(int_tuple, self.matrix))
-        object.__setattr__(self, "matrix", m)
-        if len(m) != self.dim or any(len(r) != self.dim for r in m):
-            raise InputError("matrix shape does not match dim")
-        for i in range(self.dim):
-            if m[i][i] <= 0:
-                raise InputError("HNF diagonal must be positive")
-            for j in range(self.dim):
-                if j < i and m[i][j] != 0:
-                    raise InputError("HNF must be upper triangular")
-                if j > i and not 0 <= m[i][j] < m[j][j]:
-                    raise InputError("HNF entries must be reduced modulo the column diagonal")
-
-    @property
-    def index(self):
-        out = 1
-        for i in range(self.dim):
-            out *= self.matrix[i][i]
-        return out
 
 
 @dataclass(frozen=True)
@@ -175,83 +142,6 @@ class IdealCountSeries:
 
     def __str__(self):
         return "\n".join(f"{n}\t{a}" for n, a in enumerate(self.counts, start=1))
-
-
-def divisor_tuples(n, k):
-    "All (d_1, ..., d_k) with product n, in lexicographic order."
-    if k == 1:
-        yield (n,)
-        return
-    for d in divisors(n):
-        for rest in divisor_tuples(n // d, k - 1):
-            yield (d,) + rest
-
-
-def enumerate_sublattices(dim, n):
-    "Every index-n sublattice of Z^dim exactly once, canonical HNF, fixed order."
-    if n < 1:
-        raise InputError("index must be >= 1")
-    for rows in _hnf_rows(dim, n):
-        yield LatticeHNF(dim, rows)
-
-
-def _hnf_rows(dim, n):
-    """The rows of every index-n HNF, unvalidated, in stream order: row i
-    is (0,..,0, d_i, entries of row i), and the product over the rows
-    varies the last off-diagonal entry fastest (row-major)."""
-    for diag in divisor_tuples(n, dim):
-        choices = [
-            [(0,) * i + (diag[i],) + tail for tail in product(*(range(diag[j]) for j in range(i + 1, dim)))]
-            for i in range(dim)
-        ]
-        yield from product(*choices)
-
-
-def _action_matrices(table):
-    """Row-action matrices of b_1 .. b_{r-1}: for x a row vector, x . A_i
-    is b_i x.  The identity b_0 is skipped."""
-    return [action_matrix(table, e) for e in unit_vectors(len(table))[1:]]
-
-
-def _in_lattice(rows, v):
-    dim = len(rows)
-    v = list(v)
-    for i in range(dim):
-        d = rows[i][i]
-        if v[i] % d:
-            return False
-        q = v[i] // d
-        if q:
-            for c in range(i, dim):
-                v[c] -= q * rows[i][c]
-    return True
-
-
-def _closed(acts, rows):
-    "True iff every HNF row times every action matrix stays in the row lattice."
-    dim = len(rows)
-    for act in acts:
-        for g in rows:
-            prod = [0] * dim
-            for l in range(dim):
-                gl = g[l]
-                if gl:
-                    arow = act[l]
-                    for k in range(dim):
-                        prod[k] += gl * arow[k]
-            if not _in_lattice(rows, prod):
-                return False
-    return True
-
-
-def is_ideal(table, lattice: LatticeHNF) -> bool:
-    """True iff the lattice is closed under multiplication by every basis
-    element of the table, which check_ring must accept first."""
-    check_ring(table)
-    dim = len(table)
-    if lattice.dim != dim:
-        raise InputError(f"lattice dimension {lattice.dim} != table rank {dim}")
-    return _closed(_action_matrices(table), lattice.matrix)
 
 
 def count_ideals(table, bound, maximal=None) -> IdealCountSeries:
@@ -332,7 +222,7 @@ def _descend(table, p, kmax, maximal, split):
     if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1
         return [1, _degree_one_count(table, split, p, maximal)][: kmax + 1]
     r = len(table)
-    acts = _action_matrices(table)
+    acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]]  # b_1 .. b_(r-1); b_0 is the identity
     # (m, the action matrices of the generators of m)
     steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal)]
     last, f_last = len(steps) - 1, steps[-1][0].f

@@ -1,16 +1,12 @@
-"""Univariate polynomial arithmetic over Q, factorization up to degree 4,
-Sturm-based real root isolation, exact algebraic numbers, and arithmetic in
-quotient fields Q[x]/(f).
+"""Univariate polynomial arithmetic over Q, inverses modulo a polynomial,
+and factorization up to degree 4.
 
 Polynomials are tuples of coefficients in ascending order.  Integer
 polynomials stay integer; anything that needs division goes through
 Fraction and is checked back to Z where integrality is promised.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd
 
 from .errors import DegreeTooLarge
 
@@ -83,6 +79,22 @@ def pdiv_exact(a, b):
     return q
 
 
+def pinv_mod(h, f):
+    """The inverse of h modulo f over Q, of degree below deg f, by the
+    extended Euclidean algorithm; an h that is not a unit mod f (one with
+    a common factor with f, a multiple of f included) raises
+    ZeroDivisionError."""
+    _, b = pdivmod(h, f)
+    a, s0, s1 = f, (0,), (1,)
+    while pdeg(b) > 0:
+        q, r = pdivmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, psub(s0, pmul(q, s1))
+    if pdeg(b) < 0:
+        raise ZeroDivisionError(f"{tuple(h)} is not a unit modulo {tuple(f)}")
+    return pscale(s1, 1 / b[0])
+
+
 def to_int_poly(a):
     out = []
     for x in a:
@@ -91,53 +103,6 @@ def to_int_poly(a):
             raise ArithmeticError(f"non-integer coefficient {f}")
         out.append(int(f))
     return pnorm(tuple(out))
-
-
-def derivative(a):
-    return pnorm(tuple(i * a[i] for i in range(1, len(a)))) if len(a) > 1 else (0,)
-
-
-def monic(a):
-    a = pnorm(a)
-    lead = Fraction(a[-1])
-    return tuple(Fraction(x) / lead for x in a)
-
-
-def pgcd(a, b):
-    "Monic gcd over Q, returned as a primitive integer polynomial."
-    a, b = pnorm(a), pnorm(b)
-    if pdeg(a) < 0:
-        return primitive(to_int_from_monic(monic(b))) if pdeg(b) >= 0 else (0,)
-    while pdeg(b) >= 0 and any(x != 0 for x in b):
-        _, r = pdivmod(a, b)
-        a, b = b, r
-        if pdeg(b) < 0 or all(x == 0 for x in b):
-            break
-    return primitive(to_int_from_monic(monic(a)))
-
-
-def to_int_from_monic(a):
-    "Clear denominators of a rational polynomial."
-    denom = reduce(lambda acc, x: acc * Fraction(x).denominator // gcd(acc, Fraction(x).denominator), a, 1)
-    return tuple(int(Fraction(x) * denom) for x in a)
-
-
-def primitive(a):
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    if g == 0:
-        return pnorm(a)
-    if a[-1] < 0:
-        g = -g
-    return pnorm(tuple(x // g for x in a))
-
-
-def squarefree_part(a):
-    "Radical of an integer polynomial (monic in, monic out)."
-    g = pgcd(a, derivative(a))
-    q = pdiv_exact(a, g)
-    return to_int_poly(monic(q))
 
 
 def integer_roots(a):
@@ -231,263 +196,3 @@ def _isqrt_exact(n):
         return None
     r = isqrt(n)
     return r if r * r == n else None
-
-
-# --- Sturm sequences and real root isolation -------------------------------
-
-
-def sturm_chain(a):
-    a = tuple(Fraction(x) for x in pnorm(a))
-    chain = [a, tuple(Fraction(x) for x in derivative(a))]
-    while pdeg(chain[-1]) > 0:
-        _, r = pdivmod(chain[-2], chain[-1])
-        if pdeg(r) < 0 or all(x == 0 for x in r):
-            break
-        chain.append(tuple(-x for x in r))
-    return chain
-
-
-def _sign_changes(chain, x):
-    signs = []
-    for f in chain:
-        v = peval(f, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def count_real_roots(a, lo, hi, chain=None):
-    "Number of distinct real roots of a in the half-open interval (lo, hi]."
-    chain = chain or sturm_chain(a)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def cauchy_bound(a):
-    a = monic(a)
-    return 1 + max((abs(Fraction(x)) for x in a[:-1]), default=Fraction(0))
-
-
-def isolate_largest_real_root(a):
-    """Isolating interval (lo, hi] for the largest real root of a squarefree
-    integer polynomial with at least one real root."""
-    chain = sturm_chain(a)
-    b = cauchy_bound(a)
-    lo, hi = -b, b
-    total = count_real_roots(a, lo, hi, chain)
-    if total == 0:
-        raise ArithmeticError("no real root")
-    while count_real_roots(a, lo, hi, chain) > 1:
-        mid = (lo + hi) / 2
-        if count_real_roots(a, mid, hi, chain) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class AlgebraicNumber:
-    """Exact real algebraic number: monic irreducible integer minimal
-    polynomial plus an isolating interval (lo, hi] holding exactly one of
-    its real roots.  Rational numbers carry a degenerate interval."""
-
-    minpoly: tuple
-    lo: Fraction
-    hi: Fraction
-
-    @staticmethod
-    def from_rational(q):
-        q = Fraction(q)
-        mp = to_int_from_monic((-q, 1))
-        return AlgebraicNumber(tuple(mp), q, q)
-
-    @property
-    def is_rational(self):
-        return pdeg(self.minpoly) == 1
-
-    def rational_value(self):
-        if not self.is_rational:
-            raise ValueError("irrational algebraic number")
-        return Fraction(-self.minpoly[0], self.minpoly[1])
-
-    def refined(self, width):
-        "Return an equal number with interval width <= width."
-        lo, hi = self.lo, self.hi
-        if lo == hi:
-            return self
-        chain = sturm_chain(self.minpoly)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if peval(tuple(Fraction(x) for x in self.minpoly), mid) == 0:
-                lo = hi = mid
-                break
-            if count_real_roots(self.minpoly, mid, hi, chain) >= 1:
-                lo = mid
-            else:
-                hi = mid
-        return AlgebraicNumber(self.minpoly, lo, hi)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.rational_value() == other
-        if not isinstance(other, AlgebraicNumber):
-            return NotImplemented
-        if self.minpoly != other.minpoly:
-            return False
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return False
-        # roots of the shared minimal polynomial are equal iff one lies in
-        # the overlap of both isolating intervals
-        if lo == hi:
-            return peval(self.minpoly, lo) == 0
-        return count_real_roots(self.minpoly, lo, hi) >= 1
-
-    def __hash__(self):
-        return hash(self.minpoly)
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = AlgebraicNumber.from_rational(other)
-        if self == other:
-            return False
-        a, b = self, other
-        eps = Fraction(1, 2)
-        while not (a.hi < b.lo or b.hi < a.lo):
-            a = a.refined(eps)
-            b = b.refined(eps)
-            eps /= 2
-        return a.hi < b.lo
-
-    def __repr__(self):
-        if self.is_rational:
-            return f"AlgebraicNumber({self.rational_value()})"
-        return f"AlgebraicNumber({self.minpoly}, ({self.lo}, {self.hi}])"
-
-
-def largest_real_root(factors):
-    """(index, root) of the largest real root among the roots of the given
-    irreducible integer polynomials, the first factor winning a tie;
-    (None, None) when none of them has a real root."""
-    best = best_i = None
-    for i, f in enumerate(factors):
-        if pdeg(f) == 1:
-            cand = AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))
-        else:
-            b = cauchy_bound(f)
-            if count_real_roots(f, -b, b) == 0:
-                continue
-            lo, hi = isolate_largest_real_root(f)
-            cand = AlgebraicNumber(tuple(f), Fraction(lo), Fraction(hi))
-        if best is None or best < cand:
-            best, best_i = cand, i
-    return best_i, best
-
-
-# --- quotient field arithmetic ---------------------------------------------
-
-
-class FieldElt:
-    """Element of Q[x]/(f) for a monic irreducible integer polynomial f."""
-
-    __slots__ = ("f", "c")
-
-    def __init__(self, f, coeffs):
-        self.f = pnorm(tuple(f))
-        d = pdeg(self.f)
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > d:
-            _, r = pdivmod(tuple(c), self.f)
-            c = list(r)
-        c += [Fraction(0)] * (d - len(c))
-        self.c = tuple(c[:d])
-
-    @staticmethod
-    def constant(f, q):
-        return FieldElt(f, (Fraction(q),))
-
-    @staticmethod
-    def generator(f):
-        return FieldElt(f, (0, 1))
-
-    def is_zero(self):
-        return all(x == 0 for x in self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FieldElt.constant(self.f, other)
-        return self.f == other.f and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.f, self.c))
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return FieldElt(self.f, padd(self.c, other.c))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElt(self.f, tuple(-x for x in self.c))
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return FieldElt(self.f, pmul(self.c, other.c))
-
-    __rmul__ = __mul__
-
-    def _lift(self, other):
-        if isinstance(other, FieldElt):
-            if other.f != self.f:
-                raise ValueError("mixed fields")
-            return other
-        return FieldElt.constant(self.f, other)
-
-    def inv(self):
-        "Inverse via the extended Euclidean algorithm in Q[x]."
-        if self.is_zero():
-            raise ZeroDivisionError
-        a, b = self.f, pnorm(self.c)
-        s0, s1 = (0,), (1,)
-        while pdeg(b) > 0:
-            q, r = pdivmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, psub(s0, pmul(q, s1))
-            if pdeg(b) < 0 or all(x == 0 for x in b):
-                raise ZeroDivisionError("zero divisor")
-        scale = Fraction(1) / Fraction(b[0])
-        return FieldElt(self.f, pscale(s1, scale))
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return self * other.inv()
-
-    def trace(self):
-        "Field trace to Q: trace of the multiplication-by-self matrix."
-        d = pdeg(self.f)
-        total = Fraction(0)
-        col = self.c
-        basis = (0, 1)
-        for i in range(d):
-            total += col[i] if i < len(col) else 0
-            if i < d - 1:
-                col = FieldElt(self.f, pmul(col, basis)).c
-        return total
-
-    def is_rational(self):
-        return all(x == 0 for x in self.c[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("not rational")
-        return self.c[0]
-
-    def __repr__(self):
-        return f"FieldElt({self.f}, {self.c})"

@@ -1,32 +1,130 @@
 """Reference implementations that the tests check the package against,
-each computed another way than the package computes it; the tables the
-tests build (Z[x]/(f), group rings and tensor products); and
-``region_integral``, which reads one genus region's integral off the
-package's region sum for the tests of that sum; and the genus helpers
-that only the tests call: ``block_triangularize``, and the residue-count
-certificate of a region decomposition (``residue_certificate``)."""
+each computed another way than the package computes it, and code that
+only the tests run:
 
+* the plain stream (``enumerate_sublattices``, ``is_ideal``,
+  ``stream_count``): every index-n HNF of Z^rank in turn, tested for
+  closure under the table, against which the descent's counts are
+  checked;
+* the tables the tests build (Z[x]/(f), group rings and tensor products)
+  and checks of a ``MaximalOrderData`` (its idempotents, its ring);
+* the character layer: real roots by Sturm sequences (``AlgebraicNumber``),
+  arithmetic in Q[x]/(f) (``FieldElt``), the degree map and the rescaling
+  of a basis, and the character table, whose idempotents are a second
+  derivation of the CRT idempotents of ``decomposition.maximal_order``;
+* ``region_integral``, which reads one genus region's integral off the
+  package's region sum, and the genus helpers ``block_triangularize`` and
+  the residue-count certificate of a region decomposition
+  (``residue_certificate``).
+"""
+
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from itertools import product
+from math import gcd, isqrt
 
+from tablezeta.algebra import BasisKind, TableAlgebra, action_matrix, check_ring, unit_vectors, validate
+from tablezeta.decomposition import find_generator, powers_of_generator
 from tablezeta.dirichlet import LocalRationalFunction
-from tablezeta.errors import NotFullRank, UnsupportedM
-from tablezeta.exact import fmat_det, fmat_inv, hnf_square, lattice_det, valuation, vec_mat
-from tablezeta.genus import LocalModel, Region, _region_sum, _to_exps
-from tablezeta.ideals import LatticeHNF, _action_matrices, _closed, _hnf_rows
-from tablezeta.polys import pdeg, pdivmod, pnorm
+from tablezeta.errors import InputError, NotFullRank, TableZetaError, UnsupportedM
+from tablezeta.exact import charpoly, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, valuation
+from tablezeta.genus import LatticeHNF, LocalModel, Region, _region_sum, _to_exps
+from tablezeta.polys import (
+    factor_rational,
+    pdeg,
+    pdiv_exact,
+    pdivmod,
+    peval,
+    pinv_mod,
+    pmul,
+    pnorm,
+    to_int_poly,
+)
 from tablezeta.ppoly import PPoly
 
 
-def sylvester_discriminant(f):
-    "disc f = (-1)^(n(n-1)/2) Res(f, f') for a monic f of degree n, from the Sylvester matrix."
-    n = len(f) - 1
-    a = list(reversed(f))
-    b = list(reversed([k * c for k, c in enumerate(f)][1:]))
-    size = 2 * n - 1
-    rows = [[0] * i + a + [0] * (size - len(a) - i) for i in range(n - 1)]
-    rows += [[0] * i + b + [0] * (size - len(b) - i) for i in range(n)]
-    return (-1) ** (n * (n - 1) // 2) * int(fmat_det(rows))
+# --- the plain stream over every HNF ----------------------------------------
+#
+# The index-n sublattices of Z^dim are enumerated by divisor tuples
+# d_1 ... d_dim = n and independent off-diagonal residues, in a fixed
+# order: divisor tuples lexicographically, off-diagonal residues row-major.
+
+
+def divisor_tuples(n, k):
+    "All (d_1, ..., d_k) with product n, in lexicographic order."
+    if k == 1:
+        yield (n,)
+        return
+    for d in divisors(n):
+        for rest in divisor_tuples(n // d, k - 1):
+            yield (d,) + rest
+
+
+def enumerate_sublattices(dim, n):
+    "Every index-n sublattice of Z^dim exactly once, canonical HNF, fixed order."
+    if n < 1:
+        raise InputError("index must be >= 1")
+    for rows in _hnf_rows(dim, n):
+        yield LatticeHNF(dim, rows)
+
+
+def _hnf_rows(dim, n):
+    """The rows of every index-n HNF, unvalidated, in stream order: row i
+    is (0,..,0, d_i, entries of row i), and the product over the rows
+    varies the last off-diagonal entry fastest (row-major)."""
+    for diag in divisor_tuples(n, dim):
+        choices = [
+            [(0,) * i + (diag[i],) + tail for tail in product(*(range(diag[j]) for j in range(i + 1, dim)))]
+            for i in range(dim)
+        ]
+        yield from product(*choices)
+
+
+def _action_matrices(lam):
+    "The action matrices of b_1 .. b_(r-1), from ``algebra.action_matrix``; b_0 is the identity."
+    return [action_matrix(lam, e) for e in unit_vectors(len(lam))[1:]]
+
+
+def _in_lattice(rows, v):
+    dim = len(rows)
+    v = list(v)
+    for i in range(dim):
+        d = rows[i][i]
+        if v[i] % d:
+            return False
+        q = v[i] // d
+        if q:
+            for c in range(i, dim):
+                v[c] -= q * rows[i][c]
+    return True
+
+
+def _closed(acts, rows):
+    "True iff every HNF row times every action matrix stays in the row lattice."
+    dim = len(rows)
+    for act in acts:
+        for g in rows:
+            prod = [0] * dim
+            for l in range(dim):
+                gl = g[l]
+                if gl:
+                    arow = act[l]
+                    for k in range(dim):
+                        prod[k] += gl * arow[k]
+            if not _in_lattice(rows, prod):
+                return False
+    return True
+
+
+def is_ideal(table, lattice: LatticeHNF) -> bool:
+    """True iff the lattice is closed under multiplication by every basis
+    element of the table, which check_ring must accept first."""
+    check_ring(table)
+    dim = len(table)
+    if lattice.dim != dim:
+        raise InputError(f"lattice dimension {lattice.dim} != table rank {dim}")
+    return _closed(_action_matrices(table), lattice.matrix)
 
 
 def stream_count(lam, n):
@@ -40,6 +138,20 @@ def stream_count(lam, n):
 def stream_series(lam, bound):
     "(a_1, ..., a_bound) by the plain stream."
     return tuple(stream_count(lam, n) for n in range(1, bound + 1))
+
+
+# --- tables and checks of the maximal order -----------------------------------
+
+
+def sylvester_discriminant(f):
+    "disc f = (-1)^(n(n-1)/2) Res(f, f') for a monic f of degree n, from the Sylvester matrix."
+    n = len(f) - 1
+    a = list(reversed(f))
+    b = list(reversed([k * c for k, c in enumerate(f)][1:]))
+    size = 2 * n - 1
+    rows = [[0] * i + a + [0] * (size - len(a) - i) for i in range(n - 1)]
+    rows += [[0] * i + b + [0] * (size - len(b) - i) for i in range(n)]
+    return (-1) ** (n * (n - 1) // 2) * int(fmat_det(rows))
 
 
 def quotient_ring_table(defining_poly):
@@ -96,10 +208,510 @@ def order_closed_under_multiplication(algebra, basis):
     inv = fmat_inv(basis)
     for u in basis:
         for v in basis:
-            coords = vec_mat(tuple(map(Fraction, algebra.multiply(u, v))), inv)
+            w = algebra.multiply(u, v)
+            coords = [sum(w[i] * inv[i][j] for i in range(len(w))) for j in range(len(inv[0]))]
             if any(Fraction(x).denominator != 1 for x in coords):
                 return False
     return True
+
+
+# --- the character layer -----------------------------------------------------
+#
+# Polynomial helpers, real roots by Sturm sequences, exact real algebraic
+# numbers and arithmetic in Q[x]/(f), on which the degree map, the
+# rescaling of a basis and the character table below are built.
+
+
+def derivative(a):
+    return pnorm(tuple(i * a[i] for i in range(1, len(a)))) if len(a) > 1 else (0,)
+
+
+def monic(a):
+    a = pnorm(a)
+    lead = Fraction(a[-1])
+    return tuple(Fraction(x) / lead for x in a)
+
+
+def pgcd(a, b):
+    "Monic gcd over Q, returned as a primitive integer polynomial."
+    a, b = pnorm(a), pnorm(b)
+    if pdeg(a) < 0:
+        return primitive(to_int_from_monic(monic(b))) if pdeg(b) >= 0 else (0,)
+    while pdeg(b) >= 0 and any(x != 0 for x in b):
+        _, r = pdivmod(a, b)
+        a, b = b, r
+        if pdeg(b) < 0 or all(x == 0 for x in b):
+            break
+    return primitive(to_int_from_monic(monic(a)))
+
+
+def to_int_from_monic(a):
+    "Clear denominators of a rational polynomial."
+    denom = reduce(lambda acc, x: acc * Fraction(x).denominator // gcd(acc, Fraction(x).denominator), a, 1)
+    return tuple(int(Fraction(x) * denom) for x in a)
+
+
+def primitive(a):
+    g = 0
+    for x in a:
+        g = gcd(g, x)
+    if g == 0:
+        return pnorm(a)
+    if a[-1] < 0:
+        g = -g
+    return pnorm(tuple(x // g for x in a))
+
+
+def squarefree_part(a):
+    "Radical of an integer polynomial (monic in, monic out)."
+    g = pgcd(a, derivative(a))
+    q = pdiv_exact(a, g)
+    return to_int_poly(monic(q))
+
+
+def sturm_chain(a):
+    a = tuple(Fraction(x) for x in pnorm(a))
+    chain = [a, tuple(Fraction(x) for x in derivative(a))]
+    while pdeg(chain[-1]) > 0:
+        _, r = pdivmod(chain[-2], chain[-1])
+        if pdeg(r) < 0 or all(x == 0 for x in r):
+            break
+        chain.append(tuple(-x for x in r))
+    return chain
+
+
+def _sign_changes(chain, x):
+    signs = []
+    for f in chain:
+        v = peval(f, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+
+
+def count_real_roots(a, lo, hi, chain=None):
+    "Number of distinct real roots of a in the half-open interval (lo, hi]."
+    chain = chain or sturm_chain(a)
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def cauchy_bound(a):
+    a = monic(a)
+    return 1 + max((abs(Fraction(x)) for x in a[:-1]), default=Fraction(0))
+
+
+def isolate_largest_real_root(a):
+    """Isolating interval (lo, hi] for the largest real root of a squarefree
+    integer polynomial with at least one real root."""
+    chain = sturm_chain(a)
+    b = cauchy_bound(a)
+    lo, hi = -b, b
+    total = count_real_roots(a, lo, hi, chain)
+    if total == 0:
+        raise ArithmeticError("no real root")
+    while count_real_roots(a, lo, hi, chain) > 1:
+        mid = (lo + hi) / 2
+        if count_real_roots(a, mid, hi, chain) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class AlgebraicNumber:
+    """Exact real algebraic number: monic irreducible integer minimal
+    polynomial plus an isolating interval (lo, hi] holding exactly one of
+    its real roots.  Rational numbers carry a degenerate interval."""
+
+    minpoly: tuple
+    lo: Fraction
+    hi: Fraction
+
+    @staticmethod
+    def from_rational(q):
+        q = Fraction(q)
+        mp = to_int_from_monic((-q, 1))
+        return AlgebraicNumber(tuple(mp), q, q)
+
+    @property
+    def is_rational(self):
+        return pdeg(self.minpoly) == 1
+
+    def rational_value(self):
+        if not self.is_rational:
+            raise ValueError("irrational algebraic number")
+        return Fraction(-self.minpoly[0], self.minpoly[1])
+
+    def refined(self, width):
+        "Return an equal number with interval width <= width."
+        lo, hi = self.lo, self.hi
+        if lo == hi:
+            return self
+        chain = sturm_chain(self.minpoly)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            if peval(tuple(Fraction(x) for x in self.minpoly), mid) == 0:
+                lo = hi = mid
+                break
+            if count_real_roots(self.minpoly, mid, hi, chain) >= 1:
+                lo = mid
+            else:
+                hi = mid
+        return AlgebraicNumber(self.minpoly, lo, hi)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational and self.rational_value() == other
+        if not isinstance(other, AlgebraicNumber):
+            return NotImplemented
+        if self.minpoly != other.minpoly:
+            return False
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo > hi:
+            return False
+        # roots of the shared minimal polynomial are equal iff one lies in
+        # the overlap of both isolating intervals
+        if lo == hi:
+            return peval(self.minpoly, lo) == 0
+        return count_real_roots(self.minpoly, lo, hi) >= 1
+
+    def __hash__(self):
+        return hash(self.minpoly)
+
+    def __lt__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = AlgebraicNumber.from_rational(other)
+        if self == other:
+            return False
+        a, b = self, other
+        eps = Fraction(1, 2)
+        while not (a.hi < b.lo or b.hi < a.lo):
+            a = a.refined(eps)
+            b = b.refined(eps)
+            eps /= 2
+        return a.hi < b.lo
+
+    def __repr__(self):
+        if self.is_rational:
+            return f"AlgebraicNumber({self.rational_value()})"
+        return f"AlgebraicNumber({self.minpoly}, ({self.lo}, {self.hi}])"
+
+
+def largest_real_root(factors):
+    """(index, root) of the largest real root among the roots of the given
+    irreducible integer polynomials, the first factor winning a tie;
+    (None, None) when none of them has a real root."""
+    best = best_i = None
+    for i, f in enumerate(factors):
+        if pdeg(f) == 1:
+            cand = AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))
+        else:
+            b = cauchy_bound(f)
+            if count_real_roots(f, -b, b) == 0:
+                continue
+            lo, hi = isolate_largest_real_root(f)
+            cand = AlgebraicNumber(tuple(f), Fraction(lo), Fraction(hi))
+        if best is None or best < cand:
+            best, best_i = cand, i
+    return best_i, best
+
+
+class FieldElt:
+    """Element of Q[x]/(f) for a monic irreducible integer polynomial f,
+    with the arithmetic the character layer needs."""
+
+    __slots__ = ("f", "c")
+
+    def __init__(self, f, coeffs):
+        self.f = pnorm(tuple(f))
+        d = pdeg(self.f)
+        c = [Fraction(x) for x in coeffs]
+        if len(c) > d:
+            _, r = pdivmod(tuple(c), self.f)
+            c = list(r)
+        c += [Fraction(0)] * (d - len(c))
+        self.c = tuple(c[:d])
+
+    @staticmethod
+    def constant(f, q):
+        return FieldElt(f, (Fraction(q),))
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return self.f == other.f and self.c == other.c
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return FieldElt(self.f, tuple(x + y for x, y in zip(self.c, other.c)))
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return FieldElt(self.f, pmul(self.c, other.c))
+
+    def _lift(self, other):
+        if isinstance(other, FieldElt):
+            if other.f != self.f:
+                raise ValueError("mixed fields")
+            return other
+        return FieldElt.constant(self.f, other)
+
+    def inv(self):
+        "The inverse, ``polys.pinv_mod``; zero raises ZeroDivisionError."
+        return FieldElt(self.f, pinv_mod(self.c, self.f))
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inv()
+
+    def trace(self):
+        "Field trace to Q: the trace of multiplication by self, sum_i [x^i] (self x^i)."
+        total, elt = Fraction(0), self
+        for i in range(pdeg(self.f)):
+            total += elt.c[i]
+            elt = elt * FieldElt(self.f, (0, 1))
+        return total
+
+    def is_rational(self):
+        return all(x == 0 for x in self.c[1:])
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ValueError("not rational")
+        return self.c[0]
+
+    def __repr__(self):
+        return f"FieldElt({self.f}, {self.c})"
+
+
+class NonIntegralRescale(TableZetaError):
+    def __init__(self, i, j, k, value):
+        self.position = (i, j, k)
+        self.value = value
+        super().__init__(f"rescaled structure constant at {(i, j, k)} is {value}, not a nonnegative integer")
+
+
+class BasisKindMismatch(TableZetaError):
+    pass
+
+
+def regular_representation(t: TableAlgebra, i: int):
+    "Matrix M with M[k][j] = lambda[i][j][k]: column j expands b_i * b_j."
+    if not 0 <= i < t.rank:
+        raise IndexError(f"basis index {i} out of range for rank {t.rank}")
+    return tuple(zip(*action_matrix(t.lam, unit_vectors(t.rank)[i])))
+
+
+def perron_root(m):
+    """Largest real eigenvalue of a nonnegative integer matrix, as an exact
+    algebraic number (``AlgebraicNumber``; minimal polynomial = its
+    irreducible factor)."""
+    _, best = largest_real_root(factor_rational(squarefree_part(charpoly(m))))
+    if best is None:
+        raise ArithmeticError("matrix has no real eigenvalue")
+    return best
+
+
+def degree_map(t: TableAlgebra):
+    """delta(b_i) for each basis element: the Perron-Frobenius eigenvalue of
+    its regular representation.  delta extends to an algebra character."""
+    check_ring(t.lam)
+    return [perron_root(regular_representation(t, i)) for i in range(t.rank)]
+
+
+def rescale(t: TableAlgebra, target) -> TableAlgebra:
+    """Rescale the basis so that lambda[i][i*][0] becomes delta(b_i)
+    ('standard') or 1 ('transitional').
+
+    Toward transitional the scale factors are 1/sqrt(lambda[i][i*][0]), so
+    each rescaled constant is checked to be the exact integer square root
+    of lambda^2 * lambda[kk*0] / (lambda[ii*0] lambda[jj*0]).  Toward
+    standard the factors are delta(b_i)/lambda[i][i*][0], evaluated
+    exactly in the degree character's field; irrational results raise
+    NonIntegralRescale (e.g. the E6 fusion ring, where delta(d) = 1+sqrt(3)
+    makes the standard basis non-integral).  A table that check_ring
+    refuses is refused first, with its error, toward either target.
+    """
+    check_ring(t.lam)
+    if isinstance(target, str):
+        target = BasisKind(target)
+    if target not in (BasisKind.STANDARD, BasisKind.TRANSITIONAL):
+        raise ValueError("rescale target must be standard or transitional")
+    d = t.rank
+    inv = t.involution
+    pairing = [t.lam[i][inv[i]][0] for i in range(d)]
+    if any(x <= 0 for x in pairing):
+        raise NonIntegralRescale(0, 0, 0, "pseudo-inverse pairing must be positive")
+    new = [[[None] * d for _ in range(d)] for _ in range(d)]
+    if target is BasisKind.TRANSITIONAL:
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    sq = Fraction(t.lam[i][j][k] ** 2 * pairing[k], pairing[i] * pairing[j])
+                    if sq.denominator != 1:
+                        raise NonIntegralRescale(i, j, k, sq)
+                    r = isqrt(int(sq))
+                    if r * r != int(sq):
+                        raise NonIntegralRescale(i, j, k, sq)
+                    new[i][j][k] = r
+    else:
+        _, delta = degree_character_values(t)
+        scale = [delta[i] * Fraction(1, pairing[i]) for i in range(d)]
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    val = (scale[i] * scale[j] / scale[k]) * t.lam[i][j][k]
+                    if not val.is_rational():
+                        raise NonIntegralRescale(i, j, k, val)
+                    q = val.rational_value()
+                    if q.denominator != 1 or q < 0:
+                        raise NonIntegralRescale(i, j, k, q)
+                    new[i][j][k] = int(q)
+    out = TableAlgebra(
+        rank=d,
+        lam=tuple(tuple(tuple(row) for row in plane) for plane in new),
+        involution=t.involution,
+        basis_kind=target,
+        names=t.names,
+    )
+    report = validate(out)
+    if not report.ok:
+        raise NonIntegralRescale(0, 0, 0, f"rescaled tensor invalid: {report}")
+    return out
+
+
+@dataclass
+class CharacterTable:
+    """Irreducible characters grouped by Galois class.
+
+    characters[c][i] is chi_c(b_i) as an element of Q[x]/(f_c); weights[c]
+    is m_chi/n in the same field (always defined); multiplicities[c] is the
+    rational m_chi when it is rational, else None; order_n is the order of
+    the standard rescaling (a Fraction when rational).
+    """
+
+    factors: list
+    characters: list
+    weights: list
+    multiplicities: list
+    order_n: object
+    delta_index: int  # which factor carries the degree character
+
+
+def basis_in_generator(t: TableAlgebra, theta):
+    "q_i with b_i = q_i(theta): solves the power-basis linear system."
+    d = t.rank
+    pw = powers_of_generator(t, theta)
+    gmat = tuple(tuple(Fraction(pw[k][i]) for i in range(d)) for k in range(d))
+    # rows of gmat are the power vectors; q_i solves x * gmat = e_i, the
+    # i-th row of the inverse
+    return list(fmat_inv(gmat))
+
+
+def character_table(t: TableAlgebra) -> CharacterTable:
+    """Characters, weights w = m/n, and multiplicities, grouped by the
+    irreducible factors of the generator's minimal polynomial.
+
+    The weights come from the orthogonality relation: for the standard
+    basis sum_i chi(b_i) chi(b_i*) / delta_i = n / m_chi, and for a
+    transitional basis the same without the delta division.  This never
+    needs n itself, so it stays exact inside each factor field.
+    """
+    factors, coords = _factors_and_coordinates(t)
+    if t.basis_kind is BasisKind.RAW:
+        raise BasisKindMismatch("character formulas need a standard or transitional basis")
+    d = t.rank
+    inv = t.involution
+
+    chars = []
+    for f in factors:
+        chars.append([FieldElt(f, coords[i]) for i in range(d)])
+
+    standard = t.basis_kind is BasisKind.STANDARD
+    if standard:
+        deltas = [t.lam[i][inv[i]][0] for i in range(d)]
+        if any(x <= 0 for x in deltas):
+            raise BasisKindMismatch("standard basis must have lambda[i][i*][0] > 0")
+
+    weights = []
+    for f, ch in zip(factors, chars):
+        s = FieldElt.constant(f, 0)
+        for i in range(d):
+            term = ch[i] * ch[inv[i]]
+            if standard:
+                term = term * Fraction(1, deltas[i])
+            s = s + term
+        weights.append(s.inv())
+
+    delta_index, _ = largest_real_root(factors)
+
+    # order of the standard rescaling: sum of delta_i (standard) or
+    # sum of delta_i^2 (transitional), as an element of the delta field
+    fd = factors[delta_index]
+    chd = chars[delta_index]
+    n_elt = FieldElt.constant(fd, 0)
+    for i in range(d):
+        n_elt = n_elt + (chd[i] if standard else chd[i] * chd[i])
+    order_n = n_elt.rational_value() if n_elt.is_rational() else n_elt
+
+    mults = []
+    for c, w in enumerate(weights):
+        if isinstance(order_n, Fraction):
+            m = w * order_n
+            mults.append(m.rational_value() if m.is_rational() else None)
+        elif c == delta_index:
+            m = w * n_elt
+            mults.append(m.rational_value() if m.is_rational() else None)
+        else:
+            mults.append(None)
+    return CharacterTable(
+        factors=factors,
+        characters=chars,
+        weights=weights,
+        multiplicities=mults,
+        order_n=order_n,
+        delta_index=delta_index,
+    )
+
+
+def _factors_and_coordinates(t: TableAlgebra):
+    """(factors of mu, [q_i with b_i = q_i(theta)]) for the generator theta:
+    the input of every character evaluation."""
+    theta, mu = find_generator(t)
+    return factor_rational(mu), basis_in_generator(t, theta)
+
+
+def degree_character_values(t: TableAlgebra):
+    """(f_delta, [delta(b_i) as FieldElt]) - the degree character evaluated
+    exactly inside its factor field (the factor holding the largest real
+    root).  Works for any valid commutative basis."""
+    factors, coords = _factors_and_coordinates(t)
+    f = factors[largest_real_root(factors)[0]]
+    return f, [FieldElt(f, coords[i]) for i in range(t.rank)]
+
+
+def character_formula_idempotents(t: TableAlgebra):
+    """Character/multiplicity route to the rational primitive idempotents:
+    coefficient of b_i in e~_chi is Tr(w_chi * chi(b_i*)) (transitional) or
+    Tr(w_chi * chi(b_i*)) / delta_i (standard), with w_chi = m_chi / n from
+    orthogonality.  Galois-orbit sums happen through the field trace."""
+    ct = character_table(t)
+    d = t.rank
+    inv = t.involution
+    standard = t.basis_kind is BasisKind.STANDARD
+    deltas = [t.lam[i][inv[i]][0] for i in range(d)] if standard else None
+    out = []
+    for f, ch, w in zip(ct.factors, ct.characters, ct.weights):
+        vec = []
+        for i in range(d):
+            val = (w * ch[inv[i]]).trace()
+            if standard:
+                val = val / deltas[i]
+            vec.append(val)
+        out.append(tuple(vec))
+    return out
+
+
+# --- genus ------------------------------------------------------------------
 
 
 def region_integral(model, region):

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from tablezeta import TableAlgebra, character_formula_idempotents
+from tablezeta import TableAlgebra
 from tablezeta.dirichlet import expand, theorem_local_factor
 from tablezeta.families import conference, drt, fusion
 from tablezeta.genus import (
@@ -22,12 +22,18 @@ from tablezeta.genus import (
     lattices_isomorphic,
     total_local_zeta,
 )
-from tablezeta.ideals import count_ideals, count_ideals_at_prime, divisor_tuples, enumerate_sublattices
+from tablezeta.ideals import count_ideals, count_ideals_at_prime
 from tablezeta.decomposition import maximal_order
 from tablezeta.pipeline import verify_order
 from tablezeta.ppoly import PPoly
 
-from references import residue_certificate, stream_series
+from references import (
+    character_formula_idempotents,
+    divisor_tuples,
+    enumerate_sublattices,
+    residue_certificate,
+    stream_series,
+)
 
 ALL_BUILTINS = {
     "drt(1)": drt(1),

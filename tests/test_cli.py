@@ -363,6 +363,19 @@ def test_cli_genus_even_valuation(capsys):
     assert main(["genus", "--family", "drt", "--u", "24", "--prime", "3"]) == 3
 
 
+def test_cli_internal_error_exit_4(monkeypatch, capsys):
+    # a descent that loses a child fails its Moebius check with ArithmeticError:
+    # exit 4, not the traceback and exit 1 of a verification FAIL
+    from tablezeta import ideals
+
+    degree_one = ideals._degree_one_children
+    monkeypatch.setattr(ideals, "_degree_one_children", lambda rows, w, p: list(degree_one(rows, w, p))[:-1])
+    assert main(["count", "--family", "drt", "--u", "6", "--prime", "3", "--kmax", "6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

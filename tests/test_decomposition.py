@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from tablezeta import (
-    character_formula_idempotents,
-    character_table,
-    find_generator,
-    maximal_order,
-    primitive_idempotents,
-)
+from tablezeta import find_generator, maximal_order
 from tablezeta.algebra import TableAlgebra
+from tablezeta.decomposition import _crt_idempotents
 from tablezeta.errors import DegreeTooLarge
 from tablezeta.families import conference, drt, fusion
-from tablezeta.polys import factor_rational, pdeg
+from tablezeta.polys import factor_rational, pdeg, pdiv_exact, pdivmod, pinv_mod, pmul
 
-from references import idempotent_suite_holds, order_closed_under_multiplication
+from references import (
+    character_formula_idempotents,
+    character_table,
+    idempotent_suite_holds,
+    order_closed_under_multiplication,
+)
 
 BUILTINS = [drt(1), drt(6), conference(1), conference(3)] + [
     fusion(n) for n in ("fib", "c2", "ising", "reps3", "psu5l2", "e6", "c3")
@@ -63,6 +63,21 @@ def test_factor_min_poly_degree_cap():
         factor_rational((-1, -1, 0, 0, 0, 1))
 
 
+@pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
+def test_pinv_mod_inverts_each_cofactor(t):
+    # h = mu/f is a unit mod each irreducible factor f of the squarefree mu,
+    # and a multiple of f is not
+    _, mu = find_generator(t)
+    for f in factor_rational(mu):
+        h = pdiv_exact(mu, f)
+        inv = pinv_mod(h, f)
+        assert pdeg(inv) < pdeg(f)
+        assert pdivmod(pmul(h, inv), f)[1] == (1,)
+        for g in (f, mu, pmul(f, (2, 1))):
+            with pytest.raises(ZeroDivisionError):
+                pinv_mod(g, f)
+
+
 def test_cyclic_group_ring_c6_decomposes():
     # Z[C6]: the generator's minimal polynomial x^6 - 1 has degree 6, but
     # only the quartic (x^2 - x + 1)(x^2 + x + 1) is left once the integer
@@ -74,20 +89,20 @@ def test_cyclic_group_ring_c6_decomposes():
 
 
 def test_primitive_idempotents_drt():
-    e = primitive_idempotents(drt(1))
+    e = maximal_order(drt(1)).idempotents
     assert e[0] == (Fraction(1, 7),) * 3
     assert e[1] == (Fraction(6, 7), Fraction(-1, 7), Fraction(-1, 7))
 
 
 def test_primitive_idempotents_ising():
-    e = primitive_idempotents(fusion("ising"))
+    e = maximal_order(fusion("ising")).idempotents
     assert (Fraction(1, 2), Fraction(-1, 2), 0) in e
     assert (Fraction(1, 2), Fraction(1, 2), 0) in e
 
 
 def test_primitive_idempotents_rank_one():
     t = TableAlgebra(1, [[[1]]], (0,))
-    assert primitive_idempotents(t) == [(1,)]
+    assert maximal_order(t).idempotents == [(1,)]
 
 
 @pytest.mark.parametrize("t", BUILTINS, ids=lambda t: "-".join(t.names))
@@ -103,7 +118,7 @@ def test_analyze_matches_standalone_stages(t):
     gen, mu = find_generator(t)
     assert (data.generator, data.minpoly) == (gen, mu)
     assert data.factors == factor_rational(mu)
-    assert data.idempotents == primitive_idempotents(t)
+    assert data.idempotents == _crt_idempotents(t, gen, mu, factor_rational(mu))
     assert [pdeg(r) for r in data.rings] == [pdeg(f) for f in data.factors]
     assert data == maximal_order(t)
 
@@ -201,6 +216,6 @@ def test_maximal_order_is_a_ring(t):
 def test_idempotent_denominators_divide_n_standard():
     for t in (drt(1), drt(3), conference(1), conference(3)):
         n = sum(t.lam[i][t.involution[i]][0] for i in range(t.rank))
-        for e in primitive_idempotents(t):
+        for e in maximal_order(t).idempotents:
             for x in e:
                 assert n % Fraction(x).denominator == 0

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from tablezeta.algebra import TableAlgebra, degree_map, rescale
+from tablezeta.algebra import TableAlgebra
 from tablezeta.cli import main
-from tablezeta.decomposition import character_table, find_generator, maximal_order
+from tablezeta.decomposition import find_generator, maximal_order
 from tablezeta.dirichlet import LocalRationalFunction, infer_local_polynomial
 from tablezeta.errors import (
-    BasisKindMismatch,
     DepthExceeded,
     InputError,
     MaximalityUncertified,
@@ -20,14 +19,24 @@ from tablezeta.errors import (
 )
 from tablezeta.exact import hnf_square
 from tablezeta.genus import (
+    LatticeHNF,
     LocalModel,
     _membership_congruence_matrix,
     decompose_domain,
     triple_matrix,
 )
-from tablezeta.ideals import IdealCountSeries, LatticeHNF, count_ideals, is_ideal
+from tablezeta.ideals import IdealCountSeries, count_ideals
 
-from references import block_triangularize, group_table, quotient_ring_table
+from references import (
+    BasisKindMismatch,
+    block_triangularize,
+    character_table,
+    degree_map,
+    group_table,
+    is_ideal,
+    quotient_ring_table,
+    rescale,
+)
 
 
 def test_not_monogenic():

@@ -24,8 +24,9 @@ from tablezeta.genus import (
     total_local_zeta,
     triple_matrix,
     Region,
+    LatticeHNF,
 )
-from tablezeta.ideals import LatticeHNF, count_ideals_at_prime
+from tablezeta.ideals import count_ideals_at_prime
 from tablezeta.families import drt
 from tablezeta.ppoly import PPoly
 

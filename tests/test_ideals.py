@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime, enumerate_sublattices, is_ideal
+from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import LocalRationalFunction, expand, maximal_local_factor, theorem_local_factor
@@ -16,13 +16,21 @@ from tablezeta.ideals import (
     _moebius_terms,
     _splitting_element,
     _sublattice,
-    divisor_tuples,
 )
 from tablezeta.exact import factorize, hnf, primes_up_to
 from tablezeta.modp import kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 
-from references import group_table, quotient_ring_table, stream_count, stream_series, sylvester_discriminant
+from references import (
+    divisor_tuples,
+    enumerate_sublattices,
+    group_table,
+    is_ideal,
+    quotient_ring_table,
+    stream_count,
+    stream_series,
+    sylvester_discriminant,
+)
 
 
 def sublattice_count_formula(n):

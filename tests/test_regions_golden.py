@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 from tablezeta.genus import (
+    LatticeHNF,
     LocalModel,
     complementary_lattice,
     decompose_domain,
     enumerate_genus_representatives,
     triple_matrix,
 )
-from tablezeta.ideals import LatticeHNF
 
 GOLDEN = json.loads((Path(__file__).parent / "regions_golden.json").read_text())
 
