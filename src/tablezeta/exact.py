@@ -217,6 +217,31 @@ def fmat_inv(rows):
     return tuple(tuple(r) for r in inv)
 
 
+def bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: after step k every entry of the trailing block is a
+    (k+1)-by-(k+1) minor, so each division by the previous pivot is exact
+    and every entry stays an integer (E. H. Bareiss, Math. Comp. 22 (1968)
+    565-578)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - lead * top[c]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
 def charpoly(m):
     """Characteristic polynomial det(xI - M) of an integer matrix, monic,
     as a tuple of integer coefficients in ascending order.
@@ -242,8 +267,8 @@ def discriminant(f):
     ascending coefficients: the determinant of the Hankel matrix of the
     power sums s_k of its roots, s_0 .. s_(2n-2) by Newton's identities.
     That matrix is V^T V for the Vandermonde matrix V of the roots, so its
-    determinant is prod_(i<j) (r_i - r_j)^2.  A polynomial that is not
-    monic raises InputError."""
+    determinant is prod_(i<j) (r_i - r_j)^2; it is taken in integers by
+    ``bareiss_det``.  A polynomial that is not monic raises InputError."""
     f = int_tuple(f)
     n = len(f) - 1
     if n < 0 or f[-1] != 1:
@@ -251,4 +276,4 @@ def discriminant(f):
     s = [n]
     for k in range(1, 2 * n - 1):
         s.append(-(k * f[n - k] if k <= n else 0) - sum(f[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1)))
-    return int(fmat_det([s[i : i + n] for i in range(n)]))
+    return bareiss_det([s[i : i + n] for i in range(n)])

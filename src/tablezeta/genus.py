@@ -46,7 +46,7 @@ from .errors import (
     PrecisionUnstable,
     UnsupportedM,
 )
-from .exact import hnf_square, int_tuple, is_prime, lattice_det, mat_mul, valuation
+from .exact import int_tuple, is_prime, lattice_det, valuation
 from .modp import kernel_mod_pk, rref
 from .polys import padd
 from .ppoly import PM1, PPoly
@@ -160,11 +160,12 @@ def admissible(model: LocalModel, r, i, j) -> bool:
 
 
 def triple_matrix(model: LocalModel, triple):
-    "Numeric HNF rows for M(r,i,j)."
+    """Numeric HNF rows for M(r,i,j): the rows (p^i, 0, r), (0, 1, 1),
+    (0, 0, p^j) are triangular, so reducing their last column mod p^j
+    gives the HNF."""
     r, i, j = triple
-    p = model.p
-    rows = ((p**i, 0, r), (0, 1, 1), (0, 0, p**j))
-    return hnf_square(rows)
+    pj = model.p**j
+    return ((model.p**i, 0, r % pj), (0, 1, 1 % pj), (0, 0, pj))
 
 
 def lattices_isomorphic(model: LocalModel, t1, t2) -> bool:
@@ -233,17 +234,6 @@ def _uniform_class_list(m):
 # --- numeric lattice machinery ---------------------------------------------
 
 
-def _action_matrix(model: LocalModel, g):
-    "y = x . T is the product g*x on coordinates (pi e1, e1, e0)."
-    a, b, c = g
-    pv = model.p * model.v
-    return (
-        (b, pv * a, 0),
-        (a, b, 0),
-        (0, 0, c),
-    )
-
-
 def _membership_congruence_matrix(target_rows, K, p):
     """W with: y in target  <=>  y . W == 0 (mod p^K), for targets containing
     p^K Lambda_0.  W = p^K T^(-1) = p^K adj(T) / det T in integers."""
@@ -272,11 +262,15 @@ def complementary_lattice(model: LocalModel, triple, target=None):
 
     Numeric mode: x is in {M : target} when x A_g W = 0 mod p^K for each
     row g of M, with A_g the action matrix of g and W = p^K T^(-1), where
-    the rows of T span the target.  One precision suffices: that holds
-    exactly when x A_g T^(-1) is integral, a condition that does not
-    involve K.  So every K at which W is integral gives the same lattice,
-    and _membership_congruence_matrix raises PrecisionUnstable at a K
-    where it is not."""
+    the rows of T span the target.  On the basis (pi e_1, e_1, e_0),
+    g = (a, b, c) acts by the rows (b, pv a, 0), (a, b, 0), (0, 0, c), so
+    the rows of A_g W are b W_0 + pv a W_1, a W_0 + b W_1 and c W_2, and
+    the congruence system is written from them without forming A_g.  One
+    precision suffices: x A_g W = 0 mod p^K holds exactly when
+    x A_g T^(-1) is integral, a condition that does not involve K.  So
+    every K at which W is integral gives the same lattice, and
+    _membership_congruence_matrix raises PrecisionUnstable at a K where
+    it is not."""
     if not admissible(model, *triple):
         raise InputError(f"M{triple} is not admissible at m = {model.m}")
     if target is not None and target != triple:
@@ -286,9 +280,14 @@ def complementary_lattice(model: LocalModel, triple, target=None):
     p, K = model.p, 2 * model.m + 2
     m_rows = triple_matrix(model, triple)
     target_rows = m_rows if target is not None else triple_matrix(model, model.lam_triple)
-    w = _membership_congruence_matrix(target_rows, K, p)
-    cols = [mat_mul(_action_matrix(model, g), w) for g in m_rows]
-    cmat = tuple(tuple(x for tw in cols for x in tw[i]) for i in range(3))
+    w0, w1, w2 = _membership_congruence_matrix(target_rows, K, p)
+    pv = p * model.v
+    # row k of the system is row k of A_g W for each row g of M in turn
+    cmat = (
+        tuple(b * x + pv * a * y for a, b, _ in m_rows for x, y in zip(w0, w1)),
+        tuple(a * x + b * y for a, b, _ in m_rows for x, y in zip(w0, w1)),
+        tuple(c * z for _, _, c in m_rows for z in w2),
+    )
     return LatticeHNF(3, kernel_mod_pk(cmat, p, K))
 
 
@@ -362,14 +361,23 @@ def _sym_sub(a, b):
 
 
 def _scaled_reduced(model, state, q):
-    "Scale row q by p and restore reduced form; returns a new matrix."
+    """Scale row q by p and restore reduced form; returns a new matrix,
+    which shares the rows other than q with state.  Numeric: the scaled
+    matrix is still triangular, and the entries above row q's new
+    diagonal stay reduced, so only row q is reduced, against the rows
+    below it; that gives the (unique) HNF."""
     if model.symbolic:
         mat = [row[:] for row in state]
         mat[q] = [None if x is None else x + 1 for x in mat[q]]
         return _sym_reduce(mat)
-    rows = [list(r) for r in state]
-    rows[q] = [x * model.p for x in rows[q]]
-    return [list(r) for r in hnf_square(tuple(tuple(r) for r in rows))]
+    rows = list(state)
+    row = rows[q] = [x * model.p for x in state[q]]
+    for k in range(q + 1, len(rows)):
+        f = row[k] // rows[k][k]
+        if f:
+            for c in range(k, len(rows)):
+                row[c] -= f * rows[k][c]
+    return rows
 
 
 def _to_exps(model, mat):

@@ -2,8 +2,10 @@
 and factorization up to degree 4.
 
 Polynomials are tuples of coefficients in ascending order.  Integer
-polynomials stay integer; anything that needs division goes through
-Fraction and is checked back to Z where integrality is promised.
+polynomials stay integer: exact division (``pdiv_exact``) runs in Z[x]
+and refuses a remainder or a non-integral quotient.  Division with
+remainder and inverses modulo a polynomial (``pdivmod``, ``pinv_mod``)
+run over Q, in Fraction.
 """
 
 from fractions import Fraction
@@ -73,10 +75,26 @@ def pdivmod(a, b):
 
 
 def pdiv_exact(a, b):
-    q, r = pdivmod(a, b)
-    if pdeg(r) >= 0 and any(x != 0 for x in r):
+    """The quotient q = a / b in Z[x] of integer polynomials, by long
+    division in integers.  Each quotient coefficient is the exact quotient
+    of a leading coefficient by b's, so a remainder or a non-integral
+    quotient raises ArithmeticError; a zero b raises ZeroDivisionError."""
+    a, b = list(pnorm(a)), pnorm(b)
+    if b == (0,):
+        raise ZeroDivisionError("polynomial division by zero")
+    n, lead = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - n, 1)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        f, r = divmod(a[shift + n], lead)
+        if r:
+            raise ArithmeticError("non-integral polynomial quotient")
+        if f:
+            q[shift] = f
+            for i in range(n + 1):
+                a[shift + i] -= f * b[i]
+    if any(a):
         raise ArithmeticError("inexact polynomial division")
-    return q
+    return pnorm(tuple(q))
 
 
 def pinv_mod(h, f):
@@ -138,7 +156,7 @@ def factor_rational(a):
     for r in integer_roots(a):
         # exact: the roots are distinct, so r is still a root of rest
         lin = (-r, 1)
-        rest = to_int_poly(pdiv_exact(rest, lin))
+        rest = pdiv_exact(rest, lin)
         factors.append(lin)
     d = pdeg(rest)
     if d > 4:

@@ -6,7 +6,7 @@ accumulated as a PPoly over one denominator p^e (p-1)^c, and the one
 division it needs, by that denominator, must be exact.
 """
 
-from .polys import padd, pdiv_exact, peval, pmul, to_int_poly
+from .polys import padd, pdiv_exact, peval, pmul
 
 
 class PPoly:
@@ -68,6 +68,8 @@ class PPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError(f"PPoly power needs an exponent >= 0, got {e}")
         out = PPoly(1)
         for _ in range(e):
             out = out * self
@@ -79,7 +81,7 @@ class PPoly:
     def divide_exact(self, other):
         """Exact division in Z[p]: ArithmeticError on a remainder or a
         non-integral quotient, ZeroDivisionError on a zero divisor."""
-        return PPoly(to_int_poly(pdiv_exact(self.c, _lift(other).c)))
+        return PPoly(pdiv_exact(self.c, _lift(other).c))
 
     def __repr__(self):
         return f"PPoly({self.c})"

@@ -15,7 +15,12 @@ only the tests run:
 * ``region_integral``, which reads one genus region's integral off the
   package's region sum, and the genus helpers ``block_triangularize`` and
   the residue-count certificate of a region decomposition
-  (``residue_certificate``).
+  (``residue_certificate``);
+* the genus lattice steps by the generic 3x3 routes: the HNF of a
+  triple's rows and of a scaled digit-tree state by ``hnf_square``, and
+  {M : target} from the products A_g W of each row g's action matrix
+  with W (``triple_hnf``, ``scaled_reduced_by_hnf``,
+  ``complementary_lattice_by_products``).
 """
 
 from dataclasses import dataclass
@@ -28,8 +33,16 @@ from tablezeta.algebra import BasisKind, TableAlgebra, action_matrix, check_ring
 from tablezeta.decomposition import find_generator, powers_of_generator
 from tablezeta.dirichlet import LocalRationalFunction
 from tablezeta.errors import InputError, NotFullRank, TableZetaError, UnsupportedM
-from tablezeta.exact import charpoly, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, valuation
-from tablezeta.genus import LatticeHNF, LocalModel, Region, _region_sum, _to_exps
+from tablezeta.exact import charpoly, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, mat_mul, valuation
+from tablezeta.genus import (
+    LatticeHNF,
+    LocalModel,
+    Region,
+    _membership_congruence_matrix,
+    _region_sum,
+    _to_exps,
+)
+from tablezeta.modp import kernel_mod_pk
 from tablezeta.polys import (
     factor_rational,
     pdeg,
@@ -762,3 +775,41 @@ def residue_certificate(model: LocalModel, lattice, regions, K):
     for reg in regions:
         lhs = lhs + (reg.count if model.symbolic else reg.count(p)) * p ** region_residue_exponent(reg, K)
     return lhs, p ** (3 * K - exps[0][0] - exps[1][1] - exps[2][2])
+
+
+def genus_action_matrix(model: LocalModel, g):
+    "y = x . T is the product g*x on coordinates (pi e1, e1, e0)."
+    a, b, c = g
+    pv = model.p * model.v
+    return (
+        (b, pv * a, 0),
+        (a, b, 0),
+        (0, 0, c),
+    )
+
+
+def triple_hnf(model: LocalModel, triple):
+    "Numeric HNF rows for M(r,i,j), by hnf_square of (p^i, 0, r), (0, 1, 1), (0, 0, p^j)."
+    r, i, j = triple
+    p = model.p
+    return hnf_square(((p**i, 0, r), (0, 1, 1), (0, 0, p**j)))
+
+
+def complementary_lattice_by_products(model: LocalModel, triple, target=None):
+    """Numeric {M : target} for M = M(r,i,j) and target Z_pB (None) or M
+    itself, with each block of the congruence system the product A_g W of
+    the action matrix of a row g of M with W."""
+    p, K = model.p, 2 * model.m + 2
+    m_rows = triple_hnf(model, triple)
+    target_rows = m_rows if target is not None else triple_hnf(model, model.lam_triple)
+    w = _membership_congruence_matrix(target_rows, K, p)
+    cols = [mat_mul(genus_action_matrix(model, g), w) for g in m_rows]
+    cmat = tuple(tuple(x for tw in cols for x in tw[i]) for i in range(3))
+    return LatticeHNF(3, kernel_mod_pk(cmat, p, K))
+
+
+def scaled_reduced_by_hnf(model: LocalModel, state, q):
+    "A numeric digit-tree state with row q scaled by p, brought back to HNF by hnf_square."
+    rows = [list(r) for r in state]
+    rows[q] = [x * model.p for x in rows[q]]
+    return [list(r) for r in hnf_square(tuple(tuple(r) for r in rows))]

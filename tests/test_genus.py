@@ -1,10 +1,16 @@
+import contextlib
+import io
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablezeta import genus
+from tablezeta.cli import main
 from tablezeta.dirichlet import LocalRationalFunction, expand, theorem_local_factor
 from tablezeta.errors import InputError, UnsupportedM
 from tablezeta.exact import valuation
@@ -12,6 +18,7 @@ from tablezeta.genus import (
     LocalModel,
     RegionPart,
     _admissible_triples,
+    _scaled_reduced,
     admissible,
     automorphism_measure_inverse,
     complementary_lattice,
@@ -30,7 +37,14 @@ from tablezeta.ideals import count_ideals_at_prime
 from tablezeta.families import drt
 from tablezeta.ppoly import PPoly
 
-from references import block_triangularize, region_integral, residue_certificate
+from references import (
+    block_triangularize,
+    complementary_lattice_by_products,
+    region_integral,
+    residue_certificate,
+    scaled_reduced_by_hnf,
+    triple_hnf,
+)
 
 M1_REPS = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2), (0, 1, 2), (0, 1, 3)]
 
@@ -198,6 +212,40 @@ def test_multiplier_orders():
     assert complementary_lattice(model, (0, 1, 3), target=(0, 1, 3)).matrix == lam
     assert complementary_lattice(model, (1, 0, 1), target=(1, 0, 1)).matrix == triple_matrix(model, (0, 1, 1))
     assert complementary_lattice(model, (0, 0, 2), target=(0, 0, 2)).matrix == triple_matrix(model, (0, 1, 2))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("v", [1, -1])
+def test_lattice_steps_match_generic_references(p, m, v):
+    # every admissible triple, both targets: the direct HNF and congruence
+    # system against hnf_square and the products A_g W
+    model = LocalModel(p=p, m=m, v=v)
+    for triple in _admissible_triples(model):
+        assert triple_matrix(model, triple) == triple_hnf(model, triple)
+        for target in (None, triple):
+            got = complementary_lattice(model, triple, target=target)
+            assert got == complementary_lattice_by_products(model, triple, target=target)
+
+
+def test_scaled_reduced_matches_hnf_reference_on_golden_states(monkeypatch):
+    # every numeric state the digit tree scales in the genus_golden.json reports
+    golden = json.loads((Path(__file__).parent / "genus_golden.json").read_text())
+    scaled = []
+
+    def recording(model, state, q):
+        out = _scaled_reduced(model, state, q)
+        if not model.symbolic:
+            scaled.append((model, [list(r) for r in state], q, out))
+        return out
+
+    monkeypatch.setattr(genus, "_scaled_reduced", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in golden:
+            assert main(command.split()) == 0
+    assert len({model.p for model, *_ in scaled}) == 5
+    for model, state, q, out in scaled:
+        assert out == scaled_reduced_by_hnf(model, state, q)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -476,6 +524,12 @@ def test_ppoly_arithmetic_matches_evaluation(a, b, x):
     assert (a**3)(x) == a(x) ** 3
     if not b.is_zero():
         assert (a * b).divide_exact(b) == a
+
+
+def test_ppoly_power_refuses_a_negative_exponent():
+    assert P**0 == PPoly(1)
+    with pytest.raises(ValueError, match="exponent"):
+        P**-1
 
 
 def test_ppoly_divide_exact_errors():
