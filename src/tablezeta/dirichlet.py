@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, FunctionalEquationFailed, InputError, MissingBadPrime, NonIntegralQuotient
-from .exact import discriminant, is_prime
+from .exact import discriminant, is_prime, primes_up_to
 from .ideals import IdealCountSeries
 from .modp import root_count
 from .polys import padd, pdeg, peval, pmul, pnorm
@@ -157,9 +157,7 @@ def _residue_degrees_mod(poly, p, disc=None):
     given, is the discriminant of poly, a monic integer polynomial, so that
     a caller that asks at many primes computes it once."""
     coeffs = [x % p for x in poly]
-    deg = len(coeffs) - 1
-    if deg > 3:
-        raise InputError("modular factorization implemented for degree <= 3")
+    deg = _checked_degree(poly)
     if deg <= 0:
         return []
     if coeffs[-1] != 1:
@@ -167,16 +165,32 @@ def _residue_degrees_mod(poly, p, disc=None):
     if deg == 1:
         return [1]
     disc = (discriminant(coeffs) if disc is None else disc) % p
-    symbol = pow(disc, (p - 1) // 2, p) if p > 2 else 0  # 0 when p = 2 or p | disc
-    if symbol and deg == 2:
-        roots = 2 if symbol == 1 else 0
-    elif symbol == p - 1:
-        roots = 1  # Stickelberger: a cubic with two irreducible factors
-    else:
-        roots = root_count(coeffs, p)
+    roots = _root_rule(coeffs, p, disc)
     if not disc:
         return [1] * roots  # the repeated factor is linear, so every factor is
     return [1] * roots + ([deg - roots] if roots < deg else [])
+
+
+def _checked_degree(poly):
+    "deg poly, which residue_degrees_mod_p and the root rule take only up to 3 (InputError)."
+    if len(poly) > 4:
+        raise InputError("modular factorization implemented for degree <= 3")
+    return len(poly) - 1
+
+
+def _root_rule(poly, p, disc):
+    """The number of distinct roots mod the prime p of poly, of degree 2 or
+    3 and monic mod p, of discriminant disc (mod p or not): the one rule
+    that residue_degrees_mod_p and the root counts of assemble_global
+    share.  Euler's criterion for a quadratic; for a cubic, a symbol of -1
+    means one root (Stickelberger); otherwise (a cubic of symbol +1, p = 2
+    or p | disc) deg gcd(f, x^p - x), by ``modp.root_count``."""
+    symbol = pow(disc, (p - 1) // 2, p) if p > 2 else 0  # 0 when p = 2 or p | disc
+    if symbol and len(poly) == 3:
+        return 2 if symbol == 1 else 0
+    if symbol == p - 1:
+        return 1  # Stickelberger: a cubic with two irreducible factors
+    return root_count(poly, p)
 
 
 def _dedekind_den(degrees):
@@ -223,21 +237,32 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
     local factor is expanded to the depth ``IdealCountSeries.from_towers``
     asks for, and that sweep multiplies them together.
 
-    A good prime's factor prod (1 - t^deg)^{-1} depends only on the
+    A prime in ``exceptional`` takes its factor first, whether p^2 <= N or
+    not.  A good prime's factor prod (1 - t^deg)^{-1} depends only on the
     residue degrees of the primes above p, which residue_degrees_mod_p
     reads off the residue symbol of each component's discriminant (with
-    Stickelberger's theorem for a cubic), so each pattern of degrees is
-    expanded once per depth.  Each discriminant is computed once, here,
-    and reduced mod every p; a ring that is not monic raises InputError."""
+    Stickelberger's theorem for a cubic).  At p^2 <= N each pattern of
+    degrees is expanded once per depth.  At p^2 > N the tower is [1, a_p],
+    and a_p is the number of residue degree 1 primes above p, the number
+    of roots mod p summed over the rings, taken in one pass per ring by
+    the same root rule (``_root_rule``).  Each discriminant is computed
+    once, here, and reduced mod every p; a ring that is not monic or of
+    degree above 3 raises InputError."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
     discs = [discriminant(ring) for ring in rings]
+    a_p = dict.fromkeys((p for p in primes_up_to(bound) if p * p > bound and p not in exceptional), 0)
+    for ring, disc in zip(rings, discs):  # one pass per ring: a constant has no root, a linear ring one
+        deg = _checked_degree(ring)
+        a_p = {p: a + (deg if deg < 2 else _root_rule(ring, p, disc)) for p, a in a_p.items()}
     good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
 
     def tower(p, kmax):
         if p in exceptional:
             return expand(exceptional[p], kmax)
+        if kmax == 1:
+            return [1, a_p[p]]
         key = (_residue_degrees(rings, p, discs), kmax)
         if key not in good:
             good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)

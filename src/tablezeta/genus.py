@@ -502,19 +502,26 @@ def _region_sum(model, regions):
     (1-t)^2, with zeta = 1/(1-t), a region with cosets S contributes
     count * t^(sum w) * (1-t)^#S / (p^sum_S(d-1) (p-1)^#S).  So e and c
     are the largest sum_S(d-1) and #S over the regions, and the region's
-    numerator term carries p^(e - sum_S(d-1)) (p-1)^(c - #S)."""
-    p, zero = (PPoly.var(), PPoly(0)) if model.symbolic else (model.p, 0)
+    numerator term carries p^(e - sum_S(d-1)) (p-1)^(c - #S).  The powers
+    p^0 .. p^e and (p-1)^0 .. (p-1)^c are taken once per call, each from
+    the one before."""
+    p, zero, one = (PPoly.var(), PPoly(0), PPoly(1)) if model.symbolic else (model.p, 0, 1)
     cosets = [[part for part in (reg.quadratic, reg.rational) if part.kind == "coset"] for reg in regions]
     depths = [sum(part.depth - 1 for part in parts) for parts in cosets]
     e, c = max(depths), max(map(len, cosets))
+    p_pow, q_pow = [one], [one]
+    for _ in range(e):
+        p_pow.append(p_pow[-1] * p)
+    for _ in range(c):
+        q_pow.append(q_pow[-1] * (p - 1))
     num = [zero] * (max(reg.quadratic.valuation + reg.rational.valuation for reg in regions) + 3)
     for reg, parts, d in zip(regions, cosets, depths):
         count = reg.count if model.symbolic else reg.count(p)
-        term = count * p ** (e - d) * (p - 1) ** (c - len(parts))
+        term = count * p_pow[e - d] * q_pow[c - len(parts)]
         texp = reg.quadratic.valuation + reg.rational.valuation
         for k, mult in enumerate(((1,), (1, -1), (1, -2, 1))[len(parts)]):
             num[texp + k] = num[texp + k] + term * mult
-    return num, p**e * (p - 1) ** c
+    return num, p_pow[e] * q_pow[c]
 
 
 def automorphism_measure_inverse(model: LocalModel, triple):

@@ -141,7 +141,11 @@ class IdealCountSeries:
         return self.counts[n - 1]
 
     def __str__(self):
-        return "\n".join(f"{n}\t{a}" for n, a in enumerate(self.counts, start=1))
+        """One line "n<TAB>a_n" per n, formatted by one % operation over the
+        interleaved pairs (n, a_n), with no newline after the last."""
+        pairs = [0] * (2 * self.bound)
+        pairs[::2], pairs[1::2] = range(1, self.bound + 1), self.counts
+        return ("%d\t%d\n" * self.bound)[:-1] % tuple(pairs)
 
 
 def count_ideals(table, bound, maximal=None) -> IdealCountSeries:

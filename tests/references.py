@@ -6,6 +6,10 @@ only the tests run:
   ``stream_count``): every index-n HNF of Z^rank in turn, tested for
   closure under the table, against which the descent's counts are
   checked;
+* ``assemble_global_per_prime``, the Euler product assembled with a
+  residue-degree pattern at every good prime, against which the root
+  counts that ``dirichlet.assemble_global`` takes above sqrt(N) are
+  checked;
 * the tables the tests build (Z[x]/(f), group rings and tensor products)
   and checks of a ``MaximalOrderData`` (its idempotents, its ring);
 * the character layer: real roots by Sturm sequences (``AlgebraicNumber``),
@@ -31,9 +35,9 @@ from math import gcd, isqrt
 
 from tablezeta.algebra import BasisKind, TableAlgebra, action_matrix, check_ring, unit_vectors, validate
 from tablezeta.decomposition import find_generator, powers_of_generator
-from tablezeta.dirichlet import LocalRationalFunction
-from tablezeta.errors import InputError, NotFullRank, TableZetaError, UnsupportedM
-from tablezeta.exact import charpoly, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, mat_mul, valuation
+from tablezeta.dirichlet import LocalRationalFunction, _dedekind_den, _residue_degrees, expand
+from tablezeta.errors import InputError, MissingBadPrime, NotFullRank, TableZetaError, UnsupportedM
+from tablezeta.exact import charpoly, discriminant, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, mat_mul, valuation
 from tablezeta.genus import (
     LatticeHNF,
     LocalModel,
@@ -42,6 +46,7 @@ from tablezeta.genus import (
     _region_sum,
     _to_exps,
 )
+from tablezeta.ideals import IdealCountSeries
 from tablezeta.modp import kernel_mod_pk
 from tablezeta.polys import (
     factor_rational,
@@ -151,6 +156,31 @@ def stream_count(lam, n):
 def stream_series(lam, bound):
     "(a_1, ..., a_bound) by the plain stream."
     return tuple(stream_count(lam, n) for n in range(1, bound + 1))
+
+
+# --- the Euler product, one residue-degree pattern per good prime -----------
+
+
+def assemble_global_per_prime(rings, bad_primes, exceptional, bound):
+    """dirichlet.assemble_global with no root counts: every good prime,
+    p^2 > N or not, gets the sorted residue degrees of the primes above it
+    (``dirichlet._residue_degrees``), and each pattern is expanded once per
+    depth."""
+    for p in bad_primes:
+        if p not in exceptional:
+            raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
+    discs = [discriminant(ring) for ring in rings]
+    good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
+
+    def tower(p, kmax):
+        if p in exceptional:
+            return expand(exceptional[p], kmax)
+        key = (_residue_degrees(rings, p, discs), kmax)
+        if key not in good:
+            good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
+        return good[key]
+
+    return IdealCountSeries.from_towers(bound, tower)
 
 
 # --- tables and checks of the maximal order -----------------------------------

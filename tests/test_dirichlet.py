@@ -8,12 +8,13 @@ from tablezeta import LocalRationalFunction, assemble_global, expand, infer_loca
 from tablezeta.decomposition import maximal_order
 from tablezeta.dirichlet import maximal_local_factor, residue_degrees_mod_p
 from tablezeta.errors import DegreeBoundExceeded, InputError, MissingBadPrime
+from tablezeta.pipeline import infer_exceptional_factors
 from tablezeta.exact import factorize, primes_up_to
-from tablezeta.families import conference, drt, fusion
+from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.polys import pmul
 from tablezeta.ideals import IdealCountSeries, count_ideals, count_ideals_at_prime
 
-from references import quotient_ring_table
+from references import assemble_global_per_prime, quotient_ring_table
 
 GOLDEN_RING = (-1, -1, 1)  # x^2 - x - 1, discriminant 5
 
@@ -128,6 +129,62 @@ def test_assemble_refuses_a_ring_that_is_not_monic():
         assemble_global([(-1, -1, 3)], [], {}, 2)
     with pytest.raises(InputError, match="monic"):
         maximal_local_factor([(-1, -1, 3)], 2)
+
+
+@pytest.mark.parametrize("ring", [(1, 0, 0, 0, 1), (-1, -1, 3)])
+def test_assemble_refusals_survive_the_root_counts(ring):
+    # at bounds 2 and 3 every prime has p^2 > N and takes only a root count;
+    # the refusal must be the one a bound with a residue-degree pattern gives
+    with pytest.raises(InputError) as deep:
+        assemble_global([(0, 1), ring], [], {}, 6561)
+    for bound in (2, 3):
+        with pytest.raises(InputError) as shallow:
+            assemble_global([(0, 1), ring], [], {}, bound)
+        assert str(shallow.value) == str(deep.value)
+
+
+_HAND_RINGS = [
+    [(0, 1)],  # linear: one root at every p
+    [(-1, -1, 1)],  # x^2 - x - 1, D = 5
+    [(-101, 0, 1)],  # D = 404: the good prime 101 divides it
+    [(-2, 0, 0, 1)],  # D = -108, not a square: symbol -1 at half the primes
+    [(1, -1, -2, 1)],  # psu5l2's cubic, D = 49: symbol +1 or 0 at every p
+    [(1,), (0, 1), (-1, -1, 1), (-2, 0, 0, 1)],  # a constant has no root
+    [(0, 1), (0, 1), (1, -1, -2, 1)],
+]
+
+
+@pytest.mark.parametrize("rings", _HAND_RINGS)
+def test_root_counts_equal_the_degree_one_primes(rings):
+    """a_p for p^2 > N is the number of residue-degree-1 primes above p, at
+    every prime up to 6561 (p = 2 and every p <= 81 at N = p)."""
+    deep = assemble_global(rings, [], {}, 6561)
+    for p in primes_up_to(6561):
+        series = deep if p * p > 6561 else assemble_global(rings, [], {}, p)
+        assert series.a(p) == sum(residue_degrees_mod_p(ring, p).count(1) for ring in rings), (rings, p)
+
+
+def test_root_count_at_a_good_prime_dividing_the_discriminant():
+    # x^2 - 101 = x^2 mod 101, one root, and 101^2 > 2000
+    assert residue_degrees_mod_p((-101, 0, 1), 101) == [1]
+    assert assemble_global([(0, 1), (-101, 0, 1)], [], {}, 2000).a(101) == 2
+    # psu5l2's cubic at 7, 7 | D = 49: (x - 3)^3, one root, and 7^2 > 7
+    assert assemble_global([(1, -1, -2, 1)], [], {}, 7).a(7) == 1
+
+
+@pytest.mark.parametrize(
+    "t, bound",
+    [(fusion(name), 6561) for name in FUSION_NAMES]
+    + [(drt(u), 6561) for u in (1, 2, 3, 6)]
+    + [(conference(u), 6561) for u in (1, 3)]
+    + [(conference(25), 2000)],  # its bad prime 101 has 101^2 > 2000: its factor, not a root count
+    ids=[*FUSION_NAMES, "drt1", "drt2", "drt3", "drt6", "conference1", "conference3", "conference25"],
+)
+def test_assemble_equals_the_per_prime_reference(t, bound):
+    data = maximal_order(t)
+    exceptional = {p: f.full for p, f in infer_exceptional_factors(t, data, bound).items()}
+    series = assemble_global(data.rings, data.bad_primes, exceptional, bound)
+    assert series == assemble_global_per_prime(data.rings, data.bad_primes, exceptional, bound)
 
 
 @pytest.mark.parametrize(
@@ -251,6 +308,12 @@ def test_assemble_missing_bad_prime():
     # raised before any local factor is built
     with pytest.raises(MissingBadPrime):
         assemble_global([(-2, 0, 0, 1)], [2, 3], {2: LocalRationalFunction(2, (1,), (1, -1))}, 100)
+
+
+@pytest.mark.parametrize("counts", [(1,), (1, -2, 0, -7), (1, 2**64 + 1, -(2**70), 3)])
+def test_series_prints_one_line_per_coefficient(counts):
+    series = IdealCountSeries(len(counts), counts)
+    assert str(series) == "\n".join(f"{n}\t{a}" for n, a in enumerate(counts, start=1))
 
 
 def test_series_index_outside_bound():
