@@ -252,7 +252,8 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
     discs = [discriminant(ring) for ring in rings]
-    a_p = dict.fromkeys((p for p in primes_up_to(bound) if p * p > bound and p not in exceptional), 0)
+    primes = primes_up_to(bound)
+    a_p = dict.fromkeys((p for p in primes if p * p > bound and p not in exceptional), 0)
     for ring, disc in zip(rings, discs):  # one pass per ring: a constant has no root, a linear ring one
         deg = _checked_degree(ring)
         a_p = {p: a + (deg if deg < 2 else _root_rule(ring, p, disc)) for p, a in a_p.items()}
@@ -268,7 +269,7 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
             good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
         return good[key]
 
-    return IdealCountSeries.from_towers(bound, tower)
+    return IdealCountSeries.from_towers(bound, primes, tower)
 
 
 def _residue_degrees(rings, p, discs):

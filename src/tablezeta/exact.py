@@ -8,6 +8,7 @@ off-diagonal entries reduced modulo the diagonal of their column.
 
 import operator
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 from .errors import InputError
@@ -74,7 +75,7 @@ def primes_up_to(n):
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+    return list(compress(range(n + 1), sieve))
 
 
 def divisors(n):

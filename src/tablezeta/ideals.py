@@ -40,8 +40,12 @@ At an m of residue degree 1 a child's HNF comes from its parent's rows
 with p^2 > bound needs, is the number of maximal ideals of residue
 degree 1 above p: when p does not divide the discriminant D of chi, the
 characteristic polynomial of the first of ``algebra.primitive_elements``,
-the number of roots of chi mod p (``_degree_one_count``).  At every other
-prime the maximal ideals come from ``modp.maximal_ideals``.
+the number of roots of chi mod p (``_degree_one_count``).  A deeper tower
+at such a p takes its maximal ideals from the factors of chi mod p
+(``_maximal``): (theta - a) of degree 1 at each root a, and (c(theta)) of
+degree deg c for c = chi / prod (x - a) if deg c is 2 or 3, as c has no
+root.  If p divides D or deg c > 3, and in ``count_ideals_at_prime``,
+they come from ``modp.maximal_ideals``.
 
 The last level of a tower is counted, not built.  An ideal J of index
 p^k is reached from the ideals K with mK <= J < K, for m the last maximal
@@ -88,7 +92,7 @@ from itertools import product
 from .algebra import action_matrix, check_ring, primitive_elements, unit_vectors
 from .errors import InputError
 from .exact import int_tuple, is_prime, primes_up_to
-from .modp import kernel, maximal_ideals, pivots, root_count, rref
+from .modp import MaximalIdeal, kernel, maximal_ideals, multiply, pivots, root_count, rref, split_roots
 
 
 @dataclass(frozen=True)
@@ -110,15 +114,15 @@ class IdealCountSeries:
             raise InputError("a_1 must be 1")
 
     @classmethod
-    def from_towers(cls, bound, tower):
+    def from_towers(cls, bound, primes, tower):
         """The multiplicative series to bound: a_n is the product of the
         a_{p^k} with p^k || n, where tower(p, kmax) is [a_1, a_p, ...,
-        a_{p^kmax}] for each prime p <= bound, kmax the largest k with
-        p^k <= bound.  The sweep multiplies the multiples of p by a_p in one
-        slice, and for p^2 <= bound lays each a_{p^k} over the multiples of
-        p^k in turn, so that no valuation is computed."""
+        a_{p^kmax}] for each p in ``primes``, the primes up to bound, kmax
+        the largest k with p^k <= bound.  The sweep multiplies the multiples
+        of p by a_p in one slice, and for p^2 <= bound lays each a_{p^k} over
+        the multiples of p^k in turn, so that no valuation is computed."""
         coeffs = [1] * (bound + 1)  # index by n, entry 0 unused
-        for p in primes_up_to(bound):
+        for p in primes:
             kmax = 1
             while p ** (kmax + 1) <= bound:
                 kmax += 1
@@ -161,7 +165,7 @@ def count_ideals(table, bound, maximal=None) -> IdealCountSeries:
         raise InputError("bound must be >= 1")
     check_ring(table)
     split = _splitting_element(table)
-    return IdealCountSeries.from_towers(bound, lambda p, kmax: _descend(table, p, kmax, maximal, split))
+    return IdealCountSeries.from_towers(bound, primes_up_to(bound), lambda p, k: _descend(table, p, k, maximal, split))
 
 
 def count_ideals_at_prime(table, p, kmax, maximal=None):
@@ -178,7 +182,7 @@ def count_ideals_at_prime(table, p, kmax, maximal=None):
 def _descend(table, p, kmax, maximal, split):
     """[a_1, a_p, ..., a_{p^kmax}]: the number of ideals of index p^k for
     each k <= kmax.  ``maximal``, None or a dict as for count_ideals, maps
-    p to ``maximal_ideals(table, p)``; a list it lacks is computed and added.
+    p to ``maximal_ideals(table, p)``; ``_maximal`` reads and adds to it.
     A tower of depth 1 is [1, the number of maximal ideals of residue
     degree 1 above p] (``_degree_one_count``, which reads the roots of chi
     mod p off ``split``, from ``_splitting_element``, when p does not
@@ -188,7 +192,7 @@ def _descend(table, p, kmax, maximal, split):
     maximal ideal m of residue degree f above p with k + f <= kmax, the
     children J with mI <= J < I and I/J = F_q, q = p^f: the
     F_q-hyperplanes of I/mI.  The maximal ideals are taken in a fixed
-    order (as ``maximal_ideals`` lists them), and I gets children only at
+    order (by their bases, on both routes), and I gets children only at
     the m of its own last step and after it.  Every ideal J of index at
     most p^kmax is still reached: Lambda/J is the direct sum of its
     localizations at the m in its support (Solomon 1977; Bushnell-Reiner
@@ -228,7 +232,7 @@ def _descend(table, p, kmax, maximal, split):
     r = len(table)
     acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]]  # b_1 .. b_(r-1); b_0 is the identity
     # (m, the action matrices of the generators of m)
-    steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal)]
+    steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal, split)]
     last, f_last = len(steps) - 1, steps[-1][0].f
     # k < kmax -> {HNF rows: position in steps of the last step}; level kmax is never built
     levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax - 1)]
@@ -304,8 +308,25 @@ def _splitting_element(table):
     return next(primitive_elements(table), None)
 
 
-def _maximal(table, p, maximal):
-    "maximal_ideals(table, p), computed once per dict ``maximal``."
+def _maximal(table, p, maximal, split):
+    """The maximal ideals of Lambda/pLambda, ordered by their bases: if p
+    does not divide D, for (theta, chi, D) = ``split``, the (g(theta)) for
+    the factors g of chi mod p, x - a at each root a and the cofactor c if
+    deg c <= 3 (the module docstring), each with the echelon basis of
+    g(theta) Lambda and the generator g(theta) if it is not 0; otherwise
+    ``maximal_ideals(table, p)``, computed once per dict ``maximal``."""
+    if split and split[2] % p:
+        roots, c = split_roots(split[1], p)
+        if len(c) < 5:  # deg c <= 3
+            out = []
+            for g in [[-a % p, 1] for a in roots] + ([c] if len(c) > 1 else []):
+                at = (g[-1],) + (0,) * (len(table) - 1)  # g(theta) by Horner's rule
+                for x in reversed(g[:-1]):
+                    at = multiply(table, at, split[0], p)
+                    at = ((at[0] + x) % p, *at[1:])
+                basis = rref(action_matrix(table, at), p)
+                out.append(MaximalIdeal(len(g) - 1, basis, (at,) if basis else ()))
+            return sorted(out, key=lambda m: m.basis)
     if p not in maximal:
         maximal[p] = maximal_ideals(table, p)
     return maximal[p]
@@ -329,7 +350,7 @@ def _degree_one_count(table, split, p, maximal):
     are the (theta - a) for the roots a of chi mod p."""
     if split and split[2] % p:
         return root_count(split[1], p)
-    return sum(1 for m in _maximal(table, p, maximal) if m.f == 1)
+    return sum(1 for m in _maximal(table, p, maximal, None) if m.f == 1)
 
 
 def _products(rows, act):

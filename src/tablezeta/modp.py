@@ -1,6 +1,6 @@
-"""Linear algebra over F_p and Z/p^K, the number of roots of a
-polynomial mod p, the maximal ideals of Lambda / p Lambda and the socle
-test of whether Lambda_p is Gorenstein.
+"""Linear algebra over F_p and Z/p^K, the roots of a polynomial mod p
+(their number, or the roots and the cofactor), the maximal ideals of
+Lambda / p Lambda and the socle test of whether Lambda_p is Gorenstein.
 
 Vectors are tuples of integers reduced into [0, p); a subspace is the
 tuple of its reduced row echelon basis (leading entry 1, zeros above and
@@ -36,7 +36,7 @@ from .algebra import action_matrix, unit_vectors
 from .exact import charpoly, hnf_square, mat_mul
 
 # f: residue degree [A : m] over F_p; basis: the reduced row echelon basis
-# of m; generators: members of the basis that generate m as an ideal
+# of m; generators: elements of m that generate it as an ideal
 MaximalIdeal = namedtuple("MaximalIdeal", "f basis generators")
 
 
@@ -213,6 +213,21 @@ def root_count(poly, p):
     return _fp_gcd_deg(_fp_trim(f), moved, p)
 
 
+def split_roots(poly, p):
+    """The roots in F_p of an integer polynomial f, squarefree mod p, by
+    ascending coefficients, and f / prod (x - a) mod p: one synthetic
+    division by x - a at each a (Horner's rule), kept if it leaves 0."""
+    c, roots = [x % p for x in poly], []
+    for a in range(p):
+        q = [c[-1]]
+        for x in reversed(c[:-1]):
+            q.append((q[-1] * a + x) % p)
+        if not q.pop():
+            roots.append(a)
+            c = q[::-1]
+    return roots, c
+
+
 def maximal_ideals(lam, p):
     """The maximal ideals of Lambda / p Lambda with their residue degrees,
     ordered by their bases."""
@@ -231,6 +246,8 @@ def maximal_ideals(lam, p):
     for t in fixed:
         if len(ideals) == fields:
             break
+        if not any(t[1:]):  # a scalar takes one value on every field: it splits nothing
+            continue
         # the values of t on the fields are roots of its characteristic polynomial
         chi = charpoly(action_matrix(lam, t))
         values = [x for x in range(p) if _horner(chi, x, p) == 0]
@@ -273,12 +290,17 @@ def is_gorenstein(lam, ideals, p):
 
 def _ideal_generators(lam, basis, p):
     """A few members of the basis of an ideal that generate it: each is
-    the one that enlarges the ideal generated so far the most."""
+    the first that enlarges the ideal generated so far the most, and a
+    round stops at the first that completes it."""
     gens, span = [], ()
     while len(span) < len(basis):
-        span, g = max(
-            ((rref(span + action_matrix(lam, g), p), g) for g in basis),
-            key=lambda pair: len(pair[0]),
-        )
+        best = None
+        for g in basis:
+            grown = rref(span + action_matrix(lam, g), p)
+            if best is None or len(grown) > len(best[0]):
+                best = grown, g
+                if len(grown) == len(basis):
+                    break
+        span, g = best
         gens.append(g)
     return tuple(gens)

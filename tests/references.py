@@ -10,8 +10,12 @@ only the tests run:
   residue-degree pattern at every good prime, against which the root
   counts that ``dirichlet.assemble_global`` takes above sqrt(N) are
   checked;
-* the tables the tests build (Z[x]/(f), group rings and tensor products)
-  and checks of a ``MaximalOrderData`` (its idempotents, its ring);
+* the tables the tests build (Z[x]/(f), group rings and tensor products,
+  and ``good_prime_tables``, on which the maximal ideals at the primes
+  prime to D are checked) and checks of a ``MaximalOrderData`` (its
+  idempotents, its ring);
+* ``greedy_ideal_generators``, the generator search of
+  ``modp.maximal_ideals`` that takes every member's span in every round;
 * the character layer: real roots by Sturm sequences (``AlgebraicNumber``),
   arithmetic in Q[x]/(f) (``FieldElt``), the degree map and the rescaling
   of a basis, and the character table, whose idempotents are a second
@@ -37,7 +41,8 @@ from tablezeta.algebra import BasisKind, TableAlgebra, action_matrix, check_ring
 from tablezeta.decomposition import find_generator, powers_of_generator
 from tablezeta.dirichlet import LocalRationalFunction, _dedekind_den, _residue_degrees, expand
 from tablezeta.errors import InputError, MissingBadPrime, NotFullRank, TableZetaError, UnsupportedM
-from tablezeta.exact import charpoly, discriminant, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, mat_mul, valuation
+from tablezeta.exact import charpoly, discriminant, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, mat_mul, primes_up_to, valuation
+from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.genus import (
     LatticeHNF,
     LocalModel,
@@ -47,7 +52,7 @@ from tablezeta.genus import (
     _to_exps,
 )
 from tablezeta.ideals import IdealCountSeries
-from tablezeta.modp import kernel_mod_pk
+from tablezeta.modp import kernel_mod_pk, rref
 from tablezeta.polys import (
     factor_rational,
     pdeg,
@@ -180,7 +185,7 @@ def assemble_global_per_prime(rings, bad_primes, exceptional, bound):
             good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
         return good[key]
 
-    return IdealCountSeries.from_towers(bound, tower)
+    return IdealCountSeries.from_towers(bound, primes_up_to(bound), tower)
 
 
 # --- tables and checks of the maximal order -----------------------------------
@@ -218,6 +223,31 @@ def group_table(order, mul):
     return tuple(
         tuple(tuple(1 if mul(i, j) == k else 0 for k in range(order)) for j in range(order)) for i in range(order)
     )
+
+
+def good_prime_tables():
+    """{label: table}: the fusion rings, drt(1, 2, 3, 6, 15, 24, 60),
+    conference(1, 3, 4), Z[C3], Z[C4], Z[C6] and fib (x) Z[C2]."""
+    tables = {name: fusion(name).lam for name in FUSION_NAMES}
+    tables.update({f"drt({u})": drt(u).lam for u in (1, 2, 3, 6, 15, 24, 60)})
+    tables.update({f"conference({u})": conference(u).lam for u in (1, 3, 4)})
+    tables.update({f"Z[C{n}]": group_table(n, lambda i, j, n=n: (i + j) % n) for n in (3, 4, 6)})
+    tables["fib x c2"] = tensor_table(fusion("fib").lam, group_table(2, lambda i, j: i ^ j))
+    return tables
+
+
+def greedy_ideal_generators(lam, basis, p):
+    """Members of the basis of an ideal that generate it, each the first
+    that enlarges the ideal generated so far the most, found by taking the
+    span of every member in every round."""
+    gens, span = [], ()
+    while len(span) < len(basis):
+        span, g = max(
+            ((rref(span + action_matrix(lam, g), p), g) for g in basis),
+            key=lambda pair: len(pair[0]),
+        )
+        gens.append(g)
+    return tuple(gens)
 
 
 def tensor_table(a, b):

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime
+from tablezeta.algebra import action_matrix
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import LocalRationalFunction, expand, maximal_local_factor, theorem_local_factor
-from tablezeta import ideals
+from tablezeta import ideals, pipeline
 from tablezeta.ideals import (
     IdealCountSeries,
     _degree_one_children,
@@ -20,10 +21,12 @@ from tablezeta.ideals import (
 from tablezeta.exact import factorize, hnf, primes_up_to
 from tablezeta.modp import kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
+from tablezeta.pipeline import verify_order
 
 from references import (
     divisor_tuples,
     enumerate_sublattices,
+    good_prime_tables,
     group_table,
     is_ideal,
     quotient_ring_table,
@@ -252,6 +255,62 @@ def test_root_count_needs_p_prime_to_d():
     assert count_ideals(lam, 24).a(5) == 4
 
 
+GOOD_PRIME_TABLES = good_prime_tables()
+
+
+@pytest.mark.parametrize("label", GOOD_PRIME_TABLES)
+def test_maximal_ideals_at_good_primes_come_from_the_roots_of_chi(label):
+    # at every p <= 200 prime to D the maximal ideals that the descent
+    # takes, (g(theta)) for the factors g of chi mod p, are those of
+    # maximal_ideals, in (f, basis) and order, and each generator
+    # generates its ideal
+    lam = GOOD_PRIME_TABLES[label]
+    split = _splitting_element(lam)
+    for p in primes_up_to(200):
+        if split[2] % p:
+            found = ideals._maximal(lam, p, {}, split)
+            assert [(m.f, m.basis) for m in found] == [(m.f, m.basis) for m in maximal_ideals(lam, p)], p
+            for m in found:
+                assert rref([row for g in m.generators for row in action_matrix(lam, g)], p) == m.basis, p
+
+
+def record_maximal_ideals(monkeypatch):
+    "The primes at which the package calls modp.maximal_ideals, in order."
+    called = []
+
+    def recording(lam, p):
+        called.append(p)
+        return maximal_ideals(lam, p)
+
+    for module in (ideals, pipeline):
+        monkeypatch.setattr(module, "maximal_ideals", recording)
+    return called
+
+
+def test_a_cofactor_of_degree_four_takes_maximal_ideals(monkeypatch):
+    # Z[C5], chi = x^5 - 1, D = 5^5: at p = 2, 3, 7, 13, 17 and 19 the
+    # cofactor of x - 1 has degree 4 (irreducible, or at 19 two quadratics),
+    # so the descent asks maximal_ideals; at 11 chi splits into five roots;
+    # 5 divides D.  The counts equal those with the route taken nowhere
+    lam = group_table(5, lambda i, j: (i + j) % 5)
+    called = record_maximal_ideals(monkeypatch)
+    series = count_ideals(lam, 400)
+    assert called == [2, 3, 5, 7, 13, 17, 19]
+    maximal = ideals._maximal
+    monkeypatch.setattr(ideals, "_maximal", lambda table, p, known, split: maximal(table, p, known, None))
+    assert series == count_ideals(lam, 400)
+    assert 11 in called
+
+
+@pytest.mark.parametrize("name, bad", [("c3", 3), ("fib", 5)])
+def test_verify_asks_maximal_ideals_only_where_p_divides_d(monkeypatch, name, bad):
+    # of the primes p <= 7 whose towers reach p^2 at N = 64, only the one
+    # dividing D takes maximal_ideals, once for the count and its oracle
+    called = record_maximal_ideals(monkeypatch)
+    assert verify_order(fusion(name), 64).passed
+    assert called == [bad]
+
+
 def test_residue_degree_two_towers_match_stream():
     # composite coefficients from towers with a maximal ideal of residue
     # degree 2: in Z[i] index 36 = 4 * 9 at the inert 3, in Z[x]/(x^3 - 2)
@@ -450,7 +509,7 @@ def test_from_towers_is_the_product_over_prime_powers(bound, data):
         towers[p] = [1] + data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=kmax, max_size=kmax))
         return towers[p]
 
-    series = IdealCountSeries.from_towers(bound, tower)
+    series = IdealCountSeries.from_towers(bound, primes_up_to(bound), tower)
     assert sorted(towers) == primes_up_to(bound)
     for n in range(1, bound + 1):
         want = 1

@@ -3,10 +3,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablezeta.decomposition import maximal_order
-from tablezeta.exact import hnf, hnf_square
+from tablezeta.exact import hnf, hnf_square, primes_up_to
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.modp import (
     _horner,
+    _ideal_generators,
     is_gorenstein,
     kernel,
     kernel_mod_pk,
@@ -16,9 +17,10 @@ from tablezeta.modp import (
     root_count,
     rref,
     socle_dimension,
+    split_roots,
 )
 
-from references import quotient_ring_table
+from references import good_prime_tables, greedy_ideal_generators, quotient_ring_table
 
 
 def residue_degrees(lam, p):
@@ -185,3 +187,28 @@ def test_socle_of_a_field_is_the_field():
     lam = quotient_ring_table((-1, -1, 1))
     (m,) = maximal_ideals(lam, 2)
     assert (m.f, socle_dimension(lam, m, 2)) == (2, 2)
+
+
+@pytest.mark.parametrize("label, lam", list(good_prime_tables().items()))
+def test_generator_search_stops_where_the_greedy_search_ends(label, lam):
+    # the round that stops at the first member completing the ideal picks
+    # the members the full greedy round picks, at every maximal ideal at
+    # every p <= 200, p | D included
+    for p in primes_up_to(200):
+        for m in maximal_ideals(lam, p):
+            assert m.generators == _ideal_generators(lam, m.basis, p) == greedy_ideal_generators(lam, m.basis, p), p
+
+
+@pytest.mark.parametrize(
+    "poly, p",
+    [((-1, -1, 1), 11), ((-1, -1, 1), 2), ((-1, 0, 0, 0, 0, 1), 11), ((-1, 0, 0, 0, 0, 1), 19), ((-2, 0, 0, 1), 31), ((6, -5, 1), 7)],
+)
+def test_split_roots_divides_out_each_root(poly, p):
+    # squarefree mod p: the roots are the Horner scan's, and chi is the
+    # cofactor times the product of the x - a, mod p
+    roots, cofactor = split_roots(poly, p)
+    assert roots == [a for a in range(p) if _horner(poly, a, p) == 0]
+    product = cofactor
+    for a in roots:
+        product = [(low - a * high) % p for low, high in zip([0] + product, product + [0])]
+    assert product == [x % p for x in poly]
