@@ -80,8 +80,16 @@ def unit_vectors(r):
 
 
 def action_matrix(lam, g):
-    "The action matrix of g: row l is g b_l, so x . A is g x for a row vector x."
-    return tuple(multiply(lam, g, e) for e in unit_vectors(len(lam)))
+    """The action matrix of g: row l is g b_l = sum_i g_i lambda[i][l], so
+    x . A is g x for a row vector x."""
+    out = [[0] * len(lam) for _ in lam]
+    for gi, plane in zip(g, lam):
+        if gi:
+            for row, lam_row in zip(out, plane):
+                for k, x in enumerate(lam_row):
+                    if x:
+                        row[k] += gi * x
+    return tuple(map(tuple, out))
 
 
 def primitive_elements(lam):

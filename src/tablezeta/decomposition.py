@@ -11,17 +11,22 @@ of degree = rank, factor mu over Q, and read off
   * a Z-basis of the maximal order Lambda_0, the index [Lambda_0 : ZB],
     the conductor, and the bad primes.
 
-maximal_order runs this once and returns all of it in one MaximalOrderData.
+maximal_order runs this once, factoring mu and certifying its components
+once, and returns all of it in one MaximalOrderData.  It computes in
+integers: each idempotent and each row of Lambda_0 is an integer vector
+over one denominator, and the index and the check that ZB lies in
+Lambda_0 come from one Hermite normal form.  Fractions are made only for
+the record's fields.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import TableAlgebra, check_ring, multiply, primitive_elements, unit_vectors
 from .errors import MaximalityUncertified, NotMonogenic
-from .exact import discriminant, factorize, fmat_det, fmat_inv, squarefree_kernel, valuation
-from .polys import factor_rational, pdeg, pdiv_exact, pdivmod, pinv_mod, pmul
+from .exact import bareiss_det, discriminant, factorize, hnf, lattice_det, squarefree_kernel, valuation
+from .polys import factor_rational, pdeg, pdiv_exact, pmul
 
 CERTIFIED_CUBIC = (1, -1, -2, 1)  # x^3 - 2x^2 - x + 1, ring of integers of its field
 
@@ -40,17 +45,22 @@ def find_generator(t: TableAlgebra):
     irreducible factors that all admit a certified maximal order, and mu.
     Falls back to the first primitive element when no candidate is fully
     certifiable (maximal_order will then refuse)."""
+    return _generator(t)[:2]
+
+
+def _generator(t: TableAlgebra):
+    """(theta, mu, D, factors, rings) for find_generator's theta, after
+    ``algebra.check_ring``: D = disc mu, the irreducible factors of mu and
+    ``_ring_polynomial`` of each, or None in place of the rings for the
+    fallback."""
     check_ring(t.lam)
     first = None
-    for theta, mu, _ in primitive_elements(t.lam):
-        if first is None:
-            first = (theta, mu)
+    for theta, mu, disc in primitive_elements(t.lam):
+        factors = factor_rational(mu)
         try:
-            for f in factor_rational(mu):
-                _ring_polynomial(f)
+            return theta, mu, disc, factors, [_ring_polynomial(f) for f in factors]
         except MaximalityUncertified:
-            continue
-        return theta, mu
+            first = first or (theta, mu, disc, factors, None)
     if first is not None:
         return first
     raise NotMonogenic("no candidate primitive element generates the algebra over Q")
@@ -59,59 +69,64 @@ def find_generator(t: TableAlgebra):
 def _ring_polynomial(f):
     """(R, omega) for an irreducible monic f of degree <= 3: Z[omega] is
     the ring of integers of Q[x]/(f), R is the defining polynomial of
-    omega and omega = c_0 + c_1 x is given as (c_0, c_1).  In degree 1,
-    and in degree 3 for the certified cubic, whose own ring of integers
-    it is, that is (f, x).  In degree 2, with disc(f) = d0 s^2 for the
-    squarefree kernel d0, omega is (s + b + 2x)/(2s) = (1 + sqrt(d0))/2,
+    omega and omega = (a_0 + a_1 x) / s is given as (a_0, a_1, s).  In
+    degree 1, and in degree 3 for the certified cubic, whose own ring of
+    integers it is, that is (f, x).  In degree 2, with disc(f) = d0 s^2 for
+    the squarefree kernel d0, omega is (s + b + 2x)/(2s) = (1 + sqrt(d0))/2,
     a root of x^2 - x + (1 - d0)/4, when d0 is 1 mod 4, and else
     (b + 2x)/s = sqrt(d0), a root of x^2 - d0, where b = f[1]."""
     d = pdeg(f)
     if d == 1 or (d == 3 and tuple(f) == CERTIFIED_CUBIC):
-        return f, (0, 1)
+        return f, (0, 1, 1)
     if d == 2:
         b = f[1]
         d0, s = squarefree_kernel(discriminant(f))
         if d0 % 4 == 1:
-            return ((1 - d0) // 4, -1, 1), (Fraction(s + b, 2 * s), Fraction(1, s))
-        return (-d0, 0, 1), (Fraction(b, s), Fraction(2, s))
+            return ((1 - d0) // 4, -1, 1), (s + b, 2, 2 * s)
+        return (-d0, 0, 1), (b, 2, s)
     if d == 3:
         raise MaximalityUncertified(f"cubic {f} carries no maximality certificate")
     raise MaximalityUncertified(f"no maximal-order rule for degree {d}")
 
 
-def _crt_idempotents(t: TableAlgebra, theta, mu, factors):
-    """The primitive idempotents of QB, one per irreducible factor f of mu,
-    as rational vectors in B: the CRT projector ((mu/f) * ((mu/f)^-1 mod
-    f))(theta), reduced mod mu."""
-    pw = powers_of_generator(t, theta)
-    d = t.rank
-    out = []
-    for f in factors:
-        h = pdiv_exact(mu, f)
-        _, epoly = pdivmod(pmul(h, pinv_mod(h, f)), mu)
-        vec = [Fraction(0)] * d
-        for k, coeff in enumerate(epoly):
-            if coeff:
-                for c in range(d):
-                    vec[c] += Fraction(coeff) * pw[k][c]
-        out.append(tuple(vec))
-    return out
+def _inverse_mod(h, f):
+    """(u, n): integer u and n with u / n = h^-1 mod f, for an integer h
+    prime to the monic f.  The matrix M of multiplication by h on
+    Q[x]/(f), whose row j is x^j h mod f, is an integer matrix, and u M =
+    (1, 0, ..., 0); by Cramer's rule n = det M and u_j is the determinant
+    of M with row j replaced by (1, 0, ..., 0)."""
+    d = len(f) - 1
+    rows = []
+    for j in range(d):
+        a = [0] * j + list(h)
+        for shift in range(len(a) - 1 - d, -1, -1):  # a mod f, in integers since f is monic
+            c = a[shift + d]
+            if c:
+                for i, fi in enumerate(f):
+                    a[shift + i] -= c * fi
+        rows.append((a + [0] * d)[:d])
+    unit = [1] + [0] * (d - 1)
+    return tuple(bareiss_det(rows[:j] + [unit] + rows[j + 1 :]) for j in range(d)), bareiss_det(rows)
 
 
 @dataclass
 class MaximalOrderData:
     """The analysed order: the generator theta (a vector in basis B), its
-    minimal polynomial, the irreducible factors of that polynomial, the
-    primitive idempotents (rational vectors in basis B) and the defining
-    polynomials of the components' rings of integers, all aligned with the
-    factors; and the maximal order Lambda_0 built from them."""
+    minimal polynomial and the discriminant D of that polynomial, its
+    irreducible factors, the primitive idempotents (rational vectors in
+    basis B) and the defining polynomials of the components' rings of
+    integers, all aligned with the factors; and the maximal order Lambda_0
+    built from them.  (theta, mu, D) is the triple of
+    ``algebra.primitive_elements`` that the counts take as the table's
+    splitting element."""
 
     generator: tuple
     minpoly: tuple
+    discriminant: int
     factors: list
     idempotents: list
     rings: tuple  # defining polynomial of each component's ring of integers
-    basis: tuple  # rows: Lambda_0 basis vectors in B coordinates (Fractions)
+    basis: tuple  # rows: Lambda_0 basis vectors in B coordinates, Fractions of the integer rows over their denominators
     index: int
     conductor: int
     bad_primes: list
@@ -160,45 +175,66 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     which are exactly the p with Z_p B != Lambda_{0,p}.  This is the one
     pass through generator, factors, component rings and idempotents, and
     the result carries all of them.
+
+    In integers.  The idempotent of a factor f, with h = mu / f, is
+    h u(theta) / n for h^-1 = u / n mod f (``_inverse_mod``; deg h u <
+    deg mu, so nothing is reduced mod mu), and the rows e, omega e, ...
+    of its component are integer vectors over n, n s, ...  The conductor
+    c is the lcm of the rows' denominators in lowest terms, so c Lambda_0
+    is the integer lattice L of the rows times c, with HNF H.  Then
+    [Lambda_0 : ZB] = [L : c Z^r] = c^r / prod diag H, and ZB is in
+    Lambda_0 when each c b_i reduces to 0 by the rows of H (Cohen, A
+    Course in Computational Algebraic Number Theory, GTM 138, 2.4).
+    A rank of H below r, an index that is not an integer and a c b_i
+    outside L each raise MaximalityUncertified.
     """
-    theta, mu = find_generator(t)
-    factors = factor_rational(mu)
-    rings, omegas = zip(*map(_ring_polynomial, factors))
-    idems = _crt_idempotents(t, theta, mu, factors)
-    one = unit_vectors(t.rank)[0]
+    theta, mu, disc, factors, rings = _generator(t)
+    if rings is None:
+        rings = [_ring_polynomial(f) for f in factors]  # refuses the first uncertified component
+    r = t.rank
+    powers = powers_of_generator(t, theta)
+    one = unit_vectors(r)[0]
 
-    rows = []  # e, omega e, omega^2 e, ... for each component
-    for ring, (c0, c1), e in zip(rings, omegas, idems):
-        omega = tuple(c0 * x + c1 * y for x, y in zip(one, theta))
-        rows.append(e)
+    idems, rows = [], []  # rows: (integer vector, denominator) for e, omega e, omega^2 e, ... of each component
+    for f, (ring, (a0, a1, s)) in zip(factors, rings):
+        h = pdiv_exact(mu, f)
+        u, n = _inverse_mod(h, f)
+        e = [0] * r
+        for k, coeff in enumerate(pmul(h, u)):
+            if coeff:
+                for c, x in enumerate(powers[k]):
+                    e[c] += coeff * x
+        idems.append(tuple(Fraction(x, n) for x in e))
+        omega = tuple(a0 * x + a1 * y for x, y in zip(one, theta))
+        rows.append((tuple(e), n))
         for _ in range(pdeg(ring) - 1):
-            rows.append(multiply(t.lam, omega, rows[-1]))
-    basis = tuple(rows)
+            v, d = rows[-1]
+            rows.append((multiply(t.lam, omega, v), d * s))
 
-    det = fmat_det(basis)
-    if det == 0:
+    conductor = lcm(*(d // gcd(d, *v) for v, d in rows))
+    lattice = hnf([[x * conductor // d for x in v] for v, d in rows])
+    if len(lattice) < r:
         raise MaximalityUncertified("degenerate maximal-order basis")
-    index_fr = 1 / abs(det)
-    if index_fr.denominator != 1:
-        raise MaximalityUncertified(f"non-integral index {index_fr}")
-    index = int(index_fr)
+    index, rest = divmod(conductor**r, lattice_det(lattice))
+    if rest:
+        raise MaximalityUncertified(f"non-integral index {Fraction(conductor**r, lattice_det(lattice))}")
+    for i in range(r):
+        v = [conductor * (j == i) for j in range(r)]
+        for k, row in enumerate(lattice):
+            q, rest = divmod(v[k], row[k])
+            if rest:
+                raise MaximalityUncertified("ZB is not contained in the assembled order")
+            v = [x - q * y for x, y in zip(v, row)]
 
-    inv_basis = fmat_inv(basis)
-    if any(Fraction(x).denominator != 1 for row in inv_basis for x in row):
-        raise MaximalityUncertified("ZB is not contained in the assembled order")
-
-    conductor = lcm(*(Fraction(x).denominator for row in basis for x in row))
-
-    bad = sorted(factorize(conductor).keys())
     return MaximalOrderData(
         generator=theta,
         minpoly=mu,
+        discriminant=disc,
         factors=factors,
         idempotents=idems,
-        rings=rings,
-        basis=basis,
+        rings=tuple(ring for ring, _ in rings),
+        basis=tuple(tuple(Fraction(x, d) for x in v) for v, d in rows),
         index=index,
         conductor=conductor,
-        bad_primes=bad,
+        bad_primes=sorted(factorize(conductor)),
     )
-

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: input problems -> 2, declared
-unsupported cases -> 3, verification failure -> 1.
+The CLI maps these onto exit codes: input problems and the other errors
+here -> 2, declared unsupported cases -> 3, verification failure -> 1,
+and an ArithmeticError, a failed internal consistency check, -> 4.
 """
 
 

@@ -1,13 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra and elementary number theory.
 
-Everything here works on plain Python ints / Fractions: matrices are
-tuples of tuples, vectors are tuples.  Lattices are row-generated; a
-Hermite normal form is upper triangular with positive diagonal and
-off-diagonal entries reduced modulo the diagonal of their column.
+Everything here works on plain Python ints: matrices are tuples of
+tuples, vectors are tuples, and no Fraction matrix is formed.  Lattices
+are row-generated; a Hermite normal form is upper triangular with
+positive diagonal and off-diagonal entries reduced modulo the diagonal
+of their column.
 """
 
 import operator
-from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
@@ -167,55 +167,6 @@ def abs_prod(xs):
     for x in xs:
         out *= x
     return abs(out)
-
-
-# --- Fraction matrices -----------------------------------------------------
-
-
-def fmat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def fmat_det(rows):
-    m = [list(r) for r in fmat(rows)]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def fmat_inv(rows):
-    a = [list(r) for r in fmat(rows)]
-    n = len(a)
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = 1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
-        inv[col] = [x * f for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(r) for r in inv)
 
 
 def bareiss_det(rows):

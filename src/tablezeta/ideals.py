@@ -39,13 +39,15 @@ At an m of residue degree 1 a child's HNF comes from its parent's rows
 (``_degree_one_children``).  A tower of depth 1, which is what every p
 with p^2 > bound needs, is the number of maximal ideals of residue
 degree 1 above p: when p does not divide the discriminant D of chi, the
-characteristic polynomial of the first of ``algebra.primitive_elements``,
-the number of roots of chi mod p (``_degree_one_count``).  A deeper tower
-at such a p takes its maximal ideals from the factors of chi mod p
-(``_maximal``): (theta - a) of degree 1 at each root a, and (c(theta)) of
-degree deg c for c = chi / prod (x - a) if deg c is 2 or 3, as c has no
-root.  If p divides D or deg c > 3, and in ``count_ideals_at_prime``,
-they come from ``modp.maximal_ideals``.
+characteristic polynomial of a primitive element theta (the first of
+``algebra.primitive_elements``, or the generator that ``pipeline`` takes
+from ``decomposition.maximal_order``), the number of roots of chi mod p
+(``_degree_one_count``).  A deeper tower at such a p takes its maximal
+ideals from the factors of chi mod p (``_maximal``): (theta - a) of
+degree 1 at each root a, and (c(theta)) of degree deg c for c = chi /
+prod (x - a) if deg c is 2 or 3, as c has no root.  If p divides D or
+deg c > 3, and in ``count_ideals_at_prime``, they come from
+``modp.maximal_ideals``.
 
 The last level of a tower is counted, not built.  An ideal J of index
 p^k is reached from the ideals K with mK <= J < K, for m the last maximal
@@ -83,7 +85,9 @@ the time now goes.
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
 ``algebra.check_ring``: a non-commutative one with ``NonCommutative``,
-any other with ``InputError``.
+any other with ``InputError``.  ``pipeline`` alone skips that check, and
+the search for theta, by handing on the (theta, chi, D) of a
+``decomposition.maximal_order`` that has checked the table.
 """
 
 from dataclasses import dataclass
@@ -152,7 +156,7 @@ class IdealCountSeries:
         return ("%d\t%d\n" * self.bound)[:-1] % tuple(pairs)
 
 
-def count_ideals(table, bound, maximal=None) -> IdealCountSeries:
+def count_ideals(table, bound, maximal=None, *, _split=None) -> IdealCountSeries:
     """a_n = number of index-n ideal sublattices for n = 1..bound.  The
     descent counts the tower a_1, a_p, ..., a_{p^k} with p^k <= bound at
     each prime p <= bound, and a_n for every other n is the product of the
@@ -160,23 +164,30 @@ def count_ideals(table, bound, maximal=None) -> IdealCountSeries:
     coefficient is a product of counted ones, by the theorem in the module
     docstring, not a count of its own.  ``maximal``, if given, is a dict
     {p: modp.maximal_ideals(table, p)} that the count reads and adds to, so
-    that counts on one table share each list."""
+    that counts on one table share each list.  ``_split`` is for
+    ``pipeline`` alone: the (theta, chi, D) of the ``MaximalOrderData`` of
+    a ``decomposition.maximal_order`` that has checked the table, so that
+    the count neither checks it again nor looks for a primitive element."""
     if bound < 1:
         raise InputError("bound must be >= 1")
-    check_ring(table)
-    split = _splitting_element(table)
+    if _split is None:
+        check_ring(table)
+    split = _split or _splitting_element(table)
     return IdealCountSeries.from_towers(bound, primes_up_to(bound), lambda p, k: _descend(table, p, k, maximal, split))
 
 
-def count_ideals_at_prime(table, p, kmax, maximal=None):
+def count_ideals_at_prime(table, p, kmax, maximal=None, *, _split=None):
     """[a_1, a_p, ..., a_{p^kmax}]: the prime-power restriction, computed
-    directly by the descent at p; ``maximal`` as for count_ideals."""
+    directly by the descent at p; ``maximal`` and ``_split`` as for
+    count_ideals."""
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if kmax < 0:
         raise InputError(f"kmax must be at least 0, got {kmax}")
-    check_ring(table)
-    return _descend(table, p, kmax, maximal, _splitting_element(table) if kmax == 1 else None)
+    if _split is None:
+        check_ring(table)
+    split = (_split or _splitting_element(table)) if kmax == 1 else None
+    return _descend(table, p, kmax, maximal, split)
 
 
 def _descend(table, p, kmax, maximal, split):
@@ -230,9 +241,10 @@ def _descend(table, p, kmax, maximal, split):
     if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1
         return [1, _degree_one_count(table, split, p, maximal)][: kmax + 1]
     r = len(table)
-    acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]]  # b_1 .. b_(r-1); b_0 is the identity
     # (m, the action matrices of the generators of m)
     steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal, split)]
+    # b_1 .. b_(r-1), for the hyperplanes at an m of residue degree f > 1; b_0 is the identity
+    acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]] if any(m.f > 1 for m, _ in steps) else None
     last, f_last = len(steps) - 1, steps[-1][0].f
     # k < kmax -> {HNF rows: position in steps of the last step}; level kmax is never built
     levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax - 1)]

@@ -6,6 +6,8 @@ exceptional polynomials at bad primes) on the other, compared
 coefficient-by-coefficient with no tolerance.  It counts once: a bad
 prime's a_1, a_p, ..., a_{p^k} are read off the oracle's count when
 p^k <= N, and only a tower that must go past N is counted on its own.
+It analyses the table once: maximal_order checks the ring and finds
+(theta, chi, D), and the count and the towers take both from its record.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +105,7 @@ def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, p
         if read:
             counts = [oracle.a(p**k) for k in range(depth + 1)]
         else:
-            counts = count_ideals_at_prime(t.lam, p, depth, maximal)
+            counts = count_ideals_at_prime(t.lam, p, depth, maximal, _split=_split_of(order))
         if gorenstein:
             delta = complete_local_polynomial(counts, base, ell)
         else:
@@ -137,6 +139,11 @@ def _analyzed(t: TableAlgebra, bound):
     return maximal_order(t)
 
 
+def _split_of(order):
+    "(theta, chi, D) of the table that maximal_order has checked, for the counts."
+    return order.generator, order.minpoly, order.discriminant
+
+
 def _assemble(order, exc, bound):
     return assemble_global(order.rings, order.bad_primes, {p: f.full for p, f in exc.items()}, bound)
 
@@ -155,7 +162,7 @@ def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
     if progress:
         print(f"counting all ideals of {_label(t)} up to index {bound} ...", file=progress)
     maximal = {}
-    oracle = count_ideals(t.lam, bound, maximal)
+    oracle = count_ideals(t.lam, bound, maximal, _split=_split_of(order))
     exc = infer_exceptional_factors(t, order, bound, progress, oracle, maximal)
     assembled = _assemble(order, exc, bound)
     mismatches = [

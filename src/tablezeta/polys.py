@@ -1,11 +1,9 @@
-"""Univariate polynomial arithmetic over Q, inverses modulo a polynomial,
-and factorization up to degree 4.
+"""Univariate polynomial arithmetic and factorization over Q up to
+degree 4.
 
 Polynomials are tuples of coefficients in ascending order.  Integer
 polynomials stay integer: exact division (``pdiv_exact``) runs in Z[x]
-and refuses a remainder or a non-integral quotient.  Division with
-remainder and inverses modulo a polynomial (``pdivmod``, ``pinv_mod``)
-run over Q, in Fraction.
+and refuses a remainder or a non-integral quotient.
 """
 
 from fractions import Fraction
@@ -32,10 +30,6 @@ def padd(a, b):
     return pnorm(tuple(x + y for x, y in zip(a, b)))
 
 
-def psub(a, b):
-    return padd(a, tuple(-x for x in b))
-
-
 def pmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -45,33 +39,11 @@ def pmul(a, b):
     return pnorm(tuple(out))
 
 
-def pscale(a, s):
-    return pnorm(tuple(x * s for x in a))
-
-
 def peval(a, x):
     out = 0
     for c in reversed(a):
         out = out * x + c
     return out
-
-
-def pdivmod(a, b):
-    "Division with remainder over Q."
-    a = [Fraction(x) for x in pnorm(a)]
-    b = [Fraction(x) for x in pnorm(b)]
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and any(x != 0 for x in a):
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] = f
-        for i, bx in enumerate(b):
-            a[shift + i] -= f * bx
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return pnorm(tuple(q)), pnorm(tuple(a))
 
 
 def pdiv_exact(a, b):
@@ -95,22 +67,6 @@ def pdiv_exact(a, b):
     if any(a):
         raise ArithmeticError("inexact polynomial division")
     return pnorm(tuple(q))
-
-
-def pinv_mod(h, f):
-    """The inverse of h modulo f over Q, of degree below deg f, by the
-    extended Euclidean algorithm; an h that is not a unit mod f (one with
-    a common factor with f, a multiple of f included) raises
-    ZeroDivisionError."""
-    _, b = pdivmod(h, f)
-    a, s0, s1 = f, (0,), (1,)
-    while pdeg(b) > 0:
-        q, r = pdivmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-    if pdeg(b) < 0:
-        raise ZeroDivisionError(f"{tuple(h)} is not a unit modulo {tuple(f)}")
-    return pscale(s1, 1 / b[0])
 
 
 def to_int_poly(a):

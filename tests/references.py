@@ -14,6 +14,11 @@ only the tests run:
   and ``good_prime_tables``, on which the maximal ideals at the primes
   prime to D are checked) and checks of a ``MaximalOrderData`` (its
   idempotents, its ring);
+* Lambda_0 in Fractions (``maximal_order_by_fractions``): the CRT
+  idempotents by ``pinv_mod`` over Q, the index from the determinant and
+  the containment of ZB from the inverse of the basis (``fmat_det``,
+  ``fmat_inv``), against which ``decomposition.maximal_order``'s
+  integer construction is checked;
 * ``greedy_ideal_generators``, the generator search of
   ``modp.maximal_ideals`` that takes every member's span in every round;
 * the character layer: real roots by Sturm sequences (``AlgebraicNumber``),
@@ -35,13 +40,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from tablezeta.algebra import BasisKind, TableAlgebra, action_matrix, check_ring, unit_vectors, validate
-from tablezeta.decomposition import find_generator, powers_of_generator
+from tablezeta.decomposition import _ring_polynomial, find_generator, powers_of_generator
 from tablezeta.dirichlet import LocalRationalFunction, _dedekind_den, _residue_degrees, expand
-from tablezeta.errors import InputError, MissingBadPrime, NotFullRank, TableZetaError, UnsupportedM
-from tablezeta.exact import charpoly, discriminant, divisors, fmat_det, fmat_inv, hnf_square, lattice_det, mat_mul, primes_up_to, valuation
+from tablezeta.errors import InputError, MaximalityUncertified, MissingBadPrime, NotFullRank, TableZetaError, UnsupportedM
+from tablezeta.exact import charpoly, discriminant, divisors, factorize, hnf_square, lattice_det, mat_mul, primes_up_to, valuation
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.genus import (
     LatticeHNF,
@@ -55,11 +60,10 @@ from tablezeta.ideals import IdealCountSeries
 from tablezeta.modp import kernel_mod_pk, rref
 from tablezeta.polys import (
     factor_rational,
+    padd,
     pdeg,
     pdiv_exact,
-    pdivmod,
     peval,
-    pinv_mod,
     pmul,
     pnorm,
     to_int_poly,
@@ -286,6 +290,152 @@ def order_closed_under_multiplication(algebra, basis):
             if any(Fraction(x).denominator != 1 for x in coords):
                 return False
     return True
+
+
+# --- Lambda_0 in Fractions -------------------------------------------------
+#
+# Division with remainder and inverses over Q, Fraction matrices, and the
+# construction of the maximal order that ``decomposition.maximal_order``
+# made in Fractions before it computed in integers.
+
+
+def psub(a, b):
+    return padd(a, tuple(-x for x in b))
+
+
+def pscale(a, s):
+    return pnorm(tuple(x * s for x in a))
+
+
+def pdivmod(a, b):
+    "Division with remainder over Q."
+    a = [Fraction(x) for x in pnorm(a)]
+    b = [Fraction(x) for x in pnorm(b)]
+    if b == [Fraction(0)]:
+        raise ZeroDivisionError
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    while len(a) >= len(b) and any(x != 0 for x in a):
+        shift = len(a) - len(b)
+        f = a[-1] / b[-1]
+        q[shift] = f
+        for i, bx in enumerate(b):
+            a[shift + i] -= f * bx
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+    return pnorm(tuple(q)), pnorm(tuple(a))
+
+
+def pinv_mod(h, f):
+    """The inverse of h modulo f over Q, of degree below deg f, by the
+    extended Euclidean algorithm; an h that is not a unit mod f (one with
+    a common factor with f, a multiple of f included) raises
+    ZeroDivisionError."""
+    _, b = pdivmod(h, f)
+    a, s0, s1 = f, (0,), (1,)
+    while pdeg(b) > 0:
+        q, r = pdivmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, psub(s0, pmul(q, s1))
+    if pdeg(b) < 0:
+        raise ZeroDivisionError(f"{tuple(h)} is not a unit modulo {tuple(f)}")
+    return pscale(s1, 1 / b[0])
+
+
+def fmat(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def fmat_det(rows):
+    m = [list(r) for r in fmat(rows)]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def fmat_inv(rows):
+    a = [list(r) for r in fmat(rows)]
+    n = len(a)
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        f = 1 / a[col][col]
+        a[col] = [x * f for x in a[col]]
+        inv[col] = [x * f for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(r) for r in inv)
+
+
+def crt_idempotents(t: TableAlgebra, theta, mu, factors):
+    """The primitive idempotents of QB, one per irreducible factor f of mu,
+    as rational vectors in B: the CRT projector ((mu/f) * ((mu/f)^-1 mod
+    f))(theta), reduced mod mu."""
+    pw = powers_of_generator(t, theta)
+    d = t.rank
+    out = []
+    for f in factors:
+        h = pdiv_exact(mu, f)
+        _, epoly = pdivmod(pmul(h, pinv_mod(h, f)), mu)
+        vec = [Fraction(0)] * d
+        for k, coeff in enumerate(epoly):
+            if coeff:
+                for c in range(d):
+                    vec[c] += Fraction(coeff) * pw[k][c]
+        out.append(tuple(vec))
+    return out
+
+
+def maximal_order_by_fractions(t: TableAlgebra):
+    """(basis, idempotents, index, conductor, bad primes) of Lambda_0 in
+    Fractions: the rows e, omega e, omega^2 e, ... of each component, the
+    index 1 / |det| of the basis, ZB in Lambda_0 when the inverse of the
+    basis is integral, and the conductor the lcm of the denominators of
+    its entries.  A degenerate basis, a non-integral index and a ZB
+    outside the order raise MaximalityUncertified with maximal_order's
+    messages."""
+    theta, mu = find_generator(t)
+    factors = factor_rational(mu)
+    rings, omegas = zip(*map(_ring_polynomial, factors))
+    idems = crt_idempotents(t, theta, mu, factors)
+    one = unit_vectors(t.rank)[0]
+    rows = []
+    for ring, (a0, a1, s), e in zip(rings, omegas, idems):
+        omega = tuple(Fraction(a0, s) * x + Fraction(a1, s) * y for x, y in zip(one, theta))
+        rows.append(e)
+        for _ in range(pdeg(ring) - 1):
+            rows.append(t.multiply(omega, rows[-1]))
+    basis = tuple(rows)
+    det = fmat_det(basis)
+    if det == 0:
+        raise MaximalityUncertified("degenerate maximal-order basis")
+    index = 1 / abs(det)
+    if index.denominator != 1:
+        raise MaximalityUncertified(f"non-integral index {index}")
+    if any(x.denominator != 1 for row in fmat_inv(basis) for x in row):
+        raise MaximalityUncertified("ZB is not contained in the assembled order")
+    conductor = lcm(*(Fraction(x).denominator for row in basis for x in row))
+    return basis, idems, int(index), conductor, sorted(factorize(conductor))
 
 
 # --- the character layer -----------------------------------------------------

@@ -1,19 +1,28 @@
+import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from tablezeta import find_generator, maximal_order
+import references
+from tablezeta import decomposition, find_generator, maximal_order
 from tablezeta.algebra import TableAlgebra
-from tablezeta.decomposition import _crt_idempotents
-from tablezeta.errors import DegreeTooLarge
-from tablezeta.families import conference, drt, fusion
-from tablezeta.polys import factor_rational, pdeg, pdiv_exact, pdivmod, pinv_mod, pmul
+from tablezeta.errors import DegreeTooLarge, MaximalityUncertified
+from tablezeta.families import FUSION_NAMES, conference, drt, fusion
+from tablezeta.polys import factor_rational, pdeg, pdiv_exact, pmul
 
 from references import (
     character_formula_idempotents,
     character_table,
+    crt_idempotents,
+    group_table,
     idempotent_suite_holds,
+    maximal_order_by_fractions,
     order_closed_under_multiplication,
+    pdivmod,
+    pinv_mod,
+    quotient_ring_table,
+    tensor_table,
 )
 
 BUILTINS = [drt(1), drt(6), conference(1), conference(3)] + [
@@ -118,7 +127,7 @@ def test_analyze_matches_standalone_stages(t):
     gen, mu = find_generator(t)
     assert (data.generator, data.minpoly) == (gen, mu)
     assert data.factors == factor_rational(mu)
-    assert data.idempotents == _crt_idempotents(t, gen, mu, factor_rational(mu))
+    assert data.idempotents == crt_idempotents(t, gen, mu, factor_rational(mu))
     assert [pdeg(r) for r in data.rings] == [pdeg(f) for f in data.factors]
     assert data == maximal_order(t)
 
@@ -219,3 +228,81 @@ def test_idempotent_denominators_divide_n_standard():
         for e in maximal_order(t).idempotents:
             for x in e:
                 assert n % Fraction(x).denominator == 0
+
+
+def generated_algebras():
+    """The group rings Z[C3], Z[C4], Z[C6] and Z[C2 x C2] and the tensor
+    products fib (x) c2, fib (x) fib and ising (x) c2, which verify passes."""
+    cyclic = {f"Z[C{n}]": (group_table(n, lambda i, j, n=n: (i + j) % n), [-i % n for i in range(n)]) for n in (3, 4, 6)}
+    fib, ising, c2 = (fusion(name).lam for name in ("fib", "ising", "c2"))
+    self_dual = {
+        "Z[C2xC2]": group_table(4, lambda i, j: i ^ j),
+        "fib-x-c2": tensor_table(fib, c2),
+        "fib-x-fib": tensor_table(fib, fib),
+        "ising-x-c2": tensor_table(ising, c2),
+    }
+    tables = {**cyclic, **{label: (lam, list(range(len(lam)))) for label, lam in self_dual.items()}}
+    return {label: TableAlgebra(len(lam), lam, inv) for label, (lam, inv) in tables.items()}
+
+
+REFERENCE_ORDERS = {
+    **{name: fusion(name) for name in FUSION_NAMES},
+    **{f"drt({u})": drt(u) for u in range(1, 31)},
+    **{f"conference({u})": conference(u) for u in range(1, 31) if isqrt(4 * u + 1) ** 2 != 4 * u + 1},
+    **generated_algebras(),
+}
+
+
+@pytest.mark.parametrize("label", REFERENCE_ORDERS)
+def test_maximal_order_equals_the_fraction_construction(label):
+    # the integer construction against the one in Fractions: the CRT
+    # idempotents by pinv_mod, the index from the determinant, ZB in
+    # Lambda_0 from the inverse of the basis
+    t = REFERENCE_ORDERS[label]
+    data = maximal_order(t)
+    assert (data.basis, data.idempotents, data.index, data.conductor, data.bad_primes) == maximal_order_by_fractions(t)
+    assert all(type(x) is Fraction for row in (*data.basis, *data.idempotents) for x in row)
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (group_table(5, lambda i, j: (i + j) % 5), "no maximal-order rule for degree 4"),
+        (quotient_ring_table((-4, 0, 0, 1)), "cubic (-4, 0, 0, 1) carries no maximality certificate"),
+    ],
+    ids=["Z[C5]", "x^3-4"],
+)
+def test_uncertified_components_stop_both_constructions(lam, message):
+    t = TableAlgebra(len(lam), lam, tuple(range(len(lam))))
+    for build in (maximal_order, maximal_order_by_fractions):
+        with pytest.raises(MaximalityUncertified, match=f"^{re.escape(message)}$"):
+            build(t)
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        # omega = 1, so omega e = e
+        (lambda a0, a1, s: (1, 0, 1), "degenerate maximal-order basis"),
+        # 2 omega doubles the determinant of the basis: the index 7 halves
+        (lambda a0, a1, s: (2 * a0, 2 * a1, s), "non-integral index 7/2"),
+        # omega + 1/2 keeps the determinant but moves the lattice off ZB
+        (lambda a0, a1, s: (2 * a0 + s, 2 * a1, 2 * s), "ZB is not contained in the assembled order"),
+    ],
+    ids=["degenerate", "index", "containment"],
+)
+def test_a_wrong_ring_of_integers_is_refused(monkeypatch, wrong, message):
+    # the three safety checks of maximal_order, reached by giving drt(1)'s
+    # quadratic component, x^2 + x + 2, a wrong omega; the Fraction
+    # construction refuses it alike
+    ring_polynomial = decomposition._ring_polynomial
+
+    def wrong_omega(f):
+        ring, omega = ring_polynomial(f)
+        return ring, wrong(*omega) if pdeg(f) == 2 else omega
+
+    for module in (decomposition, references):
+        monkeypatch.setattr(module, "_ring_polynomial", wrong_omega)
+    for build in (maximal_order, maximal_order_by_fractions):
+        with pytest.raises(MaximalityUncertified, match=f"^{re.escape(message)}$"):
+            build(drt(1))

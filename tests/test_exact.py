@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from tablezeta.algebra import action_matrix
 from tablezeta.errors import InputError
-from tablezeta.exact import bareiss_det, charpoly, discriminant, fmat_det
+from tablezeta.exact import bareiss_det, charpoly, discriminant
 from tablezeta.polys import padd, pdeg, pdiv_exact, pmul, pnorm
 
-from references import group_table, squarefree_part, sylvester_discriminant
+from references import fmat_det, group_table, squarefree_part, sylvester_discriminant
 
 
 def closed_form_discriminant(f):

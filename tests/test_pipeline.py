@@ -1,8 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablezeta import algebra
 from tablezeta.algebra import TableAlgebra
+from tablezeta.cli import main
 from tablezeta.decomposition import maximal_order
 from tablezeta.dirichlet import (
     complete_local_polynomial,
@@ -181,3 +185,42 @@ def test_unramified_degrees_sum_to_field_degree():
         assert sum(residue_degrees_mod_p(ring, p)) == 3
     # ramified at 7: one prime of residue degree 1
     assert residue_degrees_mod_p(ring, 7) == [1]
+
+
+def count_algebra_calls(monkeypatch, *names):
+    """{name: calls} for functions of ``tablezeta.algebra``, which the
+    package calls through that module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counting(*args, fn=getattr(algebra, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(algebra, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, violations, charpolys",
+    [
+        (["verify", "--family", "fusion", "--name", "reps3"], 2, 2),
+        (["zeta", "--family", "drt", "--u", "1", "--max-index", "6561"], 2, 1),
+        (["verify", "Z[C4]"], 1, 1),
+    ],
+)
+def test_each_command_checks_the_ring_once(monkeypatch, tmp_path, capsys, argv, violations, charpolys):
+    # maximal_order checks the ring and finds (theta, chi, D) once, and the
+    # count and the towers past N take both from it; the other check of a
+    # family is its validation when it is built.  reps3's b_1 has a
+    # repeated eigenvalue, so its generator is b_2, after two
+    # characteristic polynomials
+    if argv[-1] == "Z[C4]":
+        path = tmp_path / "c4.json"
+        doc = {"rank": 4, "names": [f"b{i}" for i in range(4)], "involution": [0, 3, 2, 1]}
+        path.write_text(json.dumps({**doc, "lambda": group_table(4, lambda i, j: (i + j) % 4)}))
+        argv = [*argv[:-1], str(path)]
+    calls = count_algebra_calls(monkeypatch, "ring_violations", "charpoly")
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert calls == {"ring_violations": violations, "charpoly": charpolys}
