@@ -182,11 +182,13 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     of its component are integer vectors over n, n s, ...  The conductor
     c is the lcm of the rows' denominators in lowest terms, so c Lambda_0
     is the integer lattice L of the rows times c, with HNF H.  Then
-    [Lambda_0 : ZB] = [L : c Z^r] = c^r / prod diag H, and ZB is in
-    Lambda_0 when each c b_i reduces to 0 by the rows of H (Cohen, A
-    Course in Computational Algebraic Number Theory, GTM 138, 2.4).
-    A rank of H below r, an index that is not an integer and a c b_i
-    outside L each raise MaximalityUncertified.
+    [Lambda_0 : ZB] = [L : c Z^r] = c^r / prod diag H, ZB is in Lambda_0
+    when each c b_i reduces to 0 by the rows of H (Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, 2.4), and Lambda_0 is
+    a ring when each product of two rows of H, over c, does.  A rank of H
+    below r, a non-integral index, a c b_i or product outside L, and an
+    omega that is not a root of its ring polynomial raise
+    MaximalityUncertified.
     """
     theta, mu, disc, factors, rings = _generator(t)
     if rings is None:
@@ -196,6 +198,7 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     one = unit_vectors(r)[0]
 
     idems, rows = [], []  # rows: (integer vector, denominator) for e, omega e, omega^2 e, ... of each component
+    misfit = None  # a ring polynomial R with R(omega) e != 0
     for f, (ring, (a0, a1, s)) in zip(factors, rings):
         h = pdiv_exact(mu, f)
         u, n = _inverse_mod(h, f)
@@ -206,10 +209,12 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
                     e[c] += coeff * x
         idems.append(tuple(Fraction(x, n) for x in e))
         omega = tuple(a0 * x + a1 * y for x, y in zip(one, theta))
-        rows.append((tuple(e), n))
-        for _ in range(pdeg(ring) - 1):
-            v, d = rows[-1]
-            rows.append((multiply(t.lam, omega, v), d * s))
+        scaled = [tuple(e)]  # (s omega)^k e for k = 0 .. deg R, over n
+        for _ in range(pdeg(ring)):
+            scaled.append(multiply(t.lam, omega, scaled[-1]))
+        rows += [(v, n * s**k) for k, v in enumerate(scaled[:-1])]
+        if any(map(sum, zip(*([c * s ** (len(ring) - 1 - k) * x for x in v] for k, (c, v) in enumerate(zip(ring, scaled)))))):
+            misfit = misfit or ring  # R(omega) e, times n s^deg R, is not 0
 
     conductor = lcm(*(d // gcd(d, *v) for v, d in rows))
     lattice = hnf([[x * conductor // d for x in v] for v, d in rows])
@@ -218,13 +223,19 @@ def maximal_order(t: TableAlgebra) -> MaximalOrderData:
     index, rest = divmod(conductor**r, lattice_det(lattice))
     if rest:
         raise MaximalityUncertified(f"non-integral index {Fraction(conductor**r, lattice_det(lattice))}")
-    for i in range(r):
-        v = [conductor * (j == i) for j in range(r)]
+    # (w, d, message) with w / d in L: c b_i, and h h' / c for rows h and h' of H (h / c is in Lambda_0)
+    checks = [([conductor * (j == i) for j in range(r)], 1, "ZB is not contained in the assembled order") for i in range(r)]
+    for i, h in enumerate(lattice):
+        for g in lattice[i:]:
+            checks.append((multiply(t.lam, h, g), conductor, "the assembled order is not closed under multiplication"))
+    for w, d, message in checks:
         for k, row in enumerate(lattice):
-            q, rest = divmod(v[k], row[k])
+            q, rest = divmod(w[k], d * row[k])
             if rest:
-                raise MaximalityUncertified("ZB is not contained in the assembled order")
-            v = [x - q * y for x, y in zip(v, row)]
+                raise MaximalityUncertified(message)
+            w = [x - q * d * y for x, y in zip(w, row)]
+    if misfit:
+        raise MaximalityUncertified(f"omega is not a root of its ring polynomial {misfit}")
 
     return MaximalOrderData(
         generator=theta,

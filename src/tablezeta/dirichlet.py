@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import DegreeBoundExceeded, FunctionalEquationFailed, InputError, MissingBadPrime, NonIntegralQuotient
 from .exact import discriminant, is_prime, primes_up_to
 from .ideals import IdealCountSeries
-from .modp import root_count
+from .modp import factor, root_count
 from .polys import padd, pdeg, peval, pmul, pnorm
 
 
@@ -125,28 +125,13 @@ def expand(f: LocalRationalFunction, kmax):
 
 
 def residue_degrees_mod_p(poly, p):
-    """Degrees of the distinct irreducible factors of an integer polynomial
-    f of degree <= 3 that is monic mod the prime p: one 1 per root mod p,
-    then the degree of the irreducible factor of degree 2 or 3 left over,
-    if any.  These are the residue degrees of the primes above p in
-    Z[x]/(f) when f is monic and that ring is maximal at p.
-
-    Everything is read off the reduction fbar of f mod p, whose
-    coefficients, taken in 0 .. p-1, make a monic integer polynomial; its
-    discriminant D (``exact.discriminant``) is disc(fbar) mod p, so an f
-    that is monic only mod p (leading coefficient p + 1, say) gets the
-    residue degrees of its reduction.  The number r of distinct roots fixes
-    the rest.  If p does not divide D, fbar is squarefree, with r linear
-    factors and one irreducible factor of degree deg f - r.  At an odd p
-    the residue symbol D^((p-1)/2) mod p (Euler's criterion) gives r for a
-    quadratic: 2 when it is +1, else 0.  For a cubic, Stickelberger's
-    theorem says the symbol is (-1)^(3 - number of irreducible factors), so
-    a symbol of -1 means r = 1.  If p divides D, fbar has a repeated factor,
-    which for degree <= 3 must be linear, so every distinct factor is
-    linear.  In the remaining cases (a cubic of symbol +1, where r is 3 or
-    0, p = 2, and p dividing D) r is deg gcd(fbar, x^p - x), with x^p mod
-    fbar by square-and-multiply.  A p that is not prime or an f that is not
-    monic mod p raises InputError."""
+    """Ascending degrees of the distinct irreducible factors of an integer
+    polynomial f that is monic mod the prime p, read off its reduction
+    fbar mod p (``modp.factor``; a quadratic has [1, 1], [1] or [2] by its
+    number of distinct roots, ``_distinct_roots``): the residue degrees of
+    the primes above p in Z[x]/(f) when f is monic and that ring is
+    maximal at p.  A p that is not prime or an f that is not monic mod p
+    raises InputError."""
     if not is_prime(p):
         raise InputError(f"residue degrees need a prime, got {p}")
     return _residue_degrees_mod(poly, p)
@@ -157,39 +142,22 @@ def _residue_degrees_mod(poly, p, disc=None):
     given, is the discriminant of poly, a monic integer polynomial, so that
     a caller that asks at many primes computes it once."""
     coeffs = [x % p for x in poly]
-    deg = _checked_degree(poly)
-    if deg <= 0:
+    if len(coeffs) < 2:
         return []
     if coeffs[-1] != 1:
         raise InputError(f"{tuple(poly)} is not monic mod {p}")
-    if deg == 1:
-        return [1]
-    disc = (discriminant(coeffs) if disc is None else disc) % p
-    roots = _root_rule(coeffs, p, disc)
-    if not disc:
-        return [1] * roots  # the repeated factor is linear, so every factor is
-    return [1] * roots + ([deg - roots] if roots < deg else [])
+    if len(coeffs) <= 3:  # one root for a linear f; two roots, a double one or none for a quadratic
+        return [[2], [1], [1, 1]][_distinct_roots(coeffs, p, discriminant(coeffs) if disc is None else disc)]
+    return [len(g) - 1 for g in factor(coeffs, p)]
 
 
-def _checked_degree(poly):
-    "deg poly, which residue_degrees_mod_p and the root rule take only up to 3 (InputError)."
-    if len(poly) > 4:
-        raise InputError("modular factorization implemented for degree <= 3")
-    return len(poly) - 1
-
-
-def _root_rule(poly, p, disc):
-    """The number of distinct roots mod the prime p of poly, of degree 2 or
-    3 and monic mod p, of discriminant disc (mod p or not): the one rule
-    that residue_degrees_mod_p and the root counts of assemble_global
-    share.  Euler's criterion for a quadratic; for a cubic, a symbol of -1
-    means one root (Stickelberger); otherwise (a cubic of symbol +1, p = 2
-    or p | disc) deg gcd(f, x^p - x), by ``modp.root_count``."""
-    symbol = pow(disc, (p - 1) // 2, p) if p > 2 else 0  # 0 when p = 2 or p | disc
-    if symbol and len(poly) == 3:
-        return 2 if symbol == 1 else 0
-    if symbol == p - 1:
-        return 1  # Stickelberger: a cubic with two irreducible factors
+def _distinct_roots(poly, p, disc):
+    """The number of distinct roots mod the prime p of poly, monic mod p
+    and of degree >= 1, of discriminant disc (mod p or not): for a
+    quadratic at an odd p prime to disc Euler's criterion (2 roots when
+    disc^((p-1)/2) = 1 mod p, else 0), and else ``modp.root_count``."""
+    if len(poly) == 3 and p > 2 and disc % p:
+        return 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
     return root_count(poly, p)
 
 
@@ -239,15 +207,12 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
 
     A prime in ``exceptional`` takes its factor first, whether p^2 <= N or
     not.  A good prime's factor prod (1 - t^deg)^{-1} depends only on the
-    residue degrees of the primes above p, which residue_degrees_mod_p
-    reads off the residue symbol of each component's discriminant (with
-    Stickelberger's theorem for a cubic).  At p^2 <= N each pattern of
-    degrees is expanded once per depth.  At p^2 > N the tower is [1, a_p],
-    and a_p is the number of residue degree 1 primes above p, the number
-    of roots mod p summed over the rings, taken in one pass per ring by
-    the same root rule (``_root_rule``).  Each discriminant is computed
-    once, here, and reduced mod every p; a ring that is not monic or of
-    degree above 3 raises InputError."""
+    residue degrees of the primes above p (residue_degrees_mod_p), each
+    pattern expanded once per depth at p^2 <= N.  At p^2 > N the tower is
+    [1, a_p], and a_p is the number of roots mod p summed over the rings,
+    taken in one pass per ring by the root rule of the residue degrees
+    (``_distinct_roots``).  Each discriminant is computed once, here, and
+    reduced mod every p; a ring that is not monic raises InputError."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
@@ -255,8 +220,8 @@ def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
     primes = primes_up_to(bound)
     a_p = dict.fromkeys((p for p in primes if p * p > bound and p not in exceptional), 0)
     for ring, disc in zip(rings, discs):  # one pass per ring: a constant has no root, a linear ring one
-        deg = _checked_degree(ring)
-        a_p = {p: a + (deg if deg < 2 else _root_rule(ring, p, disc)) for p, a in a_p.items()}
+        deg = len(ring) - 1
+        a_p = {p: a + (deg if deg < 2 else _distinct_roots(ring, p, disc)) for p, a in a_p.items()}
     good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
 
     def tower(p, kmax):

@@ -36,18 +36,18 @@ sub-ideals: the children of an ideal I are the J with mI <= J < I and
 I/J = Lambda/m for a maximal ideal m of Lambda/pLambda, so its cost grows
 with the number of ideals it finds, not with the number of lattices.
 At an m of residue degree 1 a child's HNF comes from its parent's rows
-(``_degree_one_children``).  A tower of depth 1, which is what every p
-with p^2 > bound needs, is the number of maximal ideals of residue
-degree 1 above p: when p does not divide the discriminant D of chi, the
-characteristic polynomial of a primitive element theta (the first of
-``algebra.primitive_elements``, or the generator that ``pipeline`` takes
-from ``decomposition.maximal_order``), the number of roots of chi mod p
-(``_degree_one_count``).  A deeper tower at such a p takes its maximal
-ideals from the factors of chi mod p (``_maximal``): (theta - a) of
-degree 1 at each root a, and (c(theta)) of degree deg c for c = chi /
-prod (x - a) if deg c is 2 or 3, as c has no root.  If p divides D or
-deg c > 3, and in ``count_ideals_at_prime``, they come from
-``modp.maximal_ideals``.
+(``_degree_one_children``).  Let chi be the characteristic polynomial of
+a primitive element theta (the first of ``algebra.primitive_elements``,
+or the generator of ``decomposition.maximal_order``), of discriminant
+D.  At a p prime to D, chi mod p is squarefree, so it is the minimal
+polynomial of multiplication by theta mod p and of theta mod p (g(theta)
+= 1 . g(M)), Lambda/pLambda = F_p[theta] is F_p[x]/(chi), and its
+maximal ideals are the (g(theta)) for the irreducible factors g of chi
+mod p (``modp.factor``), of residue degree deg g (Dedekind-Kummer;
+Cohen, A Course in Computational Algebraic Number Theory, Thm 4.8.13).
+A tower at such a p takes them (``_maximal``), and one of depth 1, all
+that a p with p^2 > bound needs, the number of roots of chi mod p
+(``_degree_one_count``).  At p | D they come from ``modp.maximal_ideals``.
 
 The last level of a tower is counted, not built.  An ideal J of index
 p^k is reached from the ideals K with mK <= J < K, for m the last maximal
@@ -96,7 +96,7 @@ from itertools import product
 from .algebra import action_matrix, check_ring, primitive_elements, unit_vectors
 from .errors import InputError
 from .exact import int_tuple, is_prime, primes_up_to
-from .modp import MaximalIdeal, kernel, maximal_ideals, multiply, pivots, root_count, rref, split_roots
+from .modp import MaximalIdeal, factor, kernel, maximal_ideals, multiply, pivots, root_count, rref
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,7 @@ def count_ideals_at_prime(table, p, kmax, maximal=None, *, _split=None):
         raise InputError(f"kmax must be at least 0, got {kmax}")
     if _split is None:
         check_ring(table)
-    split = (_split or _splitting_element(table)) if kmax == 1 else None
-    return _descend(table, p, kmax, maximal, split)
+    return _descend(table, p, kmax, maximal, _split or _splitting_element(table))
 
 
 def _descend(table, p, kmax, maximal, split):
@@ -238,8 +237,8 @@ def _descend(table, p, kmax, maximal, split):
     below kmax is built, and its count is checked against its Moebius sum:
     a difference raises ArithmeticError.  a_{p^kmax} is the sum alone."""
     maximal = {} if maximal is None else maximal
-    if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1
-        return [1, _degree_one_count(table, split, p, maximal)][: kmax + 1]
+    if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1, if there is an index p
+        return [1, _degree_one_count(table, split, p, maximal)] if kmax else [1]
     r = len(table)
     # (m, the action matrices of the generators of m)
     steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal, split)]
@@ -323,22 +322,20 @@ def _splitting_element(table):
 def _maximal(table, p, maximal, split):
     """The maximal ideals of Lambda/pLambda, ordered by their bases: if p
     does not divide D, for (theta, chi, D) = ``split``, the (g(theta)) for
-    the factors g of chi mod p, x - a at each root a and the cofactor c if
-    deg c <= 3 (the module docstring), each with the echelon basis of
-    g(theta) Lambda and the generator g(theta) if it is not 0; otherwise
-    ``maximal_ideals(table, p)``, computed once per dict ``maximal``."""
+    the irreducible factors g of chi mod p (``modp.factor``; the module
+    docstring), each with the echelon basis of g(theta) Lambda and the
+    generator g(theta) if it is not 0; otherwise ``maximal_ideals(table,
+    p)``, computed once per dict ``maximal``."""
     if split and split[2] % p:
-        roots, c = split_roots(split[1], p)
-        if len(c) < 5:  # deg c <= 3
-            out = []
-            for g in [[-a % p, 1] for a in roots] + ([c] if len(c) > 1 else []):
-                at = (g[-1],) + (0,) * (len(table) - 1)  # g(theta) by Horner's rule
-                for x in reversed(g[:-1]):
-                    at = multiply(table, at, split[0], p)
-                    at = ((at[0] + x) % p, *at[1:])
-                basis = rref(action_matrix(table, at), p)
-                out.append(MaximalIdeal(len(g) - 1, basis, (at,) if basis else ()))
-            return sorted(out, key=lambda m: m.basis)
+        out = []
+        for g in factor(split[1], p):
+            at = (g[-1],) + (0,) * (len(table) - 1)  # g(theta) by Horner's rule
+            for x in reversed(g[:-1]):
+                at = multiply(table, at, split[0], p)
+                at = ((at[0] + x) % p, *at[1:])
+            basis = rref(action_matrix(table, at), p)
+            out.append(MaximalIdeal(len(g) - 1, basis, (at,) if basis else ()))
+        return sorted(out, key=lambda m: m.basis)
     if p not in maximal:
         maximal[p] = maximal_ideals(table, p)
     return maximal[p]
@@ -347,19 +344,9 @@ def _maximal(table, p, maximal, split):
 def _degree_one_count(table, split, p, maximal):
     """The number of maximal ideals of residue degree 1 of Lambda/pLambda,
     for (theta, chi, D) from ``_splitting_element``, or None if there is
-    none.  If p does not divide D it is the number of roots of chi mod p;
-    otherwise it is read off ``modp.maximal_ideals`` (through ``maximal``).
-
-    chi mod p is squarefree, because p does not divide its discriminant,
-    so multiplication by theta mod p has r distinct eigenvalues and its
-    minimal polynomial is chi mod p, of degree r; that is also the minimal
-    polynomial of theta mod p, since g(theta) = 1 . g(M).  So 1, theta,
-    ..., theta^(r-1) are independent, Lambda/pLambda = F_p[theta] is
-    F_p[x]/(chi), and by the Chinese remainder theorem its maximal ideals
-    are (g(theta)) for the irreducible factors g of chi mod p, of residue
-    degree deg g (the Dedekind-Kummer correspondence; Cohen, A Course in
-    Computational Algebraic Number Theory, Thm 4.8.13).  Those of degree 1
-    are the (theta - a) for the roots a of chi mod p."""
+    none.  If p does not divide D it is the number of roots of chi mod p,
+    the (theta - a) of the module docstring; otherwise it is read off
+    ``modp.maximal_ideals`` (through ``maximal``)."""
     if split and split[2] % p:
         return root_count(split[1], p)
     return sum(1 for m in _maximal(table, p, maximal, None) if m.f == 1)

@@ -1,6 +1,6 @@
-"""Linear algebra over F_p and Z/p^K, the roots of a polynomial mod p
-(their number, or the roots and the cofactor), the maximal ideals of
-Lambda / p Lambda and the socle test of whether Lambda_p is Gorenstein.
+"""Linear algebra over F_p and Z/p^K, the roots and factors of a
+polynomial mod p, the maximal ideals of Lambda / p Lambda and the socle
+test of whether Lambda_p is Gorenstein.
 
 Vectors are tuples of integers reduced into [0, p); a subspace is the
 tuple of its reduced row echelon basis (leading entry 1, zeros above and
@@ -25,8 +25,9 @@ R + sum_t (t - lambda_i(t)) A over a spanning set of the fixed part.
 The fields are separated by splitting one candidate ideal J after
 another by the values of one t after another: J + (t - lambda) A is kept
 for each lambda that leaves it proper.  The values are among the roots
-in F_p of the characteristic polynomial of multiplication by t; a root
-that makes the ideal all of A is taken on no field of J.
+in F_p of the characteristic polynomial of multiplication by t (its
+linear ``factor``s); a root that makes the ideal all of A is taken on no
+field of J.
 """
 
 from collections import namedtuple
@@ -136,14 +137,6 @@ def _power(lam, x, e, p):
     return out
 
 
-def _horner(poly, x, p):
-    "The value at x mod p of a polynomial given by ascending coefficients."
-    out = 0
-    for c in reversed(poly):
-        out = (out * x + c) % p
-    return out
-
-
 # Polynomials over F_p: ascending coefficient lists reduced mod p with no
 # trailing zeros; [] is the zero polynomial.
 
@@ -154,78 +147,141 @@ def _fp_trim(a):
     return a
 
 
-def _fp_rem(a, b, p):
-    "a mod b for b != 0."
-    a = list(a)
+def _fp_divmod(a, b, p):
+    "(q, r) with a = q b + r and deg r < deg b, for b != 0."
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
     inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        q = a[-1] * inv % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * c) % p
-        _fp_trim(a)
-    return a
+    while len(r) >= len(b):
+        c = r[-1] * inv % p
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, x in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * x) % p
+        _fp_trim(r)
+    return q, r
 
 
-def _fp_gcd_deg(a, b, p):
-    "Degree of gcd(a, b) for a != 0."
+def _fp_gcd(a, b, p):
+    "The monic gcd of a != 0 and b."
     while b:
-        a, b = b, _fp_rem(a, b, p)
-    return len(a) - 1
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
-def root_count(poly, p):
-    """The number of distinct roots in F_p of a monic integer polynomial f
-    of degree d >= 1, given by ascending coefficients: deg gcd(f, x^p - x)
-    mod p, since x^p - x is the product of the x - a over F_p.
-
-    x^p mod f is taken by squaring and multiplying by x along the bits of
-    p, on residues held as d coefficients.  A square has degree at most
-    2d - 2, and its terms x^d ... x^(2d-2) are replaced by their residues
-    mod f, a table computed once (its first row, x^d mod f, also serves
-    the multiplication by x), so each step sums integer products and
-    reduces each coefficient mod p once."""
-    f = [x % p for x in poly]
+def _power_mod(f, e, p, base=None):
+    """base^e mod f by d coefficients, for e >= 1, a monic f of degree
+    d >= 2 and a residue base (x if None) reduced mod p: the one squaring
+    kernel of ``root_count`` and ``factor``.  Each bit of e squares, and a
+    1 bit then multiplies by x ("1") or, as a step of its own, by the base
+    ("b").  The terms x^d ... x^(2d-2) of a square or product become their
+    residues mod f, from one table whose first row also shifts by x."""
     d = len(f) - 1
     table = [[-x % p for x in f[:d]]]  # row j: x^(d+j) mod f
     for _ in range(d - 2):
         row = table[-1]
         table.append([(low + row[-1] * x) % p for low, x in zip([0] + row[:-1], table[0])])
-    x_mod_f = [0, 1] + [0] * (d - 2) if d > 1 else table[0]
-    out = x_mod_f
-    for bit in bin(p)[3:]:
-        square = [0] * (2 * d - 1)
-        for i, x in enumerate(out):
-            if x:
-                square[2 * i] += x * x
-                x += x  # each x_i x_j with i < j comes twice
-                for j in range(i + 1, d):
-                    square[i + j] += x * out[j]
-        out = square[:d]
-        for high, row in zip(square[d:], table):
+    out, steps = base or [0, 1] + [0] * (d - 2), bin(e)[3:].replace("1", "0b" if base else "1")
+    for step in steps:
+        full = [0] * (2 * d - 1)
+        if step == "b":
+            for i, x in enumerate(out):
+                if x:
+                    for j, y in enumerate(base):
+                        full[i + j] += x * y
+        else:
+            for i, x in enumerate(out):
+                if x:
+                    full[2 * i] += x * x
+                    x += x  # each x_i x_j with i < j comes twice
+                    for j in range(i + 1, d):
+                        full[i + j] += x * out[j]
+        out = full[:d]
+        for high, row in zip(full[d:], table):
             if high:
                 out = [o + high * x for o, x in zip(out, row)]
-        if bit == "1":  # times x: shift up, x^d -> its residue
+        if step == "1":  # times x: shift up, x^d -> its residue
             top = out[-1]
             out = [low + top * x for low, x in zip([0] + out[:-1], table[0])]
         out = [x % p for x in out]
-    moved = _fp_trim([(a - b) % p for a, b in zip(out, x_mod_f)])
-    return _fp_gcd_deg(_fp_trim(f), moved, p)
+    return out
 
 
-def split_roots(poly, p):
-    """The roots in F_p of an integer polynomial f, squarefree mod p, by
-    ascending coefficients, and f / prod (x - a) mod p: one synthetic
-    division by x - a at each a (Horner's rule), kept if it leaves 0."""
-    c, roots = [x % p for x in poly], []
+def _x_power_minus_x(f, e, p):
+    "x^e - x mod f, trimmed, for a monic f of degree >= 2 reduced mod p."
+    h = _power_mod(f, e, p)
+    h[1] = (h[1] - 1) % p
+    return _fp_trim(h)
+
+
+def root_count(poly, p):
+    """The number of distinct roots in F_p of a monic integer polynomial f
+    of degree d >= 1, given by ascending coefficients: deg gcd(f, x^p - x)
+    mod p, since x^p - x is the product of the x - a over F_p."""
+    f = [x % p for x in poly]
+    if len(f) < 3:
+        return 1
+    a, b = f, _x_power_minus_x(f, p, p)
+    while b:  # Euclid, as in _fp_gcd, but only the degree is needed
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return len(a) - 1
+
+
+def factor(poly, p):
+    """The distinct monic irreducible factors mod the prime p of a
+    polynomial f that is monic mod p, squarefree or not, given by ascending
+    integer coefficients: each once, by its ascending coefficients mod p,
+    ordered by degree and then by those.
+
+    The linear factors come from a scan of F_p, a synthetic division by
+    x - a at each a, repeated while it leaves 0.  The rest is factored by
+    degree (Cohen, A Course in Computational Algebraic Number Theory, GTM
+    138, 3.4): x^(p^d) - x is the product of the monic irreducibles of
+    degree dividing d, so once those of degree < d are divided out of f,
+    gcd(f, x^(p^d) - x) is the product of those of degree d.  A rest of
+    degree < 2(d + 1) is irreducible or 1."""
+    f, out = _fp_trim([x % p for x in poly]), []
     for a in range(p):
-        q = [c[-1]]
-        for x in reversed(c[:-1]):
-            q.append((q[-1] * a + x) % p)
-        if not q.pop():
-            roots.append(a)
-            c = q[::-1]
-    return roots, c
+        while len(f) > 1:
+            q = [f[-1]]
+            for x in reversed(f[:-1]):
+                q.append((q[-1] * a + x) % p)
+            if q.pop():
+                break
+            f = q[::-1]
+            if out[-1:] != [[-a % p, 1]]:
+                out.append([-a % p, 1])
+    d = 1
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        g = _fp_gcd(f, _x_power_minus_x(f, p**d, p), p)
+        if len(g) > 1:
+            out += _equal_degree(g, d, p)
+            while len(g) > 1:
+                f = _fp_divmod(f, g, p)[0]
+                g = _fp_gcd(f, g, p)
+    if len(f) > 1:
+        out.append(f)
+    return sorted(out, key=lambda g: (len(g), g))
+
+
+def _equal_degree(g, d, p):
+    """The irreducible factors of a monic g mod p that is a product of
+    distinct ones of degree d (g itself if d = deg g), by Cantor-Zassenhaus
+    (Cohen, GTM 138, 3.4.6): on each factor's field F_(p^d), a^e is 0 or
+    +-1 for e = (p^d - 1)/2 at odd p and 0 or 1 for e = p^d - 1 at p = 2,
+    and gcd(g, a^e - 1) takes the factors where it is 1.  The trials a
+    have the base-p digits of p, p + 1, ... as coefficients; one of them
+    is 1 at one factor and 0 at the rest, so one splits g."""
+    n = len(g) - 1
+    for k in range(p, p**n if n > d else p):
+        a = [k // p**i % p for i in range(n)]
+        value = _power_mod(g, (p**d - 1) // (2 if p > 2 else 1), p, a)
+        value[0] = (value[0] - 1) % p
+        u = _fp_gcd(g, _fp_trim(value), p)
+        if 1 < len(u) <= n:
+            return _equal_degree(u, d, p) + _equal_degree(_fp_divmod(g, u, p)[0], d, p)
+    return [g]
 
 
 def maximal_ideals(lam, p):
@@ -250,7 +306,7 @@ def maximal_ideals(lam, p):
             continue
         # the values of t on the fields are roots of its characteristic polynomial
         chi = charpoly(action_matrix(lam, t))
-        values = [x for x in range(p) if _horner(chi, x, p) == 0]
+        values = sorted(-g[0] % p for g in factor(chi, p) if len(g) == 2)
         split = []
         for ideal in ideals:
             left = r - len(ideal)  # dim A/ideal, shared out among the pieces

@@ -12,8 +12,9 @@ only the tests run:
   checked;
 * the tables the tests build (Z[x]/(f), group rings and tensor products,
   and ``good_prime_tables``, on which the maximal ideals at the primes
-  prime to D are checked) and checks of a ``MaximalOrderData`` (its
-  idempotents, its ring);
+  prime to D are checked), the cyclotomic polynomials, whose factors mod
+  p theory fixes, and checks of a ``MaximalOrderData`` (its idempotents,
+  its ring);
 * Lambda_0 in Fractions (``maximal_order_by_fractions``): the CRT
   idempotents by ``pinv_mod`` over Q, the index from the determinant and
   the containment of ZB from the inverse of the basis (``fmat_det``,
@@ -220,6 +221,15 @@ def quotient_ring_table(defining_poly):
                     raise ValueError("non-monic defining polynomial")
                 lam[i][j][k] = int(v)
     return tuple(tuple(tuple(row) for row in plane) for plane in lam)
+
+
+def cyclotomic(n):
+    """The n-th cyclotomic polynomial Phi_n by ascending coefficients:
+    x^n - 1 divided in Z[x] by Phi_d for every d < n dividing n."""
+    phi = (-1,) + (0,) * (n - 1) + (1,)
+    for d in divisors(n)[:-1]:
+        phi = pdiv_exact(phi, cyclotomic(d))
+    return phi
 
 
 def group_table(order, mul):

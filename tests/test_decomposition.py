@@ -292,7 +292,7 @@ def test_uncertified_components_stop_both_constructions(lam, message):
     ids=["degenerate", "index", "containment"],
 )
 def test_a_wrong_ring_of_integers_is_refused(monkeypatch, wrong, message):
-    # the three safety checks of maximal_order, reached by giving drt(1)'s
+    # the three lattice checks of maximal_order, reached by giving drt(1)'s
     # quadratic component, x^2 + x + 2, a wrong omega; the Fraction
     # construction refuses it alike
     ring_polynomial = decomposition._ring_polynomial
@@ -306,3 +306,32 @@ def test_a_wrong_ring_of_integers_is_refused(monkeypatch, wrong, message):
     for build in (maximal_order, maximal_order_by_fractions):
         with pytest.raises(MaximalityUncertified, match=f"^{re.escape(message)}$"):
             build(drt(1))
+
+
+@pytest.mark.parametrize(
+    "wrong, message, closed",
+    [
+        # Z[3 omega] is a ring, of index 3 in Z[omega], but 3 omega is not a
+        # root of omega's polynomial x^2 - x + 1
+        (lambda a0, a1, s: (3 * a0, 3 * a1, s), "omega is not a root of its ring polynomial (1, -1, 1)", True),
+        # (omega + 1/3)^2 has 1/9 in its coordinates: no ring
+        (lambda a0, a1, s: (3 * a0 + s, 3 * a1, 3 * s), "the assembled order is not closed under multiplication", False),
+    ],
+    ids=["3omega", "omega+1/3"],
+)
+def test_a_wrong_ring_of_integers_past_the_lattice_checks_is_refused(monkeypatch, wrong, message, closed):
+    # drt(6)'s quadratic component x^2 + x + 7 with a wrong omega: the
+    # lattice holds ZB with an integral index (27 and 81), which the three
+    # checks above accept, and so does the Fraction construction; its
+    # basis is a ring or not as the reference check says
+    ring_polynomial = decomposition._ring_polynomial
+
+    def wrong_omega(f):
+        ring, omega = ring_polynomial(f)
+        return ring, wrong(*omega) if pdeg(f) == 2 else omega
+
+    for module in (decomposition, references):
+        monkeypatch.setattr(module, "_ring_polynomial", wrong_omega)
+    with pytest.raises(MaximalityUncertified, match=f"^{re.escape(message)}$"):
+        maximal_order(drt(6))
+    assert order_closed_under_multiplication(drt(6), maximal_order_by_fractions(drt(6))[0]) == closed

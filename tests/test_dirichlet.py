@@ -134,7 +134,14 @@ def test_assemble_refuses_a_ring_that_is_not_monic():
 @pytest.mark.parametrize("ring", [(1, 0, 0, 0, 1), (-1, -1, 3)])
 def test_assemble_refusals_survive_the_root_counts(ring):
     # at bounds 2 and 3 every prime has p^2 > N and takes only a root count;
-    # the refusal must be the one a bound with a residue-degree pattern gives
+    # a ring that a bound with a residue-degree pattern refuses (not monic)
+    # is refused alike, and one it takes (x^4 + 1, of degree 4) gets the
+    # same coefficients
+    if ring[-1] == 1:
+        deep = assemble_global([(0, 1), ring], [], {}, 6561)
+        for bound in (2, 3):
+            assert assemble_global([(0, 1), ring], [], {}, bound).counts == deep.counts[:bound]
+        return
     with pytest.raises(InputError) as deep:
         assemble_global([(0, 1), ring], [], {}, 6561)
     for bound in (2, 3):
@@ -151,6 +158,8 @@ _HAND_RINGS = [
     [(1, -1, -2, 1)],  # psu5l2's cubic, D = 49: symbol +1 or 0 at every p
     [(1,), (0, 1), (-1, -1, 1), (-2, 0, 0, 1)],  # a constant has no root
     [(0, 1), (0, 1), (1, -1, -2, 1)],
+    [(1, 1, 1, 1, 1)],  # Phi_5, D = 125: four roots at p = 1 mod 5, one at 5, none elsewhere
+    [(1, 0, 0, 0, 1)],  # x^4 + 1, D = 256: four roots at p = 1 mod 8, one at 2, none elsewhere
 ]
 
 
@@ -170,6 +179,14 @@ def test_root_count_at_a_good_prime_dividing_the_discriminant():
     assert assemble_global([(0, 1), (-101, 0, 1)], [], {}, 2000).a(101) == 2
     # psu5l2's cubic at 7, 7 | D = 49: (x - 3)^3, one root, and 7^2 > 7
     assert assemble_global([(1, -1, -2, 1)], [], {}, 7).a(7) == 1
+
+
+def test_assemble_takes_a_quartic_at_good_primes():
+    # Z[zeta_5] = Z[x]/(Phi_5) is its own maximal order, so its Euler
+    # product, with residue degrees from the factors of Phi_5 mod p, is its
+    # ideal count
+    phi5 = (1, 1, 1, 1, 1)
+    assert assemble_global([phi5], [], {}, 400) == count_ideals(quotient_ring_table(phi5), 400)
 
 
 @pytest.mark.parametrize(

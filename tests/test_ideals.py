@@ -290,16 +290,27 @@ def record_maximal_ideals(monkeypatch):
 def test_a_cofactor_of_degree_four_takes_maximal_ideals(monkeypatch):
     # Z[C5], chi = x^5 - 1, D = 5^5: at p = 2, 3, 7, 13, 17 and 19 the
     # cofactor of x - 1 has degree 4 (irreducible, or at 19 two quadratics),
-    # so the descent asks maximal_ideals; at 11 chi splits into five roots;
-    # 5 divides D.  The counts equal those with the route taken nowhere
+    # and the descent takes its maximal ideals from the factors of chi mod p,
+    # as at 11, where chi splits into five roots; only 5 divides D, so only
+    # 5 asks maximal_ideals, and so do the towers of count_ideals_at_prime.
+    # The counts equal those with the route taken nowhere
     lam = group_table(5, lambda i, j: (i + j) % 5)
     called = record_maximal_ideals(monkeypatch)
     series = count_ideals(lam, 400)
-    assert called == [2, 3, 5, 7, 13, 17, 19]
+    assert called == [5]
+    towers = [count_ideals_at_prime(lam, 2, 8), count_ideals_at_prime(lam, 19, 2)]
+    assert called == [5]
+    assert towers == [[series.a(2**k) for k in range(9)], [series.a(19**k) for k in range(3)]]
     maximal = ideals._maximal
     monkeypatch.setattr(ideals, "_maximal", lambda table, p, known, split: maximal(table, p, known, None))
     assert series == count_ideals(lam, 400)
     assert 11 in called
+
+
+def test_a_tower_of_depth_zero_finds_no_maximal_ideals(monkeypatch):
+    called = record_maximal_ideals(monkeypatch)
+    assert count_ideals_at_prime(drt(6).lam, 3, 0) == [1]
+    assert called == []
 
 
 @pytest.mark.parametrize("name, bad", [("c3", 3), ("fib", 5)])

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from tablezeta.decomposition import maximal_order
 from tablezeta.exact import hnf, hnf_square, primes_up_to
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
+from tablezeta.polys import pmul
 from tablezeta.modp import (
-    _horner,
     _ideal_generators,
+    factor,
     is_gorenstein,
     kernel,
     kernel_mod_pk,
@@ -17,14 +18,21 @@ from tablezeta.modp import (
     root_count,
     rref,
     socle_dimension,
-    split_roots,
 )
 
-from references import good_prime_tables, greedy_ideal_generators, quotient_ring_table
+from references import cyclotomic, good_prime_tables, greedy_ideal_generators, quotient_ring_table
 
 
 def residue_degrees(lam, p):
     return sorted(m.f for m in maximal_ideals(lam, p))
+
+
+def _horner(poly, x, p):
+    "The value at x mod p of a polynomial given by ascending coefficients."
+    out = 0
+    for c in reversed(poly):
+        out = (out * x + c) % p
+    return out
 
 
 def test_rref_is_canonical():
@@ -204,11 +212,77 @@ def test_generator_search_stops_where_the_greedy_search_ends(label, lam):
     [((-1, -1, 1), 11), ((-1, -1, 1), 2), ((-1, 0, 0, 0, 0, 1), 11), ((-1, 0, 0, 0, 0, 1), 19), ((-2, 0, 0, 1), 31), ((6, -5, 1), 7)],
 )
 def test_split_roots_divides_out_each_root(poly, p):
-    # squarefree mod p: the roots are the Horner scan's, and chi is the
-    # cofactor times the product of the x - a, mod p
-    roots, cofactor = split_roots(poly, p)
-    assert roots == [a for a in range(p) if _horner(poly, a, p) == 0]
-    product = cofactor
-    for a in roots:
-        product = [(low - a * high) % p for low, high in zip([0] + product, product + [0])]
+    # modp.factor splits chi, squarefree mod p, into its roots and the rest:
+    # the linear factors are x - a at the Horner scan's roots a, and chi is
+    # the product of the factors, mod p
+    found = factor(poly, p)
+    assert sorted(-g[0] % p for g in found if len(g) == 2) == [a for a in range(p) if _horner(poly, a, p) == 0]
+    product = [1]
+    for g in found:
+        product = polymul_mod(product, g, p)
     assert product == [x % p for x in poly]
+
+
+def polymul_mod(a, b, p):
+    "The product mod p of two polynomials given by ascending coefficients."
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def polyrem_mod(a, b, p):
+    "a mod b mod p, for a monic b, trimmed."
+    a = [x % p for x in a]
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        a = [(x - c * b[i - shift]) % p if i >= shift else x for i, x in enumerate(a)][:-1]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+@st.composite
+def _monic_products(draw):
+    """(f, p): f a monic integer polynomial of degree 1 .. 6, the product of
+    one to three monic factors, each taken once or twice, so that f mod p
+    often has repeated factors."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    f = [1]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        g = [*draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3)), 1]
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            if len(f) + len(g) - 2 <= 6:
+                f = pmul(f, g)
+    return tuple(f), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monic_products())
+@example(((1, 0, 2, 0, 1), 3))  # (x^2 + 1)^2: a repeated factor of degree 2
+@example(((0, 0, 0, 0, 0, 0, 1), 2))  # x^6
+@example(((-1, 0, 0, 0, 0, 0, 1), 7))  # x^6 - 1 splits into six roots mod 7
+def test_factor_degrees_are_the_residue_degrees(case):
+    # against an independent route: F_p[x]/(f) has one maximal ideal per
+    # distinct irreducible factor of f mod p, of residue degree its degree,
+    # and each factor divides f
+    f, p = case
+    found = factor(f, p)
+    assert sorted(len(g) - 1 for g in found) == residue_degrees(quotient_ring_table(f), p)
+    assert len({tuple(g) for g in found}) == len(found)
+    for g in found:
+        assert g[-1] == 1 and polyrem_mod(f, g, p) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.sampled_from(primes_up_to(100) + [997, 6553]))
+def test_factor_of_a_cyclotomic_polynomial(n, p):
+    # against theory: for p not dividing n, Phi_n mod p is the product of
+    # phi(n) / ord_n(p) distinct irreducibles, each of degree ord_n(p), the
+    # order of p in (Z/n)^*
+    if n % p == 0:
+        return
+    order = next(k for k in range(1, n + 1) if pow(p, k, n) == 1 % n)
+    phi = cyclotomic(n)
+    assert [len(g) - 1 for g in factor(phi, p)] == [order] * ((len(phi) - 1) // order)
