@@ -24,41 +24,51 @@ coefficients, by the theorem above, not a count of its own; the test
 suite checks it at composite n against the plain stream, which tests
 every HNF in turn and assumes no theorem.
 
-The ideals inside p Lambda are p times the ideals, so for the rank r
-a_{p^k} = (the number of ideals of index p^k not inside p Lambda) +
-a_{p^(k-r)} when k >= r, and the descent builds only the former.  x -> px
-is injective on Z^dim and maps an ideal J onto the ideal pJ inside
-p Lambda, of index p^r [Lambda : J]; an ideal J inside p Lambda is pJ'
-for the ideal J' = {x : px in J}; and p Lambda has index p^r.
+The same local product splits a tower: the ideals of index p^k match
+the tuples, one per maximal ideal m of Lambda/pLambda, of ideals whose
+quotient is supported at m alone, the ideals of m's block of Lambda_p,
+with indices that multiply to p^k (``_descend`` gives the proof).  So the
+tower at p is the convolution of one tower per m, and the descent counts
+each on its own: it builds the sum of the blocks' ideals, not every
+combination of them.
 
-The descent goes breadth-first from Lambda = Z^dim through maximal
+Where m is the only maximal ideal, the ideals inside p Lambda are p
+times the ideals, so for the rank r a_{p^k} = (the number of ideals of
+index p^k not inside p Lambda) + a_{p^(k-r)} when k >= r, and the descent
+builds only the former.  x -> px is injective on Z^dim and maps an ideal
+J onto the ideal pJ inside p Lambda, of index p^r [Lambda : J]; an ideal
+J inside p Lambda is pJ' for the ideal J' = {x : px in J}; and p Lambda
+has index p^r.  Where there are several, no ideal of one block's tower
+is inside p Lambda.
+
+The descent at m goes breadth-first from Lambda = Z^dim through maximal
 sub-ideals: the children of an ideal I are the J with mI <= J < I and
-I/J = Lambda/m for a maximal ideal m of Lambda/pLambda, so its cost grows
-with the number of ideals it finds, not with the number of lattices.
-At an m of residue degree 1 a child's HNF comes from its parent's rows
-(``_degree_one_children``).  Let chi be the characteristic polynomial of
-a primitive element theta (the first of ``algebra.primitive_elements``,
-or the generator of ``decomposition.maximal_order``), of discriminant
-D.  At a p prime to D, chi mod p is squarefree, so it is the minimal
-polynomial of multiplication by theta mod p and of theta mod p (g(theta)
-= 1 . g(M)), Lambda/pLambda = F_p[theta] is F_p[x]/(chi), and its
-maximal ideals are the (g(theta)) for the irreducible factors g of chi
-mod p (``modp.factor``), of residue degree deg g (Dedekind-Kummer;
-Cohen, A Course in Computational Algebraic Number Theory, Thm 4.8.13).
-A tower at such a p takes them (``_maximal``), and one of depth 1, all
-that a p with p^2 > bound needs, the number of roots of chi mod p
+I/J = Lambda/m, so its cost grows with the number of ideals it finds,
+not with the number of lattices.  At an m of residue degree 1 a child's
+HNF comes from its parent's rows (``_degree_one_children``).  Let chi be
+the characteristic polynomial of a primitive element theta (the first
+of ``algebra.primitive_elements``, or the generator of
+``decomposition.maximal_order``), of discriminant D.  At a p prime to D,
+chi mod p is squarefree, so it is the minimal polynomial of
+multiplication by theta mod p and of theta mod p (g(theta) = 1 . g(M)),
+Lambda/pLambda = F_p[theta] is F_p[x]/(chi), and its maximal ideals are
+the (g(theta)) for the irreducible factors g of chi mod p
+(``modp.factor``), of residue degree deg g (Dedekind-Kummer; Cohen, A
+Course in Computational Algebraic Number Theory, Thm 4.8.13).  A tower
+at such a p takes them (``_maximal``), and one of depth 1, all that a p
+with p^2 > bound needs, the number of roots of chi mod p
 (``_degree_one_count``).  At p | D they come from ``modp.maximal_ideals``.
 
-The last level of a tower is counted, not built.  An ideal J of index
-p^k is reached from the ideals K with mK <= J < K, for m the last maximal
-ideal of J's support, and these K/J are the nonzero subspaces of the
+The last level of each block's tower is counted, not built.  An ideal J
+of index p^k with Lambda/J supported at m is reached from the ideals K
+with mK <= J < K, and these K/J are the nonzero subspaces of the
 F_q-space (J : m)/J, on whose lattice the Moebius function is known (Rota
-1964).  So a_{p^kmax} is a sum, over the ideals K the descent has walked
-and the m it took at each, of Gaussian binomials in dim K/mK, which the
-descent computes anyway to build K's children (``_descend`` gives the
-proof).  The same sum is taken for every level that is built, and a
-level whose count differs from it raises ArithmeticError, so every
-descent checks the theorem on the levels below its last.
+1964).  So the last entry is a sum, over the ideals K the descent has
+walked at m, of Gaussian binomials in dim K/mK, which the descent
+computes anyway to build K's children (``_walk`` gives the proof).  The
+same sum is taken for every level that is built, and a level whose count
+differs from it raises ArithmeticError, so every descent checks the
+theorem on the levels below its last.
 
 Costs on a 2-core machine with Python 3.11, median wall time of eleven
 runs of the command with interpreter start and the import of the CLI
@@ -80,7 +90,14 @@ Z[C2 x C4]'s at 2 to 2^10 4.7 s (6.3 s).  These towers build 1,074
 children (1,749), 7,440 (22,099) and 74,726 (181,516), and take the
 products of the generators of m with the rows of an ideal (``_products``)
 as often as before, 471, 5,570 and 42,136 times, which is where most of
-the time now goes.
+the time now goes.  Each has one block.  Where Lambda/pLambda has
+several, best of seven in process and in brackets while one descent
+walked every m at once and built every ideal that mixes them: the tower
+of Z[C6] at 2 to 2^10 takes 13 ms (65 ms) and at 3 to 3^7 7 ms (25 ms),
+reps3's at 2 to 2^10 2.4 ms (5.1 ms) and at 3 to 3^7 1.7 ms (3.7 ms), and
+Z[C2 x C2]'s at 3 to 3^8, four blocks, 2.8 ms (22 ms).  On Z[C6] at 2
+the descent builds 177 children (487) and takes 141 products (581), on
+reps3 at 2 146 (331) and 92 (207).
 
 The descent counts the ideals of a commutative, associative ring with
 identity b_0, and both entry points refuse any other table first, through
@@ -198,103 +215,118 @@ def _descend(table, p, kmax, maximal, split):
     mod p off ``split``, from ``_splitting_element``, when p does not
     divide D).
 
-    Level by level from Lambda.  An ideal I of index p^k gets, for a
-    maximal ideal m of residue degree f above p with k + f <= kmax, the
-    children J with mI <= J < I and I/J = F_q, q = p^f: the
-    F_q-hyperplanes of I/mI.  The maximal ideals are taken in a fixed
-    order (by their bases, on both routes), and I gets children only at
-    the m of its own last step and after it.  Every ideal J of index at
-    most p^kmax is still reached: Lambda/J is the direct sum of its
-    localizations at the m in its support (Solomon 1977; Bushnell-Reiner
-    1980), so a composition series can take all its factors at the first
-    m, then all at the next, and so on, and each step is a maximal
-    sub-ideal.  That path is found, and the others are not followed, so
-    fewer children are built twice.  Children are kept by canonical HNF,
-    so an ideal reached from several parents is counted once.  Level
-    k >= r (r the rank) drops the ideals inside p Lambda and counts them
-    as a_{p^(k-r)} (the module docstring); no path to a kept ideal passes
-    through them, since every ideal on it contains the kept one.
-
-    The last level is counted, not built.  Let J be an ideal of index p^k,
-    k >= 1, and m the last maximal ideal of its support, of residue field
-    F_q, q = p^f.  The K with mK <= J < K are the K with J < K <= (J : m),
-    and K/J runs over the nonzero F_q-subspaces N of (J : m)/J, which is
-    not 0 since m is in the support.  The support of each such K lies in
-    J's, so the descent walks K, if K is not inside p Lambda, with m at or
-    after K's last step; and conversely, for K, an m at or after K's last
-    step and mK <= J < K, m is the last maximal ideal of J's support.  On
-    the subspaces of an F_q-space, -mu(0, N) = (-1)^(c+1) q^(c(c-1)/2) for
-    N of dimension c (Rota 1964), and the sum over the N != 0 is 1
-    (``_moebius_terms``).  So a_{p^k} is the Moebius sum, over the ideals K
-    of index p^j < p^k and the m at or after K's last step with j + c f = k
-    for a c >= 1, of (-1)^(c+1) q^(c(c-1)/2) times [d/f, c]_q, the number
-    of the J of index p^k with mK <= J < K; here d = dim_Fp K/mK = r -
-    len(w), for w the echelon basis of mK/pK that the children at m are
-    built from.  An ideal pK' inside p Lambda has every maximal ideal in
-    its support, so it enters only at the last m, with dim pK'/m pK' =
-    dim K'/mK'; so each level keeps how many of its ideals, those inside
-    p Lambda included, have each dimension at the last m.  Each level
-    below kmax is built, and its count is checked against its Moebius sum:
-    a difference raises ArithmeticError.  a_{p^kmax} is the sum alone."""
+    A deeper tower is the convolution, truncated at kmax, of one tower per
+    maximal ideal m of Lambda/pLambda (``_walk``): that of the ideals I
+    of p-power index with Lambda/I supported at m alone.  For an ideal I
+    of index p^k, Lambda/I is the direct sum of its localizations at the m
+    in its support (Solomon 1977; Bushnell-Reiner 1980), and the kernel
+    I_m of Lambda -> (Lambda/I)_m is an ideal with Lambda/I_m supported at
+    m alone (or Lambda, if m is not in the support).  I is the
+    intersection of the I_m and its index the product of theirs; and
+    conversely, for such ideals I_m, one per m, the I_m are pairwise
+    comaximal, so Lambda/(intersection) is the product of the Lambda/I_m
+    and the intersection gives them back.  So the ideals of index p^k match
+    the tuples (I_m) whose indices multiply to p^k."""
     maximal = {} if maximal is None else maximal
     if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1, if there is an index p
         return [1, _degree_one_count(table, split, p, maximal)] if kmax else [1]
-    r = len(table)
-    # (m, the action matrices of the generators of m)
-    steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in _maximal(table, p, maximal, split)]
-    # b_1 .. b_(r-1), for the hyperplanes at an m of residue degree f > 1; b_0 is the identity
-    acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]] if any(m.f > 1 for m, _ in steps) else None
-    last, f_last = len(steps) - 1, steps[-1][0].f
-    # k < kmax -> {HNF rows: position in steps of the last step}; level kmax is never built
-    levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax - 1)]
-    sums = [0] * (kmax + 1)  # k -> the Moebius sum for a_{p^k}
-    # k -> {d: the number of ideals I of index p^k, inside p Lambda or not, with dim I/mI = d at the last m}
-    last_dims = [{} for _ in range(kmax)]
-    terms = {}  # (n, q) -> _moebius_terms(n, q)
+    ms = _maximal(table, p, maximal, split)
+    tower = [1] + [0] * kmax
+    for m in ms:
+        block = _walk(table, p, kmax, m, len(ms) == 1)
+        tower = [sum(tower[i] * block[k - i] for i in range(k + 1)) for k in range(kmax + 1)]
+    return tower
 
-    def add(k, d, f, times=1):
+
+def _walk(table, p, kmax, m, local):
+    """[1, b_1, ..., b_kmax]: b_k is the number of ideals I of index p^k
+    with Lambda/I supported at the maximal ideal m of Lambda/pLambda alone,
+    for kmax >= 2.  ``local`` says whether m is the only maximal ideal.
+
+    Level by level from Lambda.  An ideal I of index p^k gets, if
+    k + f <= kmax, the children J with mI <= J < I and I/J = F_q, q = p^f:
+    the F_q-hyperplanes of I/mI.  Every ideal J of the walk is reached:
+    every simple subquotient of Lambda/J is Lambda/m, so a composition
+    series Lambda = K_0 > K_1 > ... > K_n = J has mK_i <= K_(i+1), and
+    each K_i, whose Lambda/K_i is a quotient of Lambda/J, is in the walk.
+    Children are kept by canonical HNF, so an ideal reached from several
+    parents is counted once.
+
+    If m is not the only maximal ideal, no ideal of the walk is inside
+    p Lambda: Lambda/I would map onto Lambda/pLambda, whose support is
+    every maximal ideal.  If it is, the walk holds every ideal of p-power
+    index, and level k >= r (r the rank) drops the ideals inside p Lambda
+    and counts them as b_(k-r) (the module docstring); no path to a kept
+    ideal passes through them, since every ideal on it contains the kept
+    one.
+
+    The last level is counted, not built.  Let J be an ideal of the walk
+    of index p^k, k >= 1.  The K with mK <= J < K are the K with
+    J < K <= (J : m), and K/J runs over the nonzero F_q-subspaces N of
+    (J : m)/J, which is not 0 since m is in J's support.  Each such K is
+    in the walk, since Lambda/K is a quotient of Lambda/J.  On
+    the subspaces of an F_q-space, -mu(0, N) = (-1)^(c+1) q^(c(c-1)/2) for
+    N of dimension c (Rota 1964), and the sum over the N != 0 is 1
+    (``_moebius_terms``).  So b_k is the Moebius sum, over the ideals K of
+    the walk of index p^j < p^k with j + c f = k for a c >= 1,
+    of (-1)^(c+1) q^(c(c-1)/2) times [d/f, c]_q, the number of the J of
+    index p^k with mK <= J < K; here d = dim_Fp K/mK = r - len(w), for w
+    the echelon basis of mK/pK that the children are built from.  An
+    ideal pK' inside p Lambda has dim pK'/m pK' = dim K'/mK', so when m
+    is the only maximal ideal each level keeps how many of its ideals,
+    those inside p Lambda included, have each dimension d.  Each level
+    below kmax is built, and its count is checked against its Moebius sum:
+    a difference raises ArithmeticError.  b_kmax is the sum alone."""
+    r, f = len(table), m.f
+    q = p**f
+    gens = [action_matrix(table, g) for g in m.generators]
+    # b_1 .. b_(r-1), for the hyperplanes at a residue degree f > 1; b_0 is the identity
+    acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]] if f > 1 else None
+    # k < kmax -> the HNF rows of the ideals of index p^k; level kmax is never built
+    levels = [{tuple(unit_vectors(r))}] + [set() for _ in range(kmax - 1)]
+    sums = [0] * (kmax + 1)  # k -> the Moebius sum for b_k
+    # k -> {d: the number of ideals I of index p^k, inside p Lambda or not, with dim I/mI = d}
+    dims = [{} for _ in range(kmax)]
+    terms = {}  # n -> _moebius_terms(n, q)
+
+    def add(k, d, times=1):
         """Add to the sum at each index p^(k + c f) <= p^kmax the terms of
-        ``times`` ideals I of index p^k with dim I/mI = d at an m of degree f."""
-        n, q = d // f, p**f
-        if (n, q) not in terms:
-            terms[n, q] = _moebius_terms(n, q)
-        for c, term in enumerate(terms[n, q][: (kmax - k) // f], 1):
+        ``times`` ideals I of index p^k with dim I/mI = d."""
+        n = d // f
+        if n not in terms:
+            terms[n] = _moebius_terms(n, q)
+        for c, term in enumerate(terms[n][: (kmax - k) // f], 1):
             sums[k + c * f] += times * term
 
     counts = []
     for k, level in enumerate(levels):
-        if k >= r:  # drop the ideals inside p Lambda: p times those of index p^(k - r)
-            level = {rows: first for rows, first in level.items() if any(x % p for row in rows for x in row)}
-            inside = last_dims[k - r]
-            for d, times in inside.items():  # their one step is the last m
-                add(k, d, f_last, times)
-            last_dims[k] = dict(inside)
-        counts.append(len(level) + (counts[k - r] if k >= r else 0))
+        inside = local and k >= r
+        if inside:  # drop the ideals inside p Lambda: p times those of index p^(k - r)
+            level = {rows for rows in level if any(x % p for row in rows for x in row)}
+            for d, times in dims[k - r].items():
+                add(k, d, times)
+            dims[k] = dict(dims[k - r])
+        counts.append(len(level) + (counts[k - r] if inside else 0))
         if k and sums[k] != counts[k]:
             raise ArithmeticError(
                 f"at p = {p}, index p^{k}: the descent built {counts[k]} ideals, the Moebius sum is {sums[k]}"
             )
-        for rows, first in level.items():
-            for pos in range(first, len(steps)):
-                m, gens = steps[pos]
-                if k + m.f > kmax:
-                    continue
-                # mI / pI in the coordinates of I: the generators of m times the rows of I
-                w = rref([c for g in gens for c in _products(rows, g)], p)
-                d = r - len(w)
-                add(k, d, m.f)
-                if pos == last:
-                    last_dims[k][d] = last_dims[k].get(d, 0) + 1
-                if k + m.f == kmax:  # counted by the Moebius sum, not built
-                    continue
-                if m.f == 1:
-                    children = _degree_one_children(rows, w, p)
-                else:  # if I/mI = F_q, its one hyperplane is 0
-                    subs = (w,) if d == m.f else _hyperplanes(w, m.f, [_products(rows, a) for a in acts], p, r)
-                    children = (_sublattice(rows, sub, p) for sub in subs)
-                child = levels[k + m.f]
-                for hnf in children:
-                    child[hnf] = pos
+        if k + f > kmax:
+            continue
+        for rows in level:
+            # mI / pI in the coordinates of I: the generators of m times the rows of I
+            w = rref([c for g in gens for c in _products(rows, g)], p)
+            d = r - len(w)
+            add(k, d)
+            dims[k][d] = dims[k].get(d, 0) + 1
+            if k + f == kmax:  # counted by the Moebius sum, not built
+                continue
+            if f == 1:
+                children = _degree_one_children(rows, w, p)
+            else:  # if I/mI = F_q, its one hyperplane is 0
+                subs = (w,) if d == f else _hyperplanes(w, f, [_products(rows, a) for a in acts], p, r)
+                children = (_sublattice(rows, sub, p) for sub in subs)
+            levels[k + f].update(children)
     counts.append(sums[kmax])
     return counts
 

@@ -25,9 +25,9 @@ R + sum_t (t - lambda_i(t)) A over a spanning set of the fixed part.
 The fields are separated by splitting one candidate ideal J after
 another by the values of one t after another: J + (t - lambda) A is kept
 for each lambda that leaves it proper.  The values are among the roots
-in F_p of the characteristic polynomial of multiplication by t (its
-linear ``factor``s); a root that makes the ideal all of A is taken on no
-field of J.
+in F_p of the characteristic polynomial of multiplication by t, from the
+scan of F_p that ``factor`` starts with (``_linear_part``); a root that
+makes the ideal all of A is taken on no field of J.
 """
 
 from collections import namedtuple
@@ -227,20 +227,13 @@ def root_count(poly, p):
     return len(a) - 1
 
 
-def factor(poly, p):
-    """The distinct monic irreducible factors mod the prime p of a
-    polynomial f that is monic mod p, squarefree or not, given by ascending
-    integer coefficients: each once, by its ascending coefficients mod p,
-    ordered by degree and then by those.
-
-    The linear factors come from a scan of F_p, a synthetic division by
-    x - a at each a, repeated while it leaves 0.  The rest is factored by
-    degree (Cohen, A Course in Computational Algebraic Number Theory, GTM
-    138, 3.4): x^(p^d) - x is the product of the monic irreducibles of
-    degree dividing d, so once those of degree < d are divided out of f,
-    gcd(f, x^(p^d) - x) is the product of those of degree d.  A rest of
-    degree < 2(d + 1) is irreducible or 1."""
-    f, out = _fp_trim([x % p for x in poly]), []
+def _linear_part(poly, p):
+    """(roots, rest) for a polynomial f that is monic mod the prime p,
+    given by ascending integer coefficients: its distinct roots in F_p,
+    ascending, and f mod p with every factor x - a divided out, by its
+    ascending coefficients.  A scan of F_p: a synthetic division by x - a
+    at each a, repeated while it leaves 0."""
+    f, roots = _fp_trim([x % p for x in poly]), []
     for a in range(p):
         while len(f) > 1:
             q = [f[-1]]
@@ -249,8 +242,25 @@ def factor(poly, p):
             if q.pop():
                 break
             f = q[::-1]
-            if out[-1:] != [[-a % p, 1]]:
-                out.append([-a % p, 1])
+            if roots[-1:] != [a]:
+                roots.append(a)
+    return roots, f
+
+
+def factor(poly, p):
+    """The distinct monic irreducible factors mod the prime p of a
+    polynomial f that is monic mod p, squarefree or not, given by ascending
+    integer coefficients: each once, by its ascending coefficients mod p,
+    ordered by degree and then by those.
+
+    The linear factors come from the scan of F_p in ``_linear_part``.  The
+    rest is factored by degree (Cohen, A Course in Computational Algebraic
+    Number Theory, GTM 138, 3.4): x^(p^d) - x is the product of the monic
+    irreducibles of degree dividing d, so once those of degree < d are
+    divided out of f, gcd(f, x^(p^d) - x) is the product of those of degree
+    d.  A rest of degree < 2(d + 1) is irreducible or 1."""
+    roots, f = _linear_part(poly, p)
+    out = [[-a % p, 1] for a in roots]
     d = 1
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
@@ -306,7 +316,7 @@ def maximal_ideals(lam, p):
             continue
         # the values of t on the fields are roots of its characteristic polynomial
         chi = charpoly(action_matrix(lam, t))
-        values = sorted(-g[0] % p for g in factor(chi, p) if len(g) == 2)
+        values = _linear_part(chi, p)[0]
         split = []
         for ideal in ideals:
             left = r - len(ideal)  # dim A/ideal, shared out among the pieces

@@ -6,6 +6,9 @@ only the tests run:
   ``stream_count``): every index-n HNF of Z^rank in turn, tested for
   closure under the table, against which the descent's counts are
   checked;
+* ``whole_ring_descent``, the descent through every maximal ideal of
+  Lambda/pLambda at once, against which the descent's convolution of one
+  tower per maximal ideal is checked;
 * ``assemble_global_per_prime``, the Euler product assembled with a
   residue-degree pattern at every good prime, against which the root
   counts that ``dirichlet.assemble_global`` takes above sqrt(N) are
@@ -57,8 +60,15 @@ from tablezeta.genus import (
     _region_sum,
     _to_exps,
 )
-from tablezeta.ideals import IdealCountSeries
-from tablezeta.modp import kernel_mod_pk, rref
+from tablezeta.ideals import (
+    IdealCountSeries,
+    _degree_one_children,
+    _hyperplanes,
+    _moebius_terms,
+    _products,
+    _sublattice,
+)
+from tablezeta.modp import kernel_mod_pk, maximal_ideals, rref
 from tablezeta.polys import (
     factor_rational,
     padd,
@@ -166,6 +176,90 @@ def stream_count(lam, n):
 def stream_series(lam, bound):
     "(a_1, ..., a_bound) by the plain stream."
     return tuple(stream_count(lam, n) for n in range(1, bound + 1))
+
+
+# --- the descent over the whole ring at once ---------------------------------
+
+
+def whole_ring_descent(table, p, kmax):
+    """[a_1, a_p, ..., a_{p^kmax}] for kmax >= 1 by one descent through every
+    maximal ideal of Lambda/pLambda (``modp.maximal_ideals``) at once, with
+    ``ideals``'s child builders and Moebius sums but no splitting into
+    blocks: the tower that ``ideals._descend`` gets as a convolution of one
+    tower per maximal ideal.
+
+    Level by level from Lambda.  An ideal I of index p^k gets, for a
+    maximal ideal m of residue degree f above p with k + f <= kmax, the
+    children J with mI <= J < I and I/J = F_q, q = p^f: the
+    F_q-hyperplanes of I/mI.  The maximal ideals are taken in a fixed
+    order, and I gets children only at the m of its own last step and
+    after it.  Every ideal J of index at most p^kmax is still reached:
+    Lambda/J is the direct sum of its localizations at the m in its
+    support (Solomon 1977; Bushnell-Reiner 1980), so a composition series
+    can take all its factors at the first m, then all at the next, and so
+    on, and each step is a maximal sub-ideal.  Children are kept by
+    canonical HNF, so an ideal reached from several parents is counted
+    once.  Level k >= r (r the rank) drops the ideals inside p Lambda and
+    counts them as a_{p^(k-r)}; no path to a kept ideal passes through
+    them, since every ideal on it contains the kept one.
+
+    The last level is counted, not built.  Let J be an ideal of index p^k,
+    k >= 1, and m the last maximal ideal of its support, of residue field
+    F_q, q = p^f.  The K with mK <= J < K are the K with J < K <= (J : m),
+    and K/J runs over the nonzero F_q-subspaces N of (J : m)/J.  The
+    support of each such K lies in J's, so the descent walks K, if K is
+    not inside p Lambda, with m at or after K's last step; and conversely,
+    for K, an m at or after K's last step and mK <= J < K, m is the last
+    maximal ideal of J's support.  So a_{p^k} is the sum, over the ideals
+    K of index p^j < p^k and the m at or after K's last step with
+    j + c f = k for a c >= 1, of ``ideals._moebius_terms(d/f, q)[c - 1]``,
+    d = dim_Fp K/mK.  An ideal pK' inside p Lambda has every maximal ideal
+    in its support, so it enters only at the last m, with dim pK'/m pK' =
+    dim K'/mK'.  Each built level is checked against its sum."""
+    r = len(table)
+    steps = [(m, [action_matrix(table, g) for g in m.generators]) for m in maximal_ideals(table, p)]
+    acts = [action_matrix(table, e) for e in unit_vectors(r)[1:]]
+    last, f_last = len(steps) - 1, steps[-1][0].f
+    # k < kmax -> {HNF rows: position in steps of the last step}
+    levels = [{tuple(unit_vectors(r)): 0}] + [{} for _ in range(kmax - 1)]
+    sums = [0] * (kmax + 1)
+    last_dims = [{} for _ in range(kmax)]  # k -> {d: ideals of index p^k with dim I/mI = d at the last m}
+
+    def add(k, d, f, times=1):
+        for c, term in enumerate(_moebius_terms(d // f, p**f)[: (kmax - k) // f], 1):
+            sums[k + c * f] += times * term
+
+    counts = []
+    for k, level in enumerate(levels):
+        if k >= r:
+            level = {rows: first for rows, first in level.items() if any(x % p for row in rows for x in row)}
+            for d, times in last_dims[k - r].items():
+                add(k, d, f_last, times)
+            last_dims[k] = dict(last_dims[k - r])
+        counts.append(len(level) + (counts[k - r] if k >= r else 0))
+        if k and sums[k] != counts[k]:
+            raise ArithmeticError(f"at p = {p}, index p^{k}: built {counts[k]} ideals, the Moebius sum is {sums[k]}")
+        for rows, first in level.items():
+            for pos in range(first, len(steps)):
+                m, gens = steps[pos]
+                if k + m.f > kmax:
+                    continue
+                w = rref([c for g in gens for c in _products(rows, g)], p)
+                d = r - len(w)
+                add(k, d, m.f)
+                if pos == last:
+                    last_dims[k][d] = last_dims[k].get(d, 0) + 1
+                if k + m.f == kmax:
+                    continue
+                if m.f == 1:
+                    children = _degree_one_children(rows, w, p)
+                else:
+                    subs = (w,) if d == m.f else _hyperplanes(w, m.f, [_products(rows, a) for a in acts], p, r)
+                    children = (_sublattice(rows, sub, p) for sub in subs)
+                for hnf in children:
+                    levels[k + m.f][hnf] = pos
+    counts.append(sums[kmax])
+    return counts
 
 
 # --- the Euler product, one residue-degree pattern per good prime -----------

@@ -2,11 +2,11 @@ from itertools import product
 from math import comb, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tablezeta import LatticeHNF, count_ideals, count_ideals_at_prime
-from tablezeta.algebra import action_matrix
+from tablezeta.algebra import TableAlgebra, action_matrix
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import LocalRationalFunction, expand, maximal_local_factor, theorem_local_factor
@@ -22,6 +22,7 @@ from tablezeta.exact import factorize, hnf, primes_up_to
 from tablezeta.modp import kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 from tablezeta.pipeline import verify_order
+from tablezeta.polys import pmul
 
 from references import (
     divisor_tuples,
@@ -33,6 +34,8 @@ from references import (
     stream_count,
     stream_series,
     sylvester_discriminant,
+    tensor_table,
+    whole_ring_descent,
 )
 
 
@@ -203,6 +206,70 @@ def test_descent_matches_stream_on_group_rings():
     ]
     for lam, bound in cases:
         assert count_ideals(lam, bound).counts == stream_series(lam, bound)
+
+
+def convolve(a, b):
+    "The product of two power series [a_0, a_1, ...], truncated at the shorter."
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
+
+
+C6 = group_table(6, lambda i, j: (i + j) % 6)
+FIB_C2 = tensor_table(fusion("fib").lam, group_table(2, lambda i, j: i ^ j))
+
+
+def test_c6_tower_at_2_is_the_convolution_of_its_blocks():
+    # Z_2[C6] = Z_2[C2] x Z_4[C2], Z_4 the unramified quadratic ring, which
+    # is fib (x) c2 at 2: each factor has one maximal ideal above 2, so its
+    # tower takes no convolution, and Z[C6]'s is the product of theirs
+    c2 = group_table(2, lambda i, j: i ^ j)
+    assert [len(maximal_ideals(lam, 2)) for lam in (C6, c2, FIB_C2)] == [2, 1, 1]
+    blocks = convolve(count_ideals_at_prime(c2, 2, 10), count_ideals_at_prime(FIB_C2, 2, 10))
+    assert count_ideals_at_prime(C6, 2, 10) == blocks
+
+
+def test_c6_deltas_are_products_of_the_blocks_deltas():
+    # delta_2 of Z[C6] is delta_2(Z[C2]) delta_2(fib (x) c2), and delta_3 is
+    # delta_3(Z[C3])^2: Z_3[C6] = Z_3[C3] x Z_3[C3]
+    c6 = verify_order(TableAlgebra(6, C6, tuple(-i % 6 for i in range(6))), 16)
+    fib_c2 = verify_order(TableAlgebra(4, FIB_C2, (0, 1, 2, 3)), 16)
+    c2, c3 = (verify_order(fusion(name), 16) for name in ("c2", "c3"))
+    assert all(res.passed for res in (c6, fib_c2, c2, c3))
+    assert c6.deltas[2] == pmul(c2.deltas[2], fib_c2.deltas[2]) == (1, -1, 1, 1, 2, -4, 8)
+    assert c6.deltas[3] == pmul(c3.deltas[3], c3.deltas[3]) == (1, -2, 7, -6, 9)
+
+
+@pytest.mark.parametrize(
+    "label, lam, p, kmax",
+    [
+        ("Z[C6]", C6, 2, 8),
+        ("Z[C6]", C6, 3, 6),
+        ("Z[C10]", group_table(10, lambda i, j: (i + j) % 10), 2, 5),
+        ("Z[C10]", group_table(10, lambda i, j: (i + j) % 10), 5, 4),
+        ("reps3", fusion("reps3").lam, 2, 10),
+        ("reps3", fusion("reps3").lam, 3, 7),
+    ],
+)
+def test_block_towers_convolve_to_the_whole_ring_descent(label, lam, p, kmax):
+    assert len(maximal_ideals(lam, p)) >= 2
+    assert count_ideals_at_prime(lam, p, kmax) == whole_ring_descent(lam, p, kmax)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=2),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=2),
+)
+@example([-1], [1, 1])  # Z[C3]: x^3 - 1 = (x - 1)(x^2 + x + 1), two blocks at 2
+@example([1, 0], [-2, 0])  # (x^2 + 1)(x^2 - 2): two blocks at 2, three at 5, one of residue degree 2
+def test_block_towers_convolve_on_random_products(low1, low2):
+    # Z[x]/(f1 f2) at each p <= 5 where Lambda/pLambda has two or more
+    # maximal ideals: the convolved tower against the whole-ring descent
+    lam = quotient_ring_table(pmul((*low1, 1), (*low2, 1)))
+    split = [p for p in (2, 3, 5) if len(maximal_ideals(lam, p)) >= 2]
+    assume(split)
+    for p in split:
+        kmax = {2: 6, 3: 4, 5: 3}[p]
+        assert count_ideals_at_prime(lam, p, kmax) == whole_ring_descent(lam, p, kmax), p
 
 
 def assert_root_count_matches(lam):
@@ -399,6 +466,38 @@ def test_work_on_the_drt6_tower_to_3_9(monkeypatch):
     assert count_ideals_at_prime(drt(6).lam, 3, 9) == expand(theorem_local_factor("v3", 3), 9)
     assert len(built) <= 1074
     assert len(calls) == 471
+
+
+def record_products(monkeypatch):
+    "Wrap _products; the list returned gets one entry per call."
+    calls = []
+    products = ideals._products
+
+    def counting_products(rows, act):
+        calls.append(1)
+        return products(rows, act)
+
+    monkeypatch.setattr(ideals, "_products", counting_products)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lam, p, kmax, children, products",
+    [
+        # the whole-ring descent built 331 children and took 207 products
+        (fusion("reps3").lam, 2, 10, 146, 92),
+        # the whole-ring descent built 487 children and took 581 products
+        (C6, 2, 10, 177, 141),
+    ],
+)
+def test_work_on_block_towers(monkeypatch, lam, p, kmax, children, products):
+    # counters that do not depend on the machine: one walk per maximal
+    # ideal builds no ideal that mixes two of them
+    built = record_children(monkeypatch)
+    calls = record_products(monkeypatch)
+    assert count_ideals_at_prime(lam, p, kmax)[kmax] > 0
+    assert len(built) <= children
+    assert len(calls) <= products
 
 
 def test_a_lost_child_trips_the_moebius_check(monkeypatch):

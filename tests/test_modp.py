@@ -8,6 +8,7 @@ from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.polys import pmul
 from tablezeta.modp import (
     _ideal_generators,
+    _linear_part,
     factor,
     is_gorenstein,
     kernel,
@@ -221,6 +222,20 @@ def test_split_roots_divides_out_each_root(poly, p):
     for g in found:
         product = polymul_mod(product, g, p)
     assert product == [x % p for x in poly]
+
+
+@pytest.mark.parametrize(
+    "poly, p",
+    [((1, 0, -2, 0, 1), 3), ((1, 0, -2, 0, 1), 5), ((-1, -1, 1), 11), ((-1, -1, 1), 2), ((-1, 0, 0, 0, 0, 1), 11), ((-2, 0, 0, 1), 31)],
+)
+def test_linear_part_is_the_scan_that_factor_starts_with(poly, p):
+    # maximal_ideals takes the roots alone (x^4 - 2x^2 + 1 at 3 and 5 for
+    # Z[C2 x C2]); factor takes them as its linear factors and factors the
+    # rest, which has no root
+    roots, rest = _linear_part(poly, p)
+    assert roots == [a for a in range(p) if _horner(poly, a, p) == 0]
+    assert all(_horner(rest, a, p) for a in range(p))
+    assert factor(poly, p) == sorted([[-a % p, 1] for a in roots] + factor(rest, p), key=lambda g: (len(g), g))
 
 
 def polymul_mod(a, b, p):
