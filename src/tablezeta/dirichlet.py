@@ -137,28 +137,56 @@ def residue_degrees_mod_p(poly, p):
     return _residue_degrees_mod(poly, p)
 
 
-def _residue_degrees_mod(poly, p, disc=None):
+def _residue_degrees_mod(poly, p, disc=None, symbols=None):
     """residue_degrees_mod_p for a p already known to be prime.  disc, if
     given, is the discriminant of poly, a monic integer polynomial, so that
-    a caller that asks at many primes computes it once."""
+    a caller that asks at many primes computes it once, and ``symbols`` is
+    then a dict that ``_distinct_roots`` keeps its residue symbols in."""
     coeffs = [x % p for x in poly]
     if len(coeffs) < 2:
         return []
     if coeffs[-1] != 1:
         raise InputError(f"{tuple(poly)} is not monic mod {p}")
     if len(coeffs) <= 3:  # one root for a linear f; two roots, a double one or none for a quadratic
-        return [[2], [1], [1, 1]][_distinct_roots(coeffs, p, discriminant(coeffs) if disc is None else disc)]
+        if disc is None:
+            disc, symbols = discriminant(coeffs), None
+        return [[2], [1], [1, 1]][_distinct_roots(coeffs, p, disc, symbols)]
     return [len(g) - 1 for g in factor(coeffs, p)]
 
 
-def _distinct_roots(poly, p, disc):
+def _distinct_roots(poly, p, disc, symbols=None):
     """The number of distinct roots mod the prime p of poly, monic mod p
     and of degree >= 1, of discriminant disc (mod p or not): for a
-    quadratic at an odd p prime to disc Euler's criterion (2 roots when
-    disc^((p-1)/2) = 1 mod p, else 0), and else ``modp.root_count``."""
+    quadratic at an odd p prime to disc Euler's criterion
+    (``_residue_symbol``), and else ``modp.root_count``.  ``symbols``, if
+    given, is a dict of the criterion by (disc, p mod |disc|), for a disc
+    that is poly's discriminant over Z, so that the criterion is taken
+    once per residue class (``assemble_global`` gives the lemma)."""
     if len(poly) == 3 and p > 2 and disc % p:
-        return 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+        if symbols is None:
+            return _residue_symbol(disc, p)
+        key = (disc, p % abs(disc))
+        if key not in symbols:
+            symbols[key] = _residue_symbol(disc, p)
+        return symbols[key]
     return root_count(poly, p)
+
+
+def _residue_symbol(disc, p):
+    """The number of roots mod an odd prime p, prime to disc, of a monic
+    quadratic of discriminant disc: 2 if disc^((p-1)/2) = 1 mod p (Euler's
+    criterion), else 0."""
+    return 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+
+
+def _root_counts(ring, disc, primes, symbols):
+    """The number of distinct roots of the monic ring, of discriminant
+    disc, mod each of ``primes``: none for a constant, one for a linear
+    ring, else ``_distinct_roots``, with ``symbols`` as there."""
+    deg = len(ring) - 1
+    if deg < 2:
+        return [deg] * len(primes)
+    return [_distinct_roots(ring, p, disc, symbols) for p in primes]
 
 
 def _dedekind_den(degrees):
@@ -201,45 +229,55 @@ def maximal_local_factor(rings, p) -> LocalRationalFunction:
 def assemble_global(rings, bad_primes, exceptional, bound) -> IdealCountSeries:
     """Coefficients a_1..a_N of the Euler product: good primes get the
     product of the Dedekind factors of the component rings, given by their
-    defining polynomials, bad primes the supplied full local factor.  Each
-    local factor is expanded to the depth ``IdealCountSeries.from_towers``
-    asks for, and that sweep multiplies them together.
+    defining polynomials, bad primes the supplied full local factor.
+    ``IdealCountSeries.from_towers`` multiplies them together in one sweep:
+    it takes each tower [a_1, a_p, ..., a_{p^kmax}] at p^2 <= N, and at
+    p^2 > N only a_p, which it writes once, over all multiples of p.
 
     A prime in ``exceptional`` takes its factor first, whether p^2 <= N or
-    not.  A good prime's factor prod (1 - t^deg)^{-1} depends only on the
-    residue degrees of the primes above p (residue_degrees_mod_p), each
-    pattern expanded once per depth at p^2 <= N.  At p^2 > N the tower is
-    [1, a_p], and a_p is the number of roots mod p summed over the rings,
-    taken in one pass per ring by the root rule of the residue degrees
-    (``_distinct_roots``).  Each discriminant is computed once, here, and
-    reduced mod every p; a ring that is not monic raises InputError."""
+    not (at p^2 > N its t-coefficient).  A good prime's factor prod (1 -
+    t^deg)^{-1} depends only on the residue degrees of the primes above p
+    (residue_degrees_mod_p), each pattern expanded once per depth at p^2 <=
+    N.  At p^2 > N a_p is the number of roots mod p summed over the rings,
+    taken in one pass per ring (``_root_counts``).  Each discriminant is
+    computed once, here; a ring that is not monic raises InputError.
+
+    A quadratic ring's roots at an odd p prime to its discriminant D are
+    Euler's criterion, the Kronecker symbol (D/p) + 1, and for D = 0 or 1
+    mod 4, as the discriminant of every monic integer quadratic is,
+    p -> (D/p) is a character mod |D| (Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, 1.4).  So the criterion is taken once
+    per residue class of p mod |D| (``_distinct_roots``), at every depth."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
     discs = [discriminant(ring) for ring in rings]
     primes = primes_up_to(bound)
-    a_p = dict.fromkeys((p for p in primes if p * p > bound and p not in exceptional), 0)
-    for ring, disc in zip(rings, discs):  # one pass per ring: a constant has no root, a linear ring one
-        deg = len(ring) - 1
-        a_p = {p: a + (deg if deg < 2 else _distinct_roots(ring, p, disc)) for p, a in a_p.items()}
+    symbols = {}  # (D, p mod |D|) -> the roots of a quadratic of discriminant D mod p
+    large = [p for p in primes if p * p > bound]
+    a_p = [0] * len(large)
+    for ring, disc in zip(rings, discs):
+        a_p = [a + r for a, r in zip(a_p, _root_counts(ring, disc, large, symbols))]
+    for i, p in enumerate(large):
+        if p in exceptional:
+            a_p[i] = expand(exceptional[p], 1)[1]
     good = {}  # (sorted residue degrees, kmax) -> [a_1, a_p, ..., a_{p^kmax}]
 
     def tower(p, kmax):
         if p in exceptional:
             return expand(exceptional[p], kmax)
-        if kmax == 1:
-            return [1, a_p[p]]
-        key = (_residue_degrees(rings, p, discs), kmax)
+        key = (_residue_degrees(rings, p, discs, symbols), kmax)
         if key not in good:
             good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
         return good[key]
 
-    return IdealCountSeries.from_towers(bound, primes, tower)
+    return IdealCountSeries.from_towers(bound, primes, tower, a_p)
 
 
-def _residue_degrees(rings, p, discs):
-    "Sorted residue degrees of the primes above the prime p in every ring, of discriminants discs."
-    return tuple(sorted(d for ring, disc in zip(rings, discs) for d in _residue_degrees_mod(ring, p, disc)))
+def _residue_degrees(rings, p, discs, symbols=None):
+    """Sorted residue degrees of the primes above the prime p in every ring,
+    of discriminants discs; ``symbols`` as for ``_distinct_roots``."""
+    return tuple(sorted(d for ring, disc in zip(rings, discs) for d in _residue_degrees_mod(ring, p, disc, symbols)))
 
 
 def _quotient(oracle_counts, maximal_factor):

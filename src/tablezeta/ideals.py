@@ -93,7 +93,9 @@ as often as before, 471, 5,570 and 42,136 times, which is where most of
 the time now goes.  Each has one block.  Where Lambda/pLambda has
 several, best of seven in process and in brackets while one descent
 walked every m at once and built every ideal that mixes them: the tower
-of Z[C6] at 2 to 2^10 takes 13 ms (65 ms) and at 3 to 3^7 7 ms (25 ms),
+of Z[C6] at 2 to 2^10 takes 11 ms (65 ms; 13 ms while its F_4 block found
+each hyperplane from every functional that vanishes on it, 90 for 30)
+and at 3 to 3^7 7 ms (25 ms),
 reps3's at 2 to 2^10 2.4 ms (5.1 ms) and at 3 to 3^7 1.7 ms (3.7 ms), and
 Z[C2 x C2]'s at 3 to 3^8, four blocks, 2.8 ms (22 ms).  On Z[C6] at 2
 the descent builds 177 children (487) and takes 141 products (581), on
@@ -135,29 +137,43 @@ class IdealCountSeries:
             raise InputError("a_1 must be 1")
 
     @classmethod
-    def from_towers(cls, bound, primes, tower):
+    def from_towers(cls, bound, primes, tower, large):
         """The multiplicative series to bound: a_n is the product of the
-        a_{p^k} with p^k || n, where tower(p, kmax) is [a_1, a_p, ...,
-        a_{p^kmax}] for each p in ``primes``, the primes up to bound, kmax
-        the largest k with p^k <= bound.  The sweep multiplies the multiples
-        of p by a_p in one slice, and for p^2 <= bound lays each a_{p^k} over
-        the multiples of p^k in turn, so that no valuation is computed."""
+        a_{p^k} with p^k || n, for ``primes`` the primes up to bound in
+        ascending order.  tower(p, kmax) is [a_1, a_p, ..., a_{p^kmax}] for
+        each p with p^2 <= bound, kmax >= 2 the largest k with p^k <= bound,
+        and ``large`` gives a_p for each of the rest, in order.
+
+        The sweep takes the primes in order and writes a_j a_{p^k} at every
+        n = j p^k <= bound at once, for k = 1, 2, ..., reading a_j at j <=
+        bound / p^k.  When p comes, the entry at j p^v with p not dividing
+        j holds the product over the primes q < p that the entry at j holds,
+        and the entry at j is not written at p; the write for k = v, the last
+        at j p^v, makes it right.  So no valuation is computed.  A p with
+        p^2 > bound, whose only write is k = 1, takes no tower: a_n = a_j
+        a_p at n = j p, where j <= bound / p < sqrt(bound) has no prime
+        factor as large as p, and at 2p > bound only a_p itself."""
         coeffs = [1] * (bound + 1)  # index by n, entry 0 unused
+        small = 0
         for p in primes:
-            kmax = 1
+            if p * p > bound:
+                break
+            small += 1
+            kmax = 2
             while p ** (kmax + 1) <= bound:
                 kmax += 1
-            a = tower(p, kmax)
-            if kmax == 1:
-                if a[1] != 1:
-                    coeffs[p::p] = [c * a[1] for c in coeffs[p::p]]
+            step = p
+            for a in tower(p, kmax)[1:]:
+                row = coeffs[1 : bound // step + 1]
+                coeffs[step::step] = row if a == 1 else [c * a for c in row]
+                step *= p
+        for p, a in zip(primes[small:], large, strict=True):
+            if a == 1:  # the entry at j p already holds a_j
                 continue
-            # mult[i] = a_{p^v} for n = (i + 1) p with v = v_p(n)
-            mult = [a[1]] * (bound // p)
-            for k in range(2, kmax + 1):
-                step = p ** (k - 1)
-                mult[step - 1 :: step] = [a[k]] * (bound // (step * p))
-            coeffs[p::p] = [c * m for c, m in zip(coeffs[p::p], mult)]
+            if 2 * p > bound:
+                coeffs[p] = a
+            else:
+                coeffs[p::p] = [c * a for c in coeffs[1 : bound // p + 1]]
         return cls(bound, coeffs[1:])
 
     def a(self, n):
@@ -190,7 +206,10 @@ def count_ideals(table, bound, maximal=None, *, _split=None) -> IdealCountSeries
     if _split is None:
         check_ring(table)
     split = _split or _splitting_element(table)
-    return IdealCountSeries.from_towers(bound, primes_up_to(bound), lambda p, k: _descend(table, p, k, maximal, split))
+    maximal = {} if maximal is None else maximal
+    primes = primes_up_to(bound)
+    large = (_degree_one_count(table, split, p, maximal) for p in primes if p * p > bound)
+    return IdealCountSeries.from_towers(bound, primes, lambda p, k: _descend(table, p, k, maximal, split), large)
 
 
 def count_ideals_at_prime(table, p, kmax, maximal=None, *, _split=None):
@@ -415,8 +434,11 @@ def _hyperplanes(w, f, mats, p, r):
     no row of w starts.  With b_j acting on F_p^r by mats[j-1], each
     F_p-functional phi on V gives the largest submodule {v : phi(a v) = 0
     for all a} in its kernel, which is the kernel of the F_q-functional
-    whose trace is phi; each U arises (q-1)/(p-1) times and is returned
-    once."""
+    whose trace is phi.  Every nonzero F_p-functional that vanishes on U
+    gives U again, so once U is found the (q-1)/(p-1) projective points
+    of its annihilator are skipped: the functionals v -> phi(v b_j), the
+    columns of the matrix whose kernel is U, span it, since the b_j map
+    onto Lambda/m = F_q.  So each U is found once."""
     piv = dict(zip(pivots(w), w))
     free = [c for c in range(r) if c not in piv]
     dim = len(free)
@@ -430,19 +452,24 @@ def _hyperplanes(w, f, mats, p, r):
         return [v[c] % p for c in free]
 
     on_v = [[reduce(mat[c]) for c in free] for mat in mats]  # b_j on V; b_0 is the identity
-    out = []
+    out, found = [], set()  # found: the functionals that vanish on a U in out
     for phi in _projective_points(dim, p):
+        if phi in found:
+            continue
         # row t: phi(e_t b_j) for every j, e_t the t-th basis vector of V
-        ker = kernel([[phi[t]] + [sum(x * y for x, y in zip(mat[t], phi)) for mat in on_v] for t in range(dim)], p)
+        rows = [[phi[t]] + [sum(x * y for x, y in zip(mat[t], phi)) for mat in on_v] for t in range(dim)]
+        ker = kernel(rows, p)
+        # U's annihilator, echelon, so a combination with first coefficient 1 starts with 1
+        ann = rref(list(zip(*rows)), p)
+        for cs in _projective_points(len(ann), p):
+            found.add(tuple(sum(c * a[t] for c, a in zip(cs, ann)) % p for t in range(dim)))
         lifted = []
         for u in ker:
             v = [0] * r
             for col, x in zip(free, u):
                 v[col] = x
             lifted.append(v)
-        sub = rref(list(w) + lifted, p)
-        if sub not in out:
-            out.append(sub)
+        out.append(rref(list(w) + lifted, p))
     return out
 
 

@@ -30,15 +30,30 @@ scan of F_p that ``factor`` starts with (``_linear_part``); a root that
 makes the ideal all of A is taken on no field of J.
 """
 
-from collections import namedtuple
-
 from . import algebra
 from .algebra import action_matrix, unit_vectors
 from .exact import charpoly, hnf_square, mat_mul
 
-# f: residue degree [A : m] over F_p; basis: the reduced row echelon basis
-# of m; generators: elements of m that generate it as an ideal
-MaximalIdeal = namedtuple("MaximalIdeal", "f basis generators")
+
+class MaximalIdeal:
+    """A maximal ideal m of A = Lambda / p Lambda: ``f``, its residue degree
+    [A : m] over F_p; ``basis``, its reduced row echelon basis; and
+    ``generators``, elements of m that generate it as an ideal.  These are
+    given, or, for ``source`` = (lam, p), searched for by
+    ``_ideal_generators`` when first read: a walk and the socle test read
+    them, a count of residue degrees does not."""
+
+    __slots__ = ("f", "basis", "_generators", "_source")
+
+    def __init__(self, f, basis, generators=None, source=None):
+        self.f, self.basis, self._generators, self._source = f, basis, generators, source
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            lam, p = self._source
+            self._generators = _ideal_generators(lam, self.basis, p)
+        return self._generators
 
 
 def rref(rows, p):
@@ -296,7 +311,8 @@ def _equal_degree(g, d, p):
 
 def maximal_ideals(lam, p):
     """The maximal ideals of Lambda / p Lambda with their residue degrees,
-    ordered by their bases."""
+    ordered by their bases; the generators of each are searched for when
+    first read (``MaximalIdeal``)."""
     r = len(lam)
     unit = unit_vectors(r)
     frob = tuple(_power(lam, e, p, p) for e in unit)  # row i: b_i^p
@@ -329,7 +345,7 @@ def maximal_ideals(lam, p):
                     if not left:
                         break
         ideals = split
-    return tuple(MaximalIdeal(r - len(m), m, _ideal_generators(lam, m, p)) for m in sorted(ideals))
+    return tuple(MaximalIdeal(r - len(m), m, source=(lam, p)) for m in sorted(ideals))
 
 
 def socle_dimension(lam, m, p):

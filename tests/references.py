@@ -266,10 +266,12 @@ def whole_ring_descent(table, p, kmax):
 
 
 def assemble_global_per_prime(rings, bad_primes, exceptional, bound):
-    """dirichlet.assemble_global with no root counts: every good prime,
-    p^2 > N or not, gets the sorted residue degrees of the primes above it
-    (``dirichlet._residue_degrees``), and each pattern is expanded once per
-    depth."""
+    """dirichlet.assemble_global with no root counts and no residue-class
+    memo: every good prime, p^2 > N or not, gets the sorted residue degrees
+    of the primes above it (``dirichlet._residue_degrees``, Euler's
+    criterion at each p), each pattern expanded once per depth, and a_n is
+    the product of the a_{p^v} with p^v || n by the definition, not by
+    ``IdealCountSeries.from_towers``."""
     for p in bad_primes:
         if p not in exceptional:
             raise MissingBadPrime(f"no exceptional local factor supplied for p = {p}")
@@ -284,7 +286,18 @@ def assemble_global_per_prime(rings, bad_primes, exceptional, bound):
             good[key] = expand(LocalRationalFunction(p, (1,), _dedekind_den(key[0])), kmax)
         return good[key]
 
-    return IdealCountSeries.from_towers(bound, primes_up_to(bound), tower)
+    coeffs = [1] * bound
+    for p in primes_up_to(bound):  # a_n = prod a_{p^v} over p^v || n, by the definition
+        kmax = 0
+        while p ** (kmax + 1) <= bound:
+            kmax += 1
+        a = tower(p, kmax)
+        for n in range(p, bound + 1, p):
+            v = 0
+            while n % p ** (v + 1) == 0:
+                v += 1
+            coeffs[n - 1] *= a[v]
+    return IdealCountSeries(bound, coeffs)
 
 
 # --- tables and checks of the maximal order -----------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 from tablezeta import LocalRationalFunction, assemble_global, expand, infer_local_polynomial, theorem_local_factor
 from tablezeta.decomposition import maximal_order
+from tablezeta import dirichlet
 from tablezeta.dirichlet import maximal_local_factor, residue_degrees_mod_p
 from tablezeta.errors import DegreeBoundExceeded, InputError, MissingBadPrime
-from tablezeta.pipeline import infer_exceptional_factors
-from tablezeta.exact import factorize, primes_up_to
+from tablezeta.pipeline import infer_exceptional_factors, zeta_series
+from tablezeta.exact import discriminant, factorize, primes_up_to
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.polys import pmul
 from tablezeta.ideals import IdealCountSeries, count_ideals, count_ideals_at_prime
@@ -202,6 +204,65 @@ def test_assemble_equals_the_per_prime_reference(t, bound):
     exceptional = {p: f.full for p, f in infer_exceptional_factors(t, data, bound).items()}
     series = assemble_global(data.rings, data.bad_primes, exceptional, bound)
     assert series == assemble_global_per_prime(data.rings, data.bad_primes, exceptional, bound)
+
+
+_MONIC = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3).map(lambda low: (*low, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MONIC, min_size=1, max_size=3), st.data())
+def test_assemble_equals_the_reference_on_random_rings(rings, data):
+    # random monic linear, quadratic and cubic rings, at bounds p^2 - 1, p^2
+    # and p^2 + 1 for a small p or a p dividing a discriminant, with random
+    # exceptional factors at random bad primes, some with p^2 > N: the
+    # one-pass assembly against the per-prime reference, which takes
+    # Euler's criterion at every prime and the product by the definition
+    divisors = {q for ring in rings for q in factorize(abs(discriminant(ring)) or 1) if q <= 23}
+    p = data.draw(st.sampled_from(sorted(divisors | {2, 3, 5})))
+    bound = p * p + data.draw(st.sampled_from([-1, 0, 1]))
+    bad = data.draw(st.lists(st.sampled_from(primes_up_to(bound)), max_size=3, unique=True))
+    coeff = st.integers(min_value=-4, max_value=4)
+    exceptional = {
+        q: LocalRationalFunction(q, (1, *data.draw(st.lists(coeff, max_size=3))), (1, *data.draw(st.lists(coeff, max_size=2))))
+        for q in bad
+    }
+    want = assemble_global_per_prime(rings, bad, exceptional, bound)
+    assert assemble_global(rings, bad, exceptional, bound) == want
+
+
+_DISCRIMINANTS = [d for d in range(-200, 201) if d % 4 in (0, 1) and not (d >= 0 and isqrt(d) ** 2 == d)]
+
+
+def test_euler_criterion_depends_only_on_the_residue_class():
+    # the lemma the assembly rests on: (D/p) is a character mod |D| for a
+    # non-square discriminant D = 0, 1 mod 4, so Euler's criterion agrees
+    # at odd primes p = q mod |D| that do not divide D
+    primes = primes_up_to(3000)[1:]
+    for disc in _DISCRIMINANTS:
+        seen = {}
+        for p in primes:
+            if disc % p:
+                symbol = pow(disc, (p - 1) // 2, p) == 1
+                assert seen.setdefault(p % abs(disc), symbol) == symbol, (disc, p)
+
+
+def test_ising_takes_one_residue_symbol_per_residue_class(monkeypatch):
+    # a counter that does not depend on the machine: x^2 - 2, of
+    # discriminant 8, has four odd residue classes mod 8, so zeta to 6561
+    # evaluates Euler's criterion at most 8 times (about 825 times at
+    # every odd prime)
+    calls = []
+    symbol = dirichlet._residue_symbol
+
+    def counting(disc, p):
+        calls.append(p)
+        return symbol(disc, p)
+
+    monkeypatch.setattr(dirichlet, "_residue_symbol", counting)
+    series = zeta_series(fusion("ising"), 6561)
+    assert len(calls) <= 8, calls
+    monkeypatch.undo()
+    assert series == zeta_series(fusion("ising"), 6561)
 
 
 @pytest.mark.parametrize(

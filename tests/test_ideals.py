@@ -10,7 +10,7 @@ from tablezeta.algebra import TableAlgebra, action_matrix
 from tablezeta.errors import InputError
 from tablezeta.families import FUSION_NAMES, conference, drt, fusion
 from tablezeta.dirichlet import LocalRationalFunction, expand, maximal_local_factor, theorem_local_factor
-from tablezeta import ideals, pipeline
+from tablezeta import ideals, modp, pipeline
 from tablezeta.ideals import (
     IdealCountSeries,
     _degree_one_children,
@@ -19,7 +19,7 @@ from tablezeta.ideals import (
     _sublattice,
 )
 from tablezeta.exact import factorize, hnf, primes_up_to
-from tablezeta.modp import kernel, maximal_ideals, root_count, rref
+from tablezeta.modp import is_gorenstein, kernel, maximal_ideals, root_count, rref
 from tablezeta.decomposition import maximal_order
 from tablezeta.pipeline import verify_order
 from tablezeta.polys import pmul
@@ -500,6 +500,42 @@ def test_work_on_block_towers(monkeypatch, lam, p, kmax, children, products):
     assert len(calls) <= products
 
 
+def test_each_hyperplane_is_found_once(monkeypatch):
+    # a counter that does not depend on the machine: the F_4 block of Z[C6]
+    # at 2 finds its 30 F_4-hyperplanes from 30 F_2-functionals, not from
+    # all 90 that vanish on one of them, (4 - 1)/(2 - 1) = 3 each
+    calls = []
+
+    def counting(rows, p):
+        calls.append(p)
+        return kernel(rows, p)
+
+    monkeypatch.setattr(ideals, "kernel", counting)
+    assert count_ideals_at_prime(C6, 2, 10) == [1, 1, 4, 6, 15, 19, 42, 56, 101, 133, 208]
+    assert len(calls) == 30
+
+
+def test_residue_degrees_search_no_generators(monkeypatch):
+    # a tower of depth 1 at a p dividing D reads only the residue degrees of
+    # the maximal ideals; a walk and the socle test search for generators
+    c2c2 = [[[int(i ^ j == k) for k in range(4)] for j in range(4)] for i in range(4)]
+    searched = []
+    search = modp._ideal_generators
+
+    def recording(lam, basis, p):
+        searched.append(p)
+        return search(lam, basis, p)
+
+    monkeypatch.setattr(modp, "_ideal_generators", recording)
+    maximal = {}
+    assert count_ideals(c2c2, 24, maximal).counts == count_ideals(c2c2, 24).counts
+    assert set(searched) <= {2, 3}
+    assert 5 in maximal and 7 not in searched
+    assert is_gorenstein(c2c2, maximal[5], 5) and searched.count(5) == len(maximal[5])
+    assert [m.generators for m in maximal[5]] == [search(c2c2, m.basis, 5) for m in maximal[5]]
+    assert searched.count(5) == len(maximal[5])  # each ideal searches once
+
+
 def test_a_lost_child_trips_the_moebius_check(monkeypatch):
     # every level the descent builds is checked against its Moebius sum
     degree_one = ideals._degree_one_children
@@ -610,17 +646,22 @@ def test_collapse_matches_stream_on_random_cubic_orders(low):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=31), st.data())
 def test_from_towers_is_the_product_over_prime_powers(bound, data):
-    # random towers, of depth 1 to 4 at p = 2, with a_p = 0 and a_p = 1 among
-    # the draws, against the definition a_n = prod_p a_{p^v_p(n)}
+    # random towers, of depth 2 to 4 at p = 2, and random a_p at the primes
+    # with p^2 > bound, with a_p = 0 and a_p = 1 among the draws, against the
+    # definition a_n = prod_p a_{p^v_p(n)}
     towers = {}
 
     def tower(p, kmax):
-        assert p**kmax <= bound < p ** (kmax + 1)
+        assert p**kmax <= bound < p ** (kmax + 1) and kmax >= 2
         towers[p] = [1] + data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=kmax, max_size=kmax))
         return towers[p]
 
-    series = IdealCountSeries.from_towers(bound, primes_up_to(bound), tower)
-    assert sorted(towers) == primes_up_to(bound)
+    primes = primes_up_to(bound)
+    large = [p for p in primes if p * p > bound]
+    a_p = data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=len(large), max_size=len(large)))
+    series = IdealCountSeries.from_towers(bound, primes, tower, a_p)
+    towers.update({p: [1, a] for p, a in zip(large, a_p)})
+    assert sorted(towers) == primes
     for n in range(1, bound + 1):
         want = 1
         for p, v in factorize(n).items():
