@@ -49,9 +49,6 @@ class TableAlgebra:
         if sorted(self.involution) != list(range(d)):
             raise ValueError("involution must be a permutation of the basis indices")
 
-    def name(self, i):
-        return self.names[i] if self.names else f"b{i}"
-
     def multiply(self, u, v):
         "Product of two coefficient vectors in the basis."
         return multiply(self.lam, u, v)

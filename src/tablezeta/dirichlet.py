@@ -13,7 +13,7 @@ from .errors import DegreeBoundExceeded, FunctionalEquationFailed, InputError, M
 from .exact import discriminant, is_prime, primes_up_to
 from .ideals import IdealCountSeries
 from .modp import factor, root_count
-from .polys import padd, pdeg, peval, pmul, pnorm
+from .polys import pdeg, peval, pmul, pnorm
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,6 @@ class LocalRationalFunction:
                 raise InputError("mixed primes")
             return LocalRationalFunction(self.p, pmul(self.num, other.num), pmul(self.den, other.den))
         return LocalRationalFunction(self.p, pmul(self.num, pnorm(tuple(other))), self.den)
-
-    def __add__(self, other):
-        if not isinstance(other, LocalRationalFunction) or self.p != other.p:
-            raise InputError("mixed primes")
-        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return LocalRationalFunction(self.p, num, pmul(self.den, other.den))
 
     def reduced(self):
         "Cancel common powers of (1 - t) and normalize; exact."

@@ -9,7 +9,7 @@ of their column.
 
 import operator
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import InputError
 
@@ -159,14 +159,7 @@ def hnf_square(rows):
 
 
 def lattice_det(h):
-    return abs_prod([h[i][i] for i in range(len(h))])
-
-
-def abs_prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return abs(out)
+    return abs(prod(h[i][i] for i in range(len(h))))
 
 
 def bareiss_det(rows):

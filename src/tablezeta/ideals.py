@@ -106,7 +106,9 @@ identity b_0, and both entry points refuse any other table first, through
 ``algebra.check_ring``: a non-commutative one with ``NonCommutative``,
 any other with ``InputError``.  ``pipeline`` alone skips that check, and
 the search for theta, by handing on the (theta, chi, D) of a
-``decomposition.maximal_order`` that has checked the table.
+``decomposition.maximal_order`` that has checked the table; it also
+hands a bad prime's tower the maximal ideals its socle test found, and
+the full count the bad primes' towers.
 """
 
 from dataclasses import dataclass
@@ -189,50 +191,56 @@ class IdealCountSeries:
         return ("%d\t%d\n" * self.bound)[:-1] % tuple(pairs)
 
 
-def count_ideals(table, bound, maximal=None, *, _split=None) -> IdealCountSeries:
+def count_ideals(table, bound, *, _split=None, _towers=None) -> IdealCountSeries:
     """a_n = number of index-n ideal sublattices for n = 1..bound.  The
     descent counts the tower a_1, a_p, ..., a_{p^k} with p^k <= bound at
     each prime p <= bound, and a_n for every other n is the product of the
     a_{p^k} with p^k || n (``IdealCountSeries.from_towers``): a composite
     coefficient is a product of counted ones, by the theorem in the module
-    docstring, not a count of its own.  ``maximal``, if given, is a dict
-    {p: modp.maximal_ideals(table, p)} that the count reads and adds to, so
-    that counts on one table share each list.  ``_split`` is for
+    docstring, not a count of its own.  ``_split`` and ``_towers`` are for
     ``pipeline`` alone: the (theta, chi, D) of the ``MaximalOrderData`` of
     a ``decomposition.maximal_order`` that has checked the table, so that
-    the count neither checks it again nor looks for a primitive element."""
+    the count neither checks it again nor looks for a primitive element,
+    and {p: [a_1, a_p, ..., a_{p^k}]}, towers already counted by
+    ``count_ideals_at_prime`` to a k with p^(k+1) > bound, which the count
+    takes instead of walking them again."""
     if bound < 1:
         raise InputError("bound must be >= 1")
     if _split is None:
         check_ring(table)
     split = _split or _splitting_element(table)
-    maximal = {} if maximal is None else maximal
+    towers = _towers or {}
     primes = primes_up_to(bound)
-    large = (_degree_one_count(table, split, p, maximal) for p in primes if p * p > bound)
-    return IdealCountSeries.from_towers(bound, primes, lambda p, k: _descend(table, p, k, maximal, split), large)
+
+    def tower(p, kmax):
+        return towers[p][: kmax + 1] if p in towers else _descend(table, p, kmax, split)
+
+    large = (towers[p][1] if p in towers else _degree_one_count(table, split, p) for p in primes if p * p > bound)
+    return IdealCountSeries.from_towers(bound, primes, tower, large)
 
 
-def count_ideals_at_prime(table, p, kmax, maximal=None, *, _split=None):
+def count_ideals_at_prime(table, p, kmax, *, _split=None, _maximal_ideals=None):
     """[a_1, a_p, ..., a_{p^kmax}]: the prime-power restriction, computed
-    directly by the descent at p; ``maximal`` and ``_split`` as for
-    count_ideals."""
+    directly by the descent at p.  ``_split`` is as for count_ideals, and
+    ``_maximal_ideals``, also for ``pipeline`` alone, is
+    ``modp.maximal_ideals(table, p)``, which the tower then takes instead
+    of finding the maximal ideals again."""
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if kmax < 0:
         raise InputError(f"kmax must be at least 0, got {kmax}")
     if _split is None:
         check_ring(table)
-    return _descend(table, p, kmax, maximal, _split or _splitting_element(table))
+    return _descend(table, p, kmax, _split or _splitting_element(table), _maximal_ideals)
 
 
-def _descend(table, p, kmax, maximal, split):
+def _descend(table, p, kmax, split, ms=None):
     """[a_1, a_p, ..., a_{p^kmax}]: the number of ideals of index p^k for
-    each k <= kmax.  ``maximal``, None or a dict as for count_ideals, maps
-    p to ``maximal_ideals(table, p)``; ``_maximal`` reads and adds to it.
-    A tower of depth 1 is [1, the number of maximal ideals of residue
-    degree 1 above p] (``_degree_one_count``, which reads the roots of chi
-    mod p off ``split``, from ``_splitting_element``, when p does not
-    divide D).
+    each k <= kmax, for ``ms`` the maximal ideals of Lambda/pLambda, or
+    None to find them (``_maximal``).  A tower of depth 1 is [1, the
+    number of maximal ideals of residue degree 1 above p]
+    (``_degree_one_count``, which reads the roots of chi mod p off
+    ``split``, from ``_splitting_element``, when p does not divide D).
 
     A deeper tower is the convolution, truncated at kmax, of one tower per
     maximal ideal m of Lambda/pLambda (``_walk``): that of the ideals I
@@ -246,10 +254,9 @@ def _descend(table, p, kmax, maximal, split):
     comaximal, so Lambda/(intersection) is the product of the Lambda/I_m
     and the intersection gives them back.  So the ideals of index p^k match
     the tuples (I_m) whose indices multiply to p^k."""
-    maximal = {} if maximal is None else maximal
     if kmax < 2:  # no index p^2: count the maximal ideals of residue degree 1, if there is an index p
-        return [1, _degree_one_count(table, split, p, maximal)] if kmax else [1]
-    ms = _maximal(table, p, maximal, split)
+        return [1, _degree_one_count(table, split, p, ms)] if kmax else [1]
+    ms = _maximal(table, p, split) if ms is None else ms
     tower = [1] + [0] * kmax
     for m in ms:
         block = _walk(table, p, kmax, m, len(ms) == 1)
@@ -370,13 +377,13 @@ def _splitting_element(table):
     return next(primitive_elements(table), None)
 
 
-def _maximal(table, p, maximal, split):
+def _maximal(table, p, split):
     """The maximal ideals of Lambda/pLambda, ordered by their bases: if p
     does not divide D, for (theta, chi, D) = ``split``, the (g(theta)) for
     the irreducible factors g of chi mod p (``modp.factor``; the module
     docstring), each with the echelon basis of g(theta) Lambda and the
     generator g(theta) if it is not 0; otherwise ``maximal_ideals(table,
-    p)``, computed once per dict ``maximal``."""
+    p)``."""
     if split and split[2] % p:
         out = []
         for g in factor(split[1], p):
@@ -387,20 +394,18 @@ def _maximal(table, p, maximal, split):
             basis = rref(action_matrix(table, at), p)
             out.append(MaximalIdeal(len(g) - 1, basis, (at,) if basis else ()))
         return sorted(out, key=lambda m: m.basis)
-    if p not in maximal:
-        maximal[p] = maximal_ideals(table, p)
-    return maximal[p]
+    return maximal_ideals(table, p)
 
 
-def _degree_one_count(table, split, p, maximal):
+def _degree_one_count(table, split, p, ms=None):
     """The number of maximal ideals of residue degree 1 of Lambda/pLambda,
     for (theta, chi, D) from ``_splitting_element``, or None if there is
     none.  If p does not divide D it is the number of roots of chi mod p,
     the (theta - a) of the module docstring; otherwise it is read off
-    ``modp.maximal_ideals`` (through ``maximal``)."""
+    ``ms``, or if that is None off ``modp.maximal_ideals``."""
     if split and split[2] % p:
         return root_count(split[1], p)
-    return sum(1 for m in _maximal(table, p, maximal, None) if m.f == 1)
+    return sum(1 for m in (maximal_ideals(table, p) if ms is None else ms) if m.f == 1)
 
 
 def _products(rows, act):

@@ -3,11 +3,11 @@
 verify_order runs the whole cross-check: brute-force ideal counts on one
 side, Euler-product assembly (Dedekind factors at good primes, inferred
 exceptional polynomials at bad primes) on the other, compared
-coefficient-by-coefficient with no tolerance.  It counts once: a bad
-prime's a_1, a_p, ..., a_{p^k} are read off the oracle's count when
-p^k <= N, and only a tower that must go past N is counted on its own.
-It analyses the table once: maximal_order checks the ring and finds
-(theta, chi, D), and the count and the towers take both from its record.
+coefficient-by-coefficient with no tolerance.  It counts each tower once:
+the tower a_1, a_p, ..., a_{p^k} that a bad prime's factor is fitted
+from is the one the oracle's count takes at p.  It analyses the table
+once: maximal_order checks the ring and finds (theta, chi, D), and the
+count and the towers take both from its record.
 """
 
 from dataclasses import dataclass, field
@@ -32,14 +32,19 @@ class ExceptionalFactor:
     """The local factor at a bad prime p: delta (the exceptional polynomial),
     full = delta times the maximal-order factor, ell = v_p[Lambda_0 : Lambda],
     the proven bound D_p on deg delta, whether Lambda_p is Gorenstein, and
-    the depth k to which the oracle counted a_{p^k}."""
+    the counted tower [a_1, a_p, ..., a_{p^k}] that delta was fitted from,
+    of depth k."""
 
     delta: tuple
     full: LocalRationalFunction
     ell: int
     degree_bound: int
     gorenstein: bool
-    depth: int
+    counts: list
+
+    @property
+    def depth(self):
+        return len(self.counts) - 1
 
 
 def oracle_depth(p, ell, degree_bound, gorenstein, bound):
@@ -51,7 +56,7 @@ def oracle_depth(p, ell, degree_bound, gorenstein, bound):
     return depth
 
 
-def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, progress=None, oracle=None, maximal=None):
+def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, progress=None):
     """For each bad prime p, count a_1, a_p, ..., a_{p^k} once and divide by
     the maximal-order factor.  Returns {p: ExceptionalFactor}.
 
@@ -79,38 +84,30 @@ def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, p
     max(D_p, floor(log_p bound)) (MaximalOrderData.degree_bound), which makes
     the quotient exact.
 
-    ``oracle``, if given, is count_ideals(t.lam, N): the counts are read off
-    it when p^k <= N.  ``maximal`` is a dict {p: modp.maximal_ideals(t.lam, p)}
-    that the socle test and the counts share and add to."""
-    maximal = {} if maximal is None else maximal
+    The socle test and the count share one ``modp.maximal_ideals(t.lam,
+    p)`` per bad prime, and each ExceptionalFactor keeps the counted
+    tower, which ``verify_order`` hands on to its full count."""
     out = {}
     for p in order.bad_primes:
         ell, degree_bound = valuation(order.index, p), order.degree_bound(p)
-        if p not in maximal:
-            maximal[p] = maximal_ideals(t.lam, p)
-        gorenstein = is_gorenstein(t.lam, maximal[p], p)
+        ms = maximal_ideals(t.lam, p)
+        gorenstein = is_gorenstein(t.lam, ms, p)
         depth = oracle_depth(p, ell, degree_bound, gorenstein, bound)
-        read = oracle is not None and p**depth <= oracle.bound
         if progress:
             fit = f"to t^{ell} and fixed by the functional equation to t^{2 * ell}" if gorenstein else f"to t^{degree_bound}"
-            at = f"a_{{{p}^k}} for k <= {depth}"
-            source = f"{at} read off the count to {oracle.bound}" if read else f"counting {at} at p={p} alone ..."
             print(
                 f"bad prime {p} of {_label(t)}: l = {ell}, D_{p} = {degree_bound}, "
                 f"{'' if gorenstein else 'not '}Gorenstein; delta_{p} fitted {fit}; "
-                f"a_{{{p}^k}} predicted for k > {depth}; {source}",
+                f"a_{{{p}^k}} predicted for k > {depth}; counting a_{{{p}^k}} for k <= {depth} at p={p} alone ...",
                 file=progress,
             )
         base = maximal_local_factor(order.rings, p)
-        if read:
-            counts = [oracle.a(p**k) for k in range(depth + 1)]
-        else:
-            counts = count_ideals_at_prime(t.lam, p, depth, maximal, _split=_split_of(order))
+        counts = count_ideals_at_prime(t.lam, p, depth, _split=_split_of(order), _maximal_ideals=ms)
         if gorenstein:
             delta = complete_local_polynomial(counts, base, ell)
         else:
             delta = infer_local_polynomial(counts, base, degree_bound)
-        out[p] = ExceptionalFactor(delta, base * delta, ell, degree_bound, gorenstein, depth)
+        out[p] = ExceptionalFactor(delta, base * delta, ell, degree_bound, gorenstein, counts)
     return out
 
 
@@ -118,7 +115,7 @@ def infer_exceptional_factors(t: TableAlgebra, order: MaximalOrderData, bound, p
 class VerifyResult:
     """The oracle against the assembled series to bound.  factors[p] is the
     ExceptionalFactor at the bad prime p: delta_p, ell, its proven degree
-    bound D_p, the Gorenstein verdict and the depth to which a_{p^k} was
+    bound D_p, the Gorenstein verdict and the tower a_1, ..., a_{p^k}
     counted to determine it."""
 
     passed: bool
@@ -155,15 +152,14 @@ def zeta_series(t: TableAlgebra, bound, progress=None) -> IdealCountSeries:
 
 
 def verify_order(t: TableAlgebra, bound, progress=None) -> VerifyResult:
-    """Count every ideal to bound, infer the bad-prime factors, reading
-    their counts off that one count where it reaches, and compare it with
-    the assembled Euler product."""
+    """Infer the bad-prime factors as zeta_series does, count every ideal
+    to bound, taking the bad primes' towers from those factors, and compare
+    the count with the assembled Euler product."""
     order = _analyzed(t, bound)
+    exc = infer_exceptional_factors(t, order, bound, progress)
     if progress:
         print(f"counting all ideals of {_label(t)} up to index {bound} ...", file=progress)
-    maximal = {}
-    oracle = count_ideals(t.lam, bound, maximal, _split=_split_of(order))
-    exc = infer_exceptional_factors(t, order, bound, progress, oracle, maximal)
+    oracle = count_ideals(t.lam, bound, _split=_split_of(order), _towers={p: f.counts for p, f in exc.items()})
     assembled = _assemble(order, exc, bound)
     mismatches = [
         (n, oracle.a(n), assembled.a(n)) for n in range(1, bound + 1) if oracle.a(n) != assembled.a(n)

@@ -219,11 +219,13 @@ def test_cli_verify_pass(capsys):
     captured = capsys.readouterr()
     assert captured.out == "delta_2\t1 - t + 2*t^2\nPASS\n"
     # the progress line names l, the proven degree bound, the Gorenstein
-    # verdict, the depth counted and where each coefficient comes from
-    assert (
+    # verdict, the depth counted and where each coefficient comes from; the
+    # tower it counts is the one the full count then takes at 2
+    assert captured.err == (
         "bad prime 2 of {1, b, d}: l = 1, D_2 = 5, Gorenstein; delta_2 fitted to t^1 and fixed by the functional "
-        "equation to t^2; a_{2^k} predicted for k > 5; a_{2^k} for k <= 5 read off the count to 32\n"
-    ) in captured.err
+        "equation to t^2; a_{2^k} predicted for k > 5; counting a_{2^k} for k <= 5 at p=2 alone ...\n"
+        "counting all ideals of {1, b, d} up to index 32 ...\n"
+    )
 
 
 def test_cli_verify_stops_when_a_count_breaks_the_functional_equation(monkeypatch, capsys):

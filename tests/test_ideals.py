@@ -335,7 +335,7 @@ def test_maximal_ideals_at_good_primes_come_from_the_roots_of_chi(label):
     split = _splitting_element(lam)
     for p in primes_up_to(200):
         if split[2] % p:
-            found = ideals._maximal(lam, p, {}, split)
+            found = ideals._maximal(lam, p, split)
             assert [(m.f, m.basis) for m in found] == [(m.f, m.basis) for m in maximal_ideals(lam, p)], p
             for m in found:
                 assert rref([row for g in m.generators for row in action_matrix(lam, g)], p) == m.basis, p
@@ -369,9 +369,32 @@ def test_a_cofactor_of_degree_four_takes_maximal_ideals(monkeypatch):
     assert called == [5]
     assert towers == [[series.a(2**k) for k in range(9)], [series.a(19**k) for k in range(3)]]
     maximal = ideals._maximal
-    monkeypatch.setattr(ideals, "_maximal", lambda table, p, known, split: maximal(table, p, known, None))
+    monkeypatch.setattr(ideals, "_maximal", lambda table, p, split: maximal(table, p, None))
     assert series == count_ideals(lam, 400)
     assert 11 in called
+
+
+@pytest.mark.parametrize("t, bound", [(drt(6), 50), (drt(60), 50), (fusion("reps3"), 64)])
+def test_verify_walks_each_tower_once(monkeypatch, t, bound):
+    # one verify walks each prime's tower once and finds each prime's
+    # maximal ideals once: the full count takes a bad prime's tower from
+    # the count its delta_p was fitted from, also where that tower goes
+    # past the bound (drt(6) and drt(60) at 3, to 3^4 and 3^7 > 50)
+    walked = []
+    descend = ideals._descend
+
+    def recording(table, p, kmax, *args):
+        walked.append((p, kmax))
+        return descend(table, p, kmax, *args)
+
+    monkeypatch.setattr(ideals, "_descend", recording)
+    called = record_maximal_ideals(monkeypatch)
+    res = verify_order(t, bound)
+    assert res.passed
+    primes = [p for p, _ in walked]
+    assert len(primes) == len(set(primes)), walked
+    assert len(called) == len(set(called)), called
+    assert {(p, f.depth) for p, f in res.factors.items()} <= set(walked)
 
 
 def test_a_tower_of_depth_zero_finds_no_maximal_ideals(monkeypatch):
@@ -517,7 +540,8 @@ def test_each_hyperplane_is_found_once(monkeypatch):
 
 def test_residue_degrees_search_no_generators(monkeypatch):
     # a tower of depth 1 at a p dividing D reads only the residue degrees of
-    # the maximal ideals; a walk and the socle test search for generators
+    # the maximal ideals; a walk and the socle test search for generators,
+    # each ideal once, also where the walk is handed the socle test's list
     c2c2 = [[[int(i ^ j == k) for k in range(4)] for j in range(4)] for i in range(4)]
     searched = []
     search = modp._ideal_generators
@@ -527,13 +551,27 @@ def test_residue_degrees_search_no_generators(monkeypatch):
         return search(lam, basis, p)
 
     monkeypatch.setattr(modp, "_ideal_generators", recording)
-    maximal = {}
-    assert count_ideals(c2c2, 24, maximal).counts == count_ideals(c2c2, 24).counts
+    found = {}
+
+    def keeping(lam, p):
+        found[p] = maximal_ideals(lam, p)
+        return found[p]
+
+    monkeypatch.setattr(ideals, "maximal_ideals", keeping)
+    series = count_ideals(c2c2, 24)
     assert set(searched) <= {2, 3}
-    assert 5 in maximal and 7 not in searched
-    assert is_gorenstein(c2c2, maximal[5], 5) and searched.count(5) == len(maximal[5])
-    assert [m.generators for m in maximal[5]] == [search(c2c2, m.basis, 5) for m in maximal[5]]
-    assert searched.count(5) == len(maximal[5])  # each ideal searches once
+    assert all(searched.count(p) == len(found[p]) for p in set(searched))  # each walked ideal searches once
+    assert 5 in found and 7 not in searched
+    ms = found[5]
+    assert count_ideals_at_prime(c2c2, 5, 1, _maximal_ideals=ms) == [1, series.a(5)]
+    assert 5 not in searched
+    assert is_gorenstein(c2c2, ms, 5) and searched.count(5) == len(ms)
+    assert [m.generators for m in ms] == [search(c2c2, m.basis, 5) for m in ms]
+    assert searched.count(5) == len(ms)  # each ideal searches once
+    # a walk handed the list searches nothing more; one that finds its own list searches it once
+    tower = count_ideals_at_prime(c2c2, 5, 2, _maximal_ideals=ms)
+    assert searched.count(5) == len(ms)
+    assert count_ideals_at_prime(c2c2, 5, 2) == tower and searched.count(5) == 2 * len(ms)
 
 
 def test_a_lost_child_trips_the_moebius_check(monkeypatch):

@@ -76,8 +76,9 @@ def test_counts_past_the_degree_bound_match_delta(label):
 
 @pytest.mark.parametrize("label, bound", [*((label, 64) for label in ORDERS), ("drt(6)", 50)])
 def test_verify_reads_the_bad_primes_off_its_one_count(label, bound):
-    # the oracle is the full count, and each delta_p equals the one found from
-    # the prime's own tower to the same depth; drt(6) at 50 counts to 3^4 > 50
+    # the oracle is the full count, and at a bad prime it reads a_{p^k} off
+    # the one tower delta_p is fitted from, which equals the prime's own
+    # tower to the same depth; drt(6) at 50 counts to 3^4 > 50
     t = ORDERS[label]
     res = verify_order(t, bound)
     assert res.passed
